@@ -14,7 +14,7 @@ from .errors import (
 )
 from .exact import TruncatedSeries, factorial, harmonic_power_sum, pochhammer
 from .fixedpoint import FixedReal, e_fixed, pi_fixed, sqrt_fixed
-from .zeta import ZetaTable, bernoulli, zeta_high_precision
+from .zeta import ZetaTable, bernoulli
 from .forms import (
     FactoredRationalFunction,
     PartialFractionExpansion,

@@ -3,12 +3,24 @@
 Primary method: Euler-Maclaurin with exact Bernoulli-number corrections.
 For integer s every term is rational, so the only rounding happens when the
 accumulated value is projected onto the fixed-point grid (one floor per
-term, absorbed by guard digits).
+term, absorbed by guard digits).  The direct sum runs to the cutoff
+N = max(16, 4 * work), proportional to the working digits `work`.  The j-th
+correction term is about 2 (s)_(2j-1) / ((2 pi)^(2j) N^(s+2j-1)), so
+successive terms shrink by about (j / (pi N))^2 and, with N = 4 * work, the
+tail reaches 10^(-work) on the first try at Bernoulli index 2j ~ 0.46 * work
+(150 at 314 digits, 308 at 657).  That is far below the optimal-truncation
+point 2j ~ 2 pi N, where the terms start to grow again.
+
+Bernoulli numbers come from the integer tangent numbers (Brent & Harvey,
+"Fast computation of Bernoulli, Tangent and Secant numbers", 2013):
+O(k^2) multiply-adds by small integers, and one exact division per B_2k.
 
 Verification method: the alternating series eta(s) = sum (-1)^(k-1) k^(-s)
 accelerated by Chebyshev-style weights (the d_k = coefficients derived from
-(3+sqrt 8)^n scheme), which converges like 5.83^(-n) and shares nothing
-with the Euler-Maclaurin route except Fraction arithmetic.
+(3+sqrt 8)^n scheme; Borwein, "An efficient algorithm for the Riemann zeta
+function", 2000), which converges like 5.83^(-n).  It accumulates in scaled
+integers and uses no Bernoulli numbers, so it shares nothing with the
+Euler-Maclaurin route.
 
 ZetaTable bundles values at one precision and refuses to exist unless the
 two methods agree entry by entry.
@@ -22,22 +34,45 @@ from fractions import Fraction
 from .errors import BudgetError, DomainError, InternalCheckError
 from .fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+_BERNOULLI_EVEN: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """[0, T_1, ..., T_n] with tan x = sum_k T_k x^(2k-1) / (2k-1)!.
+
+    Brent & Harvey (2013), algorithm TangentNumbers: about n^2 / 2
+    multiply-adds by integers below 2n, and no division.
+    """
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
 
 
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2), exact, from the defining
-    recurrence sum_{k=0}^{n} C(n+1,k) B_k = 0."""
+    """Bernoulli number B_n (B_1 = -1/2), exact.
+
+    Even indices come from tangent numbers,
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  A refill of the cache at
+    least doubles it, so a caller stepping up through the indices pays
+    O(n^2) integer steps in all.
+    """
     if n < 0:
         raise DomainError("Bernoulli index must be >= 0")
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        acc = Fraction(0)
-        for k, bk in enumerate(_BERNOULLI):
-            if bk:
-                acc += math.comb(m + 1, k) * bk
-        _BERNOULLI.append(-acc / (m + 1))
-    return _BERNOULLI[n]
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    k = n // 2
+    cached = len(_BERNOULLI_EVEN) - 1
+    if k > cached:
+        top = max(k, 2 * cached)
+        t = _tangent_numbers(top)
+        for i in range(cached + 1, top + 1):
+            sign = 1 if i % 2 else -1
+            _BERNOULLI_EVEN.append(Fraction(sign * 2 * i * t[i], 4**i * (4**i - 1)))
+    return _BERNOULLI_EVEN[k]
 
 
 def power_tail_scaled(start: int, s: int, work: int) -> int:
@@ -45,8 +80,12 @@ def power_tail_scaled(start: int, s: int, work: int) -> int:
 
     Euler-Maclaurin with the correction depth chosen from the standard
     remainder bound (|remainder| <= |first omitted term|, doubled for
-    safety).  Raises BudgetError if no depth reaches 10**(-work) before the
-    asymptotic terms start growing; callers retry with a larger `start`.
+    safety).  Successive terms shrink by about (j / (pi start))^2: from
+    start = 4 * work (the cutoff of zeta_euler_maclaurin) the bound drops
+    below 10**(-work) at Bernoulli index about 0.46 * work.  Raises
+    BudgetError if no depth reaches 10**(-work) before the asymptotic terms
+    start growing (start too small for `work`); callers retry with a larger
+    `start`.
     """
     if start < 1 or s < 2:
         raise DomainError("power tail needs start >= 1 and s >= 2")
@@ -84,7 +123,7 @@ def zeta_euler_maclaurin(s: int, digits: int) -> FixedReal:
         raise DomainError("ask for at least 10 digits")
     work = digits + GUARD_DIGITS + 8
     scale = 10**work
-    cutoff = max(16, (work * 4) // (s + 2) + 8)
+    cutoff = max(16, 4 * work)  # the tail converges on the first try
     while True:
         try:
             tail = power_tail_scaled(cutoff, s, work)
@@ -102,31 +141,30 @@ def zeta_alternating(s: int, digits: int) -> FixedReal:
 
     eta(s) is evaluated with the integer acceleration weights built from the
     recurrence d_k = 6 d_{k-1} - d_{k-2} (values of ((3+sqrt8)^n+(3-sqrt8)^n)/2),
-    giving error ~ (3+sqrt8)^(-n); then zeta = eta / (1 - 2^(1-s)).
+    giving error ~ (3+sqrt8)^(-n); then zeta = eta / (1 - 2^(1-s)).  The
+    weights b and c are integers, so the sum is kept as a 10**work scaled
+    integer (one rounding per term, below 10**(-work) after the division
+    by d) and rounded once more at the end.
     """
     if s < 2:
         raise DomainError("zeta engine handles integer s >= 2 only")
     work = digits + GUARD_DIGITS + 5
+    scale = 10**work
     n = int(work / math.log10(3 + math.sqrt(8))) + 6
     # d = ((3+sqrt8)^n + (3-sqrt8)^n) / 2 via the linear recurrence
     d_prev, d = 1, 3
     for _ in range(n - 1):
         d_prev, d = d, 6 * d - d_prev
-    b = Fraction(-1)
-    c = Fraction(-d)
-    acc = Fraction(0)
+    b, c, acc = -1, -d, 0
     for k in range(n):
         c = b - c
-        acc += c / (k + 1) ** s
-        b = b * 2 * (k + n) * (k - n) / ((2 * k + 1) * (k + 1))
-    eta = acc / d
-    value = eta / (1 - Fraction(1, 2 ** (s - 1)))
-    return FixedReal.from_fraction(value, digits)
-
-
-def zeta_high_precision(s: int, digits: int) -> FixedReal:
-    """zeta(s) with absolute error < 10**(-digits) (Euler-Maclaurin route)."""
-    return zeta_euler_maclaurin(s, digits)
+        acc += _div_nearest(c * scale, (k + 1) ** s)
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))  # exact
+    # zeta = (acc / d) / (1 - 2^(1-s)), in units of 10**(-digits)
+    half = 2 ** (s - 1)
+    return FixedReal(
+        _div_nearest(acc * half, d * (half - 1) * 10 ** (work - digits)), digits
+    )
 
 
 class ZetaTable:

@@ -1,6 +1,8 @@
 """CLI contract: determinism, exit codes, formats."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from zetaforms.cli import (
     EXIT_OK,
     main,
 )
+
+EXPECTED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
 
 def run(capsys, *argv):
@@ -159,6 +163,13 @@ def test_form_command_full(capsys):
     assert doc["form"]["checks"]["reflection"]["sign"] == -1
     assert float(doc["numeric"]["agreement_delta_log10"]) < -50
     assert doc["numeric"]["log10_abs"] < -30
+
+
+def test_form_default_digits_byte_identical(capsys):
+    digests = json.loads(EXPECTED_DIGESTS.read_text(encoding="utf-8"))["digests"]
+    code, out = run(capsys, "form", "--n", "1")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digests["cli form --n 1"]
 
 
 def test_form_csv_one_row_per_coefficient(capsys):

@@ -1,11 +1,13 @@
 """Zeta engine: dual-method agreement, closed forms, telescoping."""
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from zetaforms import zeta
 from zetaforms.errors import DomainError
 from zetaforms.exact import harmonic_power_sum
 from zetaforms.fixedpoint import pi_fixed
@@ -14,7 +16,6 @@ from zetaforms.zeta import (
     bernoulli,
     zeta_alternating,
     zeta_euler_maclaurin,
-    zeta_high_precision,
 )
 
 # zeta(2m) = pi^(2m) * coefficient; textbook values
@@ -44,11 +45,52 @@ def test_bernoulli_known_values():
         assert bernoulli(n) == value
 
 
+def test_bernoulli_matches_defining_recurrence():
+    # oracle: sum_{k=0}^{n} C(n+1, k) B_k = 0, solved for B_n
+    oracle = [Fraction(1)]
+    for m in range(1, 301):
+        acc = sum(math.comb(m + 1, k) * bk for k, bk in enumerate(oracle) if bk)
+        oracle.append(-acc / (m + 1))
+    assert [bernoulli(n) for n in range(301)] == oracle
+
+
+@pytest.mark.parametrize(
+    "s, digits", [(5, 657), (7, 657), (9, 657), (11, 657), (2, 30), (3, 30)]
+)
+def test_both_routes_match_mpmath(s, digits):
+    with mp.workdps(digits + 20):
+        want = Fraction(mp.nstr(mp.zeta(s), digits + 15, strip_zeros=False))
+    for route in (zeta_euler_maclaurin, zeta_alternating):
+        got = route(s, digits).to_fraction()
+        assert abs(got - want) < Fraction(1, 10 ** (digits - 7)), route.__name__
+
+
+def test_table_tail_converges_first_try(monkeypatch):
+    # counts work instead of timing it: one tail per s, few Bernoulli numbers
+    monkeypatch.setattr(zeta, "_BERNOULLI_EVEN", [Fraction(1)])
+    tails, indices = [], []
+    power_tail_scaled, bernoulli_number = zeta.power_tail_scaled, zeta.bernoulli
+
+    def counting_tail(start, s, work):
+        tails.append(s)
+        return power_tail_scaled(start, s, work)
+
+    def counting_bernoulli(n):
+        indices.append(n)
+        return bernoulli_number(n)
+
+    monkeypatch.setattr(zeta, "power_tail_scaled", counting_tail)
+    monkeypatch.setattr(zeta, "bernoulli", counting_bernoulli)
+    ZetaTable((5, 7, 9, 11), 657)
+    assert tails == [5, 7, 9, 11]
+    assert max(indices) <= 400
+
+
 def test_zeta2_matches_pi_squared_over_6_independent_pi():
     # independent pi oracle: mpmath
     with mp.workdps(50):
         pi_sq_over_6 = Fraction(mp.nstr(mp.pi**2 / 6, 45, strip_zeros=False))
-    got = zeta_high_precision(2, 30).to_fraction()
+    got = zeta_euler_maclaurin(2, 30).to_fraction()
     assert abs(got - pi_sq_over_6) < Fraction(1, 10**29)
 
 
@@ -60,7 +102,7 @@ def test_zeta5_prefix_and_dual_method():
 
 
 def test_zeta12_closed_form_from_pi():
-    got = zeta_high_precision(12, 50).to_fraction()
+    got = zeta_euler_maclaurin(12, 50).to_fraction()
     pi12 = pi_fixed(70).to_fraction() ** 12
     assert abs(got - EVEN_CLOSED_FORMS[12] * pi12) < Fraction(1, 10**49)
 
@@ -73,8 +115,8 @@ def test_even_closed_forms_at_200_digits(table200):
 
 
 def test_two_precisions_agree_on_common_prefix():
-    lo = zeta_high_precision(7, 60)
-    hi = zeta_high_precision(7, 120)
+    lo = zeta_euler_maclaurin(7, 60)
+    hi = zeta_euler_maclaurin(7, 120)
     assert abs(lo.to_fraction() - hi.to_fraction()) < Fraction(2, 10**60)
 
 
@@ -89,7 +131,7 @@ def test_telescoping_against_numeric_tail():
         m = rng.randint(0, 50)
         s = rng.randint(2, 12)
         partial = harmonic_power_sum(m, s)
-        zeta = zeta_high_precision(s, digits).to_fraction()
+        zeta = zeta_euler_maclaurin(s, digits).to_fraction()
         split = max(m + 1, 64)
         tail_scaled = sum(10**work // k**s for k in range(m + 1, split))
         tail_scaled += power_tail_scaled(split, s, work)
@@ -105,7 +147,7 @@ def test_table_verifies_and_guards(table200):
     with pytest.raises(DomainError):
         ZetaTable([1], 50)
     with pytest.raises(DomainError):
-        zeta_high_precision(5, 5)
+        zeta_euler_maclaurin(5, 5)
 
 
 def test_alternating_handles_s2():
