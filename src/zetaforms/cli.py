@@ -172,14 +172,20 @@ def _parse_pairs(omegas, phis, parser_error) -> tuple[AnglePair, ...]:
         parser_error(str(exc))
 
 
-def _load_relations(path: Optional[str]) -> Optional[RelationData]:
+def _load_relations(path: Optional[str], parser_error) -> Optional[RelationData]:
     if path is None:
         return None
-    with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    generators = tuple(decimal_to_fraction(t) for t in doc["generators"])
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        generator_texts, row_texts = doc["generators"], doc["rows"]
+    except (OSError, ValueError) as exc:  # missing file, not UTF-8 JSON
+        parser_error(f"cannot read --relations {path}: {exc}")
+    except (KeyError, TypeError):
+        parser_error(f'--relations {path} needs "generators" and "rows"')
+    generators = tuple(decimal_to_fraction(t) for t in generator_texts)
     rows = tuple(
-        tuple(decimal_to_fraction(r) for r in row) for row in doc["rows"]
+        tuple(decimal_to_fraction(r) for r in row) for row in row_texts
     )
     return RelationData(generators, rows)
 
@@ -358,7 +364,7 @@ def _config_from_args(args, parser) -> RunConfig:
             command="subseq",
             count=args.count,
             angles=_parse_pairs(args.omega, args.phi, parser.error),
-            relations=_load_relations(args.relations),
+            relations=_load_relations(args.relations, parser.error),
             output=args.output,
             format=args.format,
         )

@@ -45,7 +45,8 @@ class GrowthData:
     log_beta: float
 
     def __post_init__(self):
-        if not (self.log_alpha < 0 < self.log_beta):
+        finite = math.isfinite(self.log_alpha) and math.isfinite(self.log_beta)
+        if not (finite and self.log_alpha < 0 < self.log_beta):
             raise DomainError(
                 "need 0 < alpha < 1 < beta "
                 f"(log alpha = {self.log_alpha}, log beta = {self.log_beta})"

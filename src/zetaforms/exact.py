@@ -1,17 +1,15 @@
 """Exact rational building blocks: factorials, rising factorials, harmonic
-power sums, and truncated power series over the rationals.
+power sums, least common multiples and logarithms of huge rationals.
 
 Rationals are `fractions.Fraction` throughout (always stored reduced, exact,
-unbounded).  Truncated series keep exactly order+1 coefficients and never
-read beyond their truncation order.
+unbounded).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import DomainError
 
@@ -47,105 +45,6 @@ def harmonic_power_sum(m: int, s: int) -> Fraction:
     if s < 2:
         raise DomainError(f"harmonic_power_sum needs s >= 2, got {s}")
     return sum((Fraction(1, l**s) for l in range(1, m + 1)), Fraction(0))
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Power series in u truncated at a fixed order, exact coefficients.
-
-    coeffs[k] is the coefficient of u^k; len(coeffs) == order + 1.
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise DomainError("a truncated series needs at least order 0")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def from_coeffs(cls, values: Sequence[Rational], order: int) -> "TruncatedSeries":
-        """Build from a (possibly short) coefficient list, zero-padded."""
-        vals = [Fraction(v) for v in values[: order + 1]]
-        vals += [Fraction(0)] * (order + 1 - len(vals))
-        return cls(tuple(vals))
-
-    @classmethod
-    def constant(cls, value: Rational, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([value], order)
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product truncated at the common order."""
-        self._check_order(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
-
-    def scale(self, c: Rational) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries(tuple(c * a for a in self.coeffs))
-
-    def mul_linear(self, const: Rational, lin: Rational = 1) -> "TruncatedSeries":
-        """Multiply by (const + lin*u) in O(order) coefficient operations."""
-        const = Fraction(const)
-        lin = Fraction(lin)
-        n = self.order
-        out = [const * self.coeffs[0]]
-        for k in range(1, n + 1):
-            out.append(const * self.coeffs[k] + lin * self.coeffs[k - 1])
-        return TruncatedSeries(tuple(out))
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term.
-
-        Defined by self * self.inverse() == 1 exactly through the
-        truncation order.
-        """
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise DomainError("cannot invert a series with zero constant term")
-        n = self.order
-        inv0 = Fraction(1) / c0
-        out = [inv0]
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                ai = self.coeffs[i]
-                if ai != 0:
-                    acc += ai * out[k - i]
-            out.append(-inv0 * acc)
-        return TruncatedSeries(tuple(out))
-
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise DomainError(
-                f"truncation order mismatch: {self.order} vs {other.order}"
-            )
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
-    return a.inverse()
 
 
 def lcm_of(values) -> int:

@@ -2,8 +2,8 @@
 
 The pipeline: build the factored function (a linear prefactor, rising-
 factorial blocks in the numerator and denominator, one scalar), decompose
-it exactly into partial fractions by local truncated-series expansion at
-each integer pole, shift orders for the second derivative, and sum over
+it exactly into partial fractions by local series division at each
+integer pole, shift orders for the second derivative, and sum over
 positive integer arguments using sum_{k>=1} (k+m)^(-s) = zeta(s) - H_m(s).
 
 Everything up to the final numeric evaluation is exact rational
@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .errors import BudgetError, DomainError, InternalCheckError
 from .exact import (
-    TruncatedSeries,
     factorial,
     harmonic_power_sum,
     lcm_of,
@@ -28,7 +27,7 @@ from .exact import (
     pochhammer,
 )
 from .fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
-from .zeta import ZetaTable, power_tail_scaled
+from .zeta import ZetaTable
 
 
 @dataclass(frozen=True)
@@ -88,9 +87,6 @@ class FactoredRationalFunction:
             order += 1
         return order
 
-    def denominator_cover_at(self, m: int) -> int:
-        return sum(b.zero_order_at(m) for b in self.denominator)
-
     def evaluate(self, t: Fraction) -> Fraction:
         """Exact value at a rational point away from the poles."""
         t = Fraction(t)
@@ -131,20 +127,25 @@ def build_zudilin(n: int) -> FactoredRationalFunction:
     return FactoredRationalFunction((37 * n, 2), numerator, denominator, scalar)
 
 
+def _denominator_cover(f: FactoredRationalFunction) -> dict[int, int]:
+    """m -> how many denominator factors vanish at t = -m (with powers)."""
+    cover: dict[int, int] = {}
+    for b in f.denominator:
+        for i in range(b.length):
+            m = b.shift + i
+            cover[m] = cover.get(m, 0) + b.power
+    return cover
+
+
 def pole_spectrum(f: FactoredRationalFunction) -> list[tuple[int, int]]:
     """Poles t = -m with their analytic multiplicities, sorted by m.
 
     Multiplicity = denominator cover count minus any numerator vanishing
     order at -m; entries with multiplicity < 1 are dropped.
     """
-    cover: dict[int, int] = {}
-    for b in f.denominator:
-        for i in range(b.length):
-            m = b.shift + i
-            cover[m] = cover.get(m, 0) + b.power
     out = []
-    for m in sorted(cover):
-        mult = cover[m] - f.numerator_zero_order_at(m)
+    for m, cover in sorted(_denominator_cover(f).items()):
+        mult = cover - f.numerator_zero_order_at(m)
         if mult >= 1:
             out.append((m, mult))
     return out
@@ -185,11 +186,11 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
 
     Per pole t = -m with denominator cover mu: substitute t = u - m, so
     every linear factor (t + c) becomes (c - m) + u; the mu vanishing
-    denominator factors contribute u^mu and the rest are expanded as
-    truncated series of order mu - 1.  Then a_{j,m} is the coefficient of
-    u^(mu - j) in numerator_series * inverse(denominator_series), scaled by
-    the function's scalar prefactor (so reconstruction reproduces the
-    original including the scalar).
+    denominator factors contribute u^mu and the rest give integer series
+    num and den truncated at order mu - 1.  Exact series division
+    local[k] = (num[k] - sum_{i=1..k} den[i] local[k-i]) / den[0] gives
+    num/den, and a_{j,m} = scalar * local[mu - j] (so reconstruction
+    reproduces the original including the scalar).
     """
     if not f.is_proper:
         raise DomainError(
@@ -197,15 +198,9 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
             f"polynomial part (degrees {f.numerator_degree} >= "
             f"{f.denominator_degree})"
         )
-    cover: dict[int, int] = {}
-    for b in f.denominator:
-        for i in range(b.length):
-            m = b.shift + i
-            cover[m] = cover.get(m, 0) + b.power
     c0, c1 = f.prefactor
     out: dict[tuple[int, int], Fraction] = {}
-    for m in sorted(cover):
-        mu = cover[m]
+    for m, mu in sorted(_denominator_cover(f).items()):
         top = mu - 1
         num = [0] * (top + 1)
         num[0] = c0 - c1 * m
@@ -224,11 +219,12 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
                     continue  # the u^mu factors handled by the order shift
                 for _ in range(b.power):
                     _int_series_mul_linear(den, i, top)
-        num_s = TruncatedSeries.from_coeffs(num, top)
-        den_s = TruncatedSeries.from_coeffs(den, top)
-        local = (num_s * den_s.inverse()).scale(f.scalar)
+        local: list[Fraction] = []
+        for k in range(mu):
+            acc = num[k] - sum(den[i] * local[k - i] for i in range(1, k + 1))
+            local.append(Fraction(acc, den[0]))
         for j in range(1, mu + 1):
-            a = local[mu - j]
+            a = f.scalar * local[mu - j]
             if a != 0:
                 out[(m, j)] = a
     return PartialFractionExpansion(out)
@@ -406,10 +402,12 @@ def direct_sum(
     n: int,
     digits: int,
     k_cut: int | None = None,
-    expansion: PartialFractionExpansion | None = None,
+    *,
+    expansion: PartialFractionExpansion,
 ) -> FixedReal:
     """Brute-force numeric value of the n-th sum: term-by-term exact
-    evaluation of the twice-differentiated expansion at t = 1, 2, ...
+    evaluation of `expansion` (the twice-differentiated partial fractions
+    of the n-th function) at t = 1, 2, ...
 
     Completely independent of the zeta reduction in sum_over_k; this is
     the oracle side of the oracle/evaluation pair.  The cutoff comes from
@@ -417,8 +415,6 @@ def direct_sum(
     the computed terms times a 10^4 safety factor; pass k_cut to force a
     specific cutoff (used by the two-cutoff agreement check).
     """
-    if expansion is None:
-        expansion = second_derivative(partial_fractions(build_zudilin(n)))
     work = digits + GUARD_DIGITS + 5
     scale = 10**work
     poles = _per_pole_polynomials(expansion)
@@ -444,37 +440,6 @@ def direct_sum(
     else:
         if k_cut is None:
             raise BudgetError(f"direct sum cutoff budget exceeded at k={limit}")
-    return FixedReal(_div_nearest(acc, 10 ** (work - digits)), digits)
-
-
-def sum_expansion_numeric(p: PartialFractionExpansion, digits: int) -> FixedReal:
-    """Numeric sum over t = 1, 2, ... of a generic expansion (orders >= 2).
-
-    Exact summation to a cutoff plus an Euler-Maclaurin tail per term;
-    handles slowly decaying expansions that the brute-force route cannot.
-    """
-    if p.min_order < 2 and p.terms:
-        raise DomainError("expansion has a divergent order < 2")
-    work = digits + GUARD_DIGITS + 5
-    scale = 10**work
-    poles = _per_pole_polynomials(p)
-    cutoff = max(64, digits)
-    while True:
-        try:
-            tail = 0
-            for (m, j), a in sorted(p.terms.items()):
-                t = power_tail_scaled(cutoff + m + 1, j, work)
-                tail += _div_nearest(a.numerator * t, a.denominator)
-            break
-        except BudgetError:
-            cutoff *= 2
-            if cutoff > 10**6:
-                raise
-    acc = tail
-    for k in range(1, cutoff + 1):
-        for m, den, coeffs, big_j in poles:
-            base = k + m
-            acc += _div_nearest(_poly_int(coeffs, base) * scale, den * base**big_j)
     return FixedReal(_div_nearest(acc, 10 ** (work - digits)), digits)
 
 

@@ -118,15 +118,24 @@ def parse_angle(text: str) -> Angle:
     cleaned = text.strip().replace(" ", "")
     if not cleaned:
         raise DomainError("empty angle expression")
-    # split into signed terms: insert '+' before any '-' that follows a value
-    marked = []
+    # split into signed terms at every '+' and at any '-' that follows a
+    # value; a sign after the exponent marker of a literal (1e-50) stays
+    terms, start = [], 0
     for i, ch in enumerate(cleaned):
-        if ch == "-" and i > 0 and (cleaned[i - 1].isdigit() or cleaned[i - 1].isalpha()):
-            marked.append("+-")
-        else:
-            marked.append(ch)
+        if ch not in "+-" or (
+            i >= 2 and cleaned[i - 1] in "eE"
+            and (cleaned[i - 2].isdigit() or cleaned[i - 2] == ".")
+        ):
+            continue
+        if ch == "+":
+            terms.append(cleaned[start:i])
+            start = i + 1
+        elif i > 0 and (cleaned[i - 1].isdigit() or cleaned[i - 1].isalpha()):
+            terms.append(cleaned[start:i])
+            start = i
+    terms.append(cleaned[start:])
     total = Angle()
-    for term in "".join(marked).split("+"):
+    for term in terms:
         if not term:
             raise DomainError(f"malformed angle expression {text!r}")
         total = total + _parse_term(term, text)
@@ -149,7 +158,7 @@ def _parse_term(term: str, original: str) -> Angle:
         if name in ("sqrt2", "e"):
             return Angle(Fraction(0), rat * named_constant(name))
         return Angle(Fraction(0), rat * decimal_to_fraction(name))
-    except (ValueError, ZeroDivisionError):
+    except DomainError:
         raise DomainError(f"cannot parse angle term {term!r} in {original!r}") from None
 
 

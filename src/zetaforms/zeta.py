@@ -198,7 +198,3 @@ class ZetaTable:
 
     def __contains__(self, s: int) -> bool:
         return s in self._values
-
-    @property
-    def entries(self):
-        return dict(self._values)

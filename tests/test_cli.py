@@ -10,6 +10,7 @@ from zetaforms.cli import (
     EXIT_BUDGET,
     EXIT_DOMAIN,
     EXIT_OK,
+    EXIT_USAGE,
     main,
 )
 
@@ -131,6 +132,49 @@ def test_density_malformed_box_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["density", "--theta", "sqrt2", "--box", "nonsense", "--kmax", "10"])
     assert exc.value.code == 2
+
+
+RELATION_FILES = {
+    "zero_denominator.json": '{"generators": ["1/0"], "rows": [["0", "1"]]}',
+    "not_json.json": "generators: 1/2",
+    "no_rows.json": '{"generators": ["1/2"]}',
+}
+
+
+@pytest.mark.parametrize(
+    "argv,code,kind",
+    [
+        (["density", "--theta", "sqrt2", "--box", "0:1/0", "--kmax", "10"],
+         EXIT_USAGE, None),
+        (["subseq", "--omega", "1", "--phi", "0", "--relations",
+          "{tmp}/zero_denominator.json"], EXIT_DOMAIN, "domain"),
+        (["subseq", "--omega", "1", "--phi", "0", "--relations",
+          "{tmp}/missing.json"], EXIT_USAGE, None),
+        (["subseq", "--omega", "1", "--phi", "0", "--relations",
+          "{tmp}/not_json.json"], EXIT_USAGE, None),
+        (["subseq", "--omega", "1", "--phi", "0", "--relations",
+          "{tmp}/no_rows.json"], EXIT_USAGE, None),
+        (["criterion", "--alpha", "0.5", "--beta", "inf"], EXIT_DOMAIN, "domain"),
+        (["criterion", "--c0", "inf", "--c1", "1", "--bits", "513"],
+         EXIT_DOMAIN, "domain"),
+        (["subseq", "--omega", "1e999999", "--phi", "0", "--count", "3"],
+         EXIT_BUDGET, "budget"),
+        (["subseq", "--omega", "1e-50", "--phi", "0", "--count", "3"], EXIT_OK, None),
+    ],
+)
+def test_bad_inputs_end_in_documented_exit_codes(capsys, tmp_path, argv, code, kind):
+    for name, text in RELATION_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if code == EXIT_USAGE:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        return
+    got, out = run(capsys, *argv)
+    assert got == code
+    if kind is not None:
+        assert json.loads(out)["error"]["kind"] == kind
 
 
 def test_usage_errors_exit_2():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from zetaforms.errors import DomainError
 from zetaforms.exact import (
-    TruncatedSeries,
     factorial,
     harmonic_power_sum,
     log2_fraction,
@@ -64,49 +63,6 @@ def test_rational_add_mul_roundtrip(a, b):
     assert (a + b) - b == a
     if b != 0:
         assert (a * b) / b == a
-
-
-def test_series_mul_trivia():
-    one_plus = TruncatedSeries.from_coeffs([1, 1], 2)
-    one_minus = TruncatedSeries.from_coeffs([1, -1], 2)
-    assert (one_plus * one_minus).coeffs == (1, 0, -1)
-    a = TruncatedSeries.from_coeffs([3, 5, 7], 2)
-    assert a * TruncatedSeries.constant(1, 2) == a
-    sq = TruncatedSeries.from_coeffs([1, 1, 1], 2)
-    assert (sq * sq).coeffs == (1, 2, 3)
-
-
-def test_series_inverse_trivia():
-    geom = TruncatedSeries.from_coeffs([1, -1], 2).inverse()
-    assert geom.coeffs == (1, 1, 1)
-    c = TruncatedSeries.constant(Fraction(5, 3), 4)
-    assert c.inverse() == TruncatedSeries.constant(Fraction(3, 5), 4)
-
-
-def test_series_errors():
-    with pytest.raises(DomainError):
-        TruncatedSeries.constant(1, 2) * TruncatedSeries.constant(1, 3)
-    with pytest.raises(DomainError):
-        TruncatedSeries.from_coeffs([0, 1], 3).inverse()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(rationals, min_size=1, max_size=6),
-    st.integers(1, 8),
-)
-def test_series_inverse_roundtrip(coeffs, order):
-    if coeffs[0] == 0:
-        coeffs[0] = Fraction(1)
-    a = TruncatedSeries.from_coeffs(coeffs, order)
-    product = a * a.inverse()
-    assert product == TruncatedSeries.constant(1, order)
-
-
-def test_mul_linear_matches_full_mul():
-    a = TruncatedSeries.from_coeffs([2, 3, 5, 7], 3)
-    lin = TruncatedSeries.from_coeffs([4, -9], 3)
-    assert a.mul_linear(4, -9) == a * lin
 
 
 def test_log2_fraction_huge():

@@ -5,8 +5,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from zetaforms.errors import DomainError
+from zetaforms.errors import BudgetError, DomainError
 from zetaforms.fixedpoint import (
+    MAX_COS_WORK_DIGITS,
     FixedReal,
     cos_pi_argument,
     decimal_to_fraction,
@@ -55,6 +56,20 @@ def test_cos_against_mpmath(pi_part, addend):
     assert abs(got.to_fraction() - want) < Fraction(1, 10**55)
 
 
+@pytest.mark.parametrize("exponent", [320, 400, 1000])
+def test_cos_beyond_float_range_against_mpmath(exponent):
+    # 10^e overflows a double, so the working digits come from the bit length
+    got = cos_pi_argument(Fraction(0), Fraction(10**exponent), 30)
+    with mp.workdps(exponent + 60):
+        want = Fraction(mp.nstr(mp.cos(mp.mpf(10) ** exponent), 50, strip_zeros=False))
+    assert abs(got.to_fraction() - want) < Fraction(2, 10**30)
+
+
+def test_cos_working_digit_cap():
+    with pytest.raises(BudgetError):
+        cos_pi_argument(Fraction(0), Fraction(10**MAX_COS_WORK_DIGITS), 30)
+
+
 def test_sin_pi_multiple():
     assert abs(sin_pi_multiple(Fraction(1, 2), 40).to_fraction() - 1) < Fraction(
         1, 10**38
@@ -88,6 +103,9 @@ def test_decimal_to_fraction():
     assert decimal_to_fraction("0.25") == Fraction(1, 4)
     assert decimal_to_fraction("-3/7") == Fraction(-3, 7)
     assert decimal_to_fraction(" 2 ") == 2
+    for bad in ("1/0", "0/0", "abc", "1/x", "", "1.5/2"):
+        with pytest.raises(DomainError):
+            decimal_to_fraction(bad)
 
 
 def test_log10_abs():

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zetaforms.errors import BudgetError, DomainError
 from zetaforms.forms import (
@@ -27,11 +29,10 @@ from zetaforms.forms import (
     reflection_check,
     required_digits,
     second_derivative,
-    sum_expansion_numeric,
     sum_over_k,
     zudilin_linear_form,
 )
-from zetaforms.zeta import ZetaTable, zeta_euler_maclaurin
+from zetaforms.zeta import ZetaTable
 
 
 def cover_count_oracle(n, m):
@@ -97,6 +98,35 @@ def test_partial_fractions_double_pole():
     f = FactoredRationalFunction((1, 0), (), (RisingBlock(1, 1, 2),))
     p = partial_fractions(f)
     assert p.terms == {(1, 2): Fraction(1)}
+
+
+def test_partial_fractions_triple_pole_next_to_simple():
+    # 1/((t+1)^3 (t+2)): u = t+1 gives u^-3 (1 - u + u^2 - ...), and the
+    # simple pole at t = -2 has residue 1/(-1)^3
+    f = FactoredRationalFunction(
+        (1, 0), (), (RisingBlock(1, 1, 3), RisingBlock(2, 1, 1))
+    )
+    p = partial_fractions(f)
+    assert p.terms == {(1, 3): 1, (1, 2): -1, (1, 1): 1, (2, 1): -1}
+
+
+blocks = st.builds(
+    RisingBlock, st.integers(0, 6), st.integers(1, 3), st.integers(1, 3)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(blocks, min_size=1, max_size=3),
+    st.one_of(st.none(), blocks),
+    st.tuples(st.integers(-5, 5), st.integers(-3, 3)),
+    st.fractions(min_value=-10, max_value=10, max_denominator=20),
+)
+def test_partial_fractions_reconstruct_random_functions(den, num, prefactor, scalar):
+    numerator = () if num is None else (num,)
+    f = FactoredRationalFunction(prefactor, numerator, tuple(den), scalar)
+    assume(f.is_proper)
+    assert reconstruction_check(f, partial_fractions(f))["ok"]
 
 
 def test_partial_fractions_rejects_improper():
@@ -215,14 +245,6 @@ def test_evaluate_numeric_budget(pipeline1):
     small = ZetaTable([5, 7, 9, 11], 60)
     with pytest.raises(BudgetError):
         evaluate_numeric(pipeline1.form, small)
-
-
-def test_direct_sum_toy_closed_form():
-    # second derivative of 1/(t+1) summed over k: 2 (zeta(3) - 1)
-    toy = second_derivative(PartialFractionExpansion({(1, 1): Fraction(1)}))
-    got = sum_expansion_numeric(toy, 20)
-    want = 2 * (zeta_euler_maclaurin(3, 30).to_fraction() - 1)
-    assert abs(got.to_fraction() - want) < Fraction(1, 10**19)
 
 
 def test_direct_sum_two_cutoffs(pipeline1):

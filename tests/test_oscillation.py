@@ -41,6 +41,13 @@ def test_parse_angle_grammar():
     a = parse_angle("2*pi-1/3")
     assert (a.pi_mult, a.addend) == (2, Fraction(-1, 3))
     assert parse_angle("pi").pi_mult == 1
+    # a sign after the exponent marker of a literal belongs to the literal
+    assert parse_angle("1e-50").addend == Fraction(1, 10**50)
+    assert parse_angle("1e+5").addend == 100000
+    assert parse_angle("2.5E-3").addend == Fraction(1, 400)
+    assert parse_angle("1e-2*pi-1").pi_mult == Fraction(1, 100)
+    assert parse_angle("1e-2*pi-1").addend == -1
+    assert parse_angle("2*e-1").addend == 2 * parse_angle("e").addend - 1
     assert float(parse_angle("sqrt2").addend) == pytest.approx(2**0.5)
     assert float(parse_angle("e").addend) == pytest.approx(2.718281828459045)
     with pytest.raises(DomainError):
