@@ -39,11 +39,9 @@ from .oscillation import (
     SubsequencePlan,
     TorusBox,
     build_plan_general,
-    build_plan_single,
     detect_pi_rational,
     enumerate_psi,
     hypothesis_multi,
-    hypothesis_single,
     kw_density,
     parse_angle,
     verify_plan,

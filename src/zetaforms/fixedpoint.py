@@ -52,17 +52,6 @@ class FixedReal:
         if self.digits < 1:
             raise DomainError("FixedReal needs at least one digit")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_fraction(cls, x: Fraction, digits: int) -> "FixedReal":
-        x = Fraction(x)
-        return cls(_div_nearest(x.numerator * 10**digits, x.denominator), digits)
-
-    @classmethod
-    def from_int(cls, n: int, digits: int) -> "FixedReal":
-        return cls(n * 10**digits, digits)
-
     # -- views ---------------------------------------------------------
 
     def to_fraction(self) -> Fraction:
@@ -74,17 +63,6 @@ class FixedReal:
         mag = abs(self.scaled)
         unit = 10**self.digits
         return f"{sign}{mag // unit}.{mag % unit:0{self.digits}d}"
-
-    def to_float(self) -> float:
-        if self.scaled == 0:
-            return 0.0
-        l10 = self.log10_abs()
-        if l10 > 300:
-            return math.copysign(math.inf, self.scaled)
-        if l10 < -300:
-            return math.copysign(0.0, self.scaled)
-        # int/int true division rounds correctly at any operand size
-        return self.scaled / 10**self.digits
 
     def log10_abs(self) -> float:
         """log10 |value|; value must be nonzero."""
@@ -123,12 +101,6 @@ class FixedReal:
 
     def __abs__(self) -> "FixedReal":
         return FixedReal(abs(self.scaled), self.digits)
-
-    def mul(self, other: "FixedReal") -> "FixedReal":
-        self._check(other)
-        return FixedReal(
-            _div_nearest(self.scaled * other.scaled, 10**self.digits), self.digits
-        )
 
     def __lt__(self, other):
         self._check(other)

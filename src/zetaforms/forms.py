@@ -163,10 +163,6 @@ class PartialFractionExpansion:
     def max_order(self) -> int:
         return max((j for _, j in self.terms), default=0)
 
-    @property
-    def min_order(self) -> int:
-        return min((j for _, j in self.terms), default=0)
-
     def evaluate(self, t: Fraction) -> Fraction:
         t = Fraction(t)
         return sum(

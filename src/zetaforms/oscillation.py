@@ -2,14 +2,17 @@
 
 Given angle pairs (omega_i, phi_i), the goal is an increasing psi with
 psi(n)/n -> lambda and |cos(psi(n) omega_i + phi_i)| >= epsilon > 0 for
-every n and i.  Three constructions cover the cases:
+every n and i.  One builder, `build_plan_general`, makes the plan in one
+of three modes:
 
-  - rational mode: omega/pi = c/d, take psi(n) = n d + a for a residue a
-    that keeps |cos| constant and nonzero (d omega is a multiple of pi);
-  - irrational single mode: one pair, omega/pi irrational; take the n with
-    frac(n omega/pi) in the arc of width 1/2 centred at -phi/pi, which
-    forces |cos| >= sqrt(2)/2, and the arc has density 1/2 (lambda = 2);
-  - general mode: several pairs; rational parts fix a residue class mod d,
+  - rational: every omega_i/pi = c_i/d_i; take psi(n) = n d + a with
+    d = lcm(d_i) and a residue a that keeps every |cos| constant and
+    nonzero (d omega_i is a multiple of pi);
+  - irrational_single: one pair without relations, omega/pi irrational;
+    take the n with frac(n omega/pi) in the arc of width 1/2 centred at
+    -phi/pi, which forces |cos| >= sqrt(2)/2, and the arc has density 1/2
+    (lambda = 2);
+  - general: every other case; rational parts fix a residue class mod d,
     irrational parts are driven through a torus box chosen so every
     cosine argument keeps a positive distance to pi/2 mod pi.
 
@@ -73,15 +76,6 @@ class Angle:
 
     pi_mult: Fraction = Fraction(0)
     addend: Fraction = Fraction(0)
-
-    @classmethod
-    def of(cls, value) -> "Angle":
-        """Coerce a number/str to a pure-addend angle ('1.5', 3, 1/2...)."""
-        if isinstance(value, Angle):
-            return value
-        if isinstance(value, str):
-            return parse_angle(value)
-        return cls(Fraction(0), Fraction(value))
 
     @classmethod
     def pi_multiple(cls, mult) -> "Angle":
@@ -246,7 +240,6 @@ def detect_pi_rational(
 
 # -- hypothesis checking ------------------------------------------------
 
-CONGRUENCE_TOL = Fraction(1, 10**40)
 UNDECIDABLE_BAND = 10**3
 
 
@@ -262,22 +255,6 @@ def _congruent(dist: Fraction, tol: Fraction, what: str) -> bool:
             f"boundary (tolerance {float(tol):.0e})"
         )
     return dist < tol
-
-
-def hypothesis_single(pair: AnglePair, digits: int = DEFAULT_DIGITS) -> bool:
-    """True unless omega = 0 mod pi AND phi = pi/2 mod pi (both decided to
-    tolerance 10^-40)."""
-    om = _congruent(
-        _distance_to_integers(pair.omega.over_pi(digits)),
-        CONGRUENCE_TOL,
-        "omega mod pi",
-    )
-    ph = _congruent(
-        _distance_to_integers(pair.phi.over_pi(digits) - Fraction(1, 2)),
-        CONGRUENCE_TOL,
-        "phi mod pi",
-    )
-    return not (om and ph)
 
 
 def _excluded_residues(
@@ -398,55 +375,6 @@ def sqrt2_half_lower(digits: int = 50) -> Fraction:
     return _SQRT2_HALF[digits]
 
 
-def build_plan_single(
-    pair: AnglePair, digits: int = DEFAULT_DIGITS
-) -> SubsequencePlan:
-    """The one-pair construction.
-
-    Rational omega/pi = c/d: psi(n) = n d + a where a in {1..d} maximises
-    |cos(a omega + phi)| (smallest such a); the cosine magnitude is then
-    independent of n because d*omega is a multiple of pi, so epsilon is
-    that value and lambda = d.
-
-    Irrational omega/pi: collect n with frac(n omega/pi) inside the arc of
-    half-width 1/4 centred at -phi/pi; then psi(n) omega/pi + phi/pi is
-    within 1/4 of an integer, |cos| >= sqrt(2)/2, and the arc measure 1/2
-    gives lambda = 2.
-    """
-    if not hypothesis_single(pair, digits):
-        raise HypothesisViolation(
-            "omega = 0 and phi = pi/2 (mod pi): every cosine vanishes"
-        )
-    witness = detect_pi_rational(pair.omega, digits=digits)
-    if witness is not None:
-        ev = CosEvaluator(pair, digits)
-        best_a, best = None, None
-        for a in range(1, witness.d + 1):
-            val = ev.abs_cos(a)
-            if best is None or val.scaled > best.scaled:
-                best_a, best = a, val
-        eps = best.to_fraction()
-        if eps < Fraction(1, 10**30):
-            raise HypothesisViolation(
-                "all residues give vanishing cosine; hypothesis fails"
-            )
-        return SubsequencePlan(
-            mode="rational",
-            d=witness.d,
-            a=best_a,
-            epsilon=eps,
-            lambda_predicted=Fraction(witness.d),
-        )
-    center = (-pair.phi.over_pi(CANONICAL_DIGITS)) % 1
-    return SubsequencePlan(
-        mode="irrational_single",
-        box=TorusBox((center,), Fraction(1, 4)),
-        theta=(pair.omega.over_pi(CANONICAL_DIGITS),),
-        epsilon=sqrt2_half_lower(),
-        lambda_predicted=Fraction(2),
-    )
-
-
 @dataclass(frozen=True)
 class RelationData:
     """Caller-supplied rational dependencies omega_i/pi = r_{i,0} +
@@ -505,50 +433,61 @@ def build_plan_general(
     relations: Optional[RelationData] = None,
     digits: int = DEFAULT_DIGITS,
 ) -> SubsequencePlan:
-    """The full construction for several angle pairs.
+    """The subsequence plan for one or several angle pairs.
 
-    Splits pairs into pi-rational and pi-irrational parts; the rational
-    part fixes the residue class a mod d exactly as in the single case,
-    and the irrational part (transformed to d*omega_i, a*omega_i + phi_i)
-    is handled through a torus box on the generators theta_j.  Without
-    caller-supplied relations the generators default to the transformed
-    omega_i/pi themselves with the identity relation matrix.
+    Raises HypothesisViolation whenever `hypothesis_multi` fails, so every
+    returned plan comes with the hypothesis decided true.  The pi-rational
+    pairs fix psi = n d + a with d = lcm(d_i): a in 1..d is the smallest
+    residue outside every excluded class that maximises the least
+    |cos(a omega_i + phi_i)|, which does not depend on n because d omega_i
+    is a multiple of pi.  Without pi-irrational pairs that is the plan
+    (mode "rational", lambda = d).  One pi-irrational pair without
+    relations gets the arc of half-width 1/4 centred at -phi/pi (mode
+    "irrational_single"): |cos| >= sqrt(2)/2, and the arc measure 1/2 gives
+    lambda = 2.  Otherwise the irrational pairs, transformed to
+    (d omega_i, a omega_i + phi_i), are driven through a torus box on the
+    generators theta_j (mode "general").  Without caller-supplied relations
+    the generators default to the transformed omega_i/pi themselves with
+    the identity relation matrix.
     """
     pairs = list(pairs)
     if not pairs:
         raise DomainError("need at least one angle pair")
-    if len(pairs) == 1 and relations is None:
-        return build_plan_single(pairs[0], digits)
     if not hypothesis_multi(pairs, digits):
         raise HypothesisViolation(
             "no residue class avoids all pi/2 congruences"
         )
 
-    rational: list[tuple[int, AnglePair, PiRationalWitness]] = []
-    irrational: list[tuple[int, AnglePair]] = []
-    for i, pair in enumerate(pairs):
+    # rational entries: (evaluator, witness, excluded residues mod witness.d)
+    rational: list[tuple[CosEvaluator, PiRationalWitness, set[int]]] = []
+    irrational: list[AnglePair] = []
+    for pair in pairs:
         w = detect_pi_rational(pair.omega, digits=digits)
-        if w is not None:
-            rational.append((i, pair, w))
+        if w is None:
+            irrational.append(pair)
         else:
-            irrational.append((i, pair))
+            excluded = _excluded_residues(pair, w, digits)
+            rational.append((CosEvaluator(pair, digits), w, excluded))
+
+    if irrational and len(pairs) == 1 and relations is None:
+        pair = irrational[0]
+        center = (-pair.phi.over_pi(CANONICAL_DIGITS)) % 1
+        return SubsequencePlan(
+            mode="irrational_single",
+            box=TorusBox((center,), Fraction(1, 4)),
+            theta=(pair.omega.over_pi(CANONICAL_DIGITS),),
+            epsilon=sqrt2_half_lower(),
+            lambda_predicted=Fraction(2),
+        )
 
     # residue class for the rational part
     if rational:
-        d = lcm_of(w.d for _, _, w in rational)
-        evaluators = [(CosEvaluator(p, digits), p, w) for _, p, w in rational]
+        d = lcm_of(w.d for _, w, _ in rational)
         best_a, best_floor = None, None
         for a in range(1, d + 1):
-            excluded = False
-            floor = None
-            for ev, p, w in evaluators:
-                if a % w.d in _excluded_residues(p, w, digits):
-                    excluded = True
-                    break
-                val = ev.abs_cos(a).to_fraction()
-                floor = val if floor is None else min(floor, val)
-            if excluded:
+            if any(a % w.d in excluded for _, w, excluded in rational):
                 continue
+            floor = min(ev.abs_cos(a).to_fraction() for ev, _, _ in rational)
             if best_floor is None or floor > best_floor:
                 best_a, best_floor = a, floor
         if best_a is None or best_floor < Fraction(1, 10**30):
@@ -571,7 +510,7 @@ def build_plan_general(
     # transformed irrational system: omega' = d omega, phi' = a omega + phi
     transformed = [
         AnglePair(p.omega.scaled(d), p.omega.scaled(a) + p.phi)
-        for _, p in irrational
+        for p in irrational
     ]
     if relations is None:
         theta = tuple(tp.omega.over_pi(CANONICAL_DIGITS) for tp in transformed)
@@ -587,7 +526,7 @@ def build_plan_general(
             )
         theta = tuple(Fraction(t) for t in relations.generators)
         rows = []
-        for row, (_, original) in zip(relations.rows, irrational):
+        for row, original in zip(relations.rows, irrational):
             if len(row) != len(theta) + 1:
                 raise DomainError("relation row length must be s + 1")
             target = original.omega.over_pi(CANONICAL_DIGITS)

@@ -24,7 +24,7 @@ from zetaforms.oscillation import (
     Angle,
     AnglePair,
     CosEvaluator,
-    build_plan_single,
+    build_plan_general,
     enumerate_psi,
     hypothesis_multi,
     kw_density,
@@ -104,7 +104,7 @@ def test_criterion_05_rational_branch():
         if omega.pi_mult.denominator == 1 and phi.addend == 0:
             continue  # keep clear of the excluded case
         pair = AnglePair(omega, phi)
-        plan = build_plan_single(pair)
+        plan = build_plan_general([pair])
         assert plan.mode == "rational"
         reduced_d = Fraction(c, d).denominator
         assert plan.d == reduced_d
@@ -128,7 +128,7 @@ def test_criterion_06_irrational_branch():
     )
     for text in ("1", "sqrt2", "e"):
         pair = AnglePair(parse_angle(text), Angle())
-        plan = build_plan_single(pair)
+        plan = build_plan_general([pair])
         assert plan.mode == "irrational_single"
         verification = verify_plan(plan, [pair], 10**4)
         # canonical sqrt2/2 pin is itself accurate to 10^-118

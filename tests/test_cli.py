@@ -76,6 +76,23 @@ def test_subseq_hypothesis_exit(capsys):
     code, out = run(capsys, "subseq", "--omega", "0", "--phi", "1/2*pi", "--count", "3")
     assert code == EXIT_DOMAIN
     assert json.loads(out)["error"]["kind"] == "domain"
+    assert json.loads(out)["error"]["message"] == (
+        "no residue class avoids all pi/2 congruences"
+    )
+
+
+def test_hypothesis_decided_by_one_route(capsys):
+    # omega = 1 is pi-irrational, so the hypothesis holds whatever phi is,
+    # also for a phase 10^-40 away from pi/2
+    phase = "1/2*pi+1e-40"
+    code, out = run(capsys, "subseq", "--omega", "1", "--phi", phase, "--count", "3")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["hypothesis_ok"] is True
+    assert doc["plan"]["mode"] == "irrational_single"
+    code, out = run(capsys, "criterion", "--zudilin", "--omega", "1", "--phi", phase)
+    assert code == EXIT_OK
+    assert json.loads(out)["report"]["hypothesis_ok"] is True
 
 
 def test_subseq_parse_error_distinct_from_hypothesis():
@@ -138,6 +155,8 @@ RELATION_FILES = {
     "zero_denominator.json": '{"generators": ["1/0"], "rows": [["0", "1"]]}',
     "not_json.json": "generators: 1/2",
     "no_rows.json": '{"generators": ["1/2"]}',
+    "number_generator.json": '{"generators": [0.5], "rows": [["0", "1"]]}',
+    "number_row.json": '{"generators": ["0.5"], "rows": [5]}',
 }
 
 
@@ -160,6 +179,10 @@ RELATION_FILES = {
         (["subseq", "--omega", "1e999999", "--phi", "0", "--count", "3"],
          EXIT_BUDGET, "budget"),
         (["subseq", "--omega", "1e-50", "--phi", "0", "--count", "3"], EXIT_OK, None),
+        (["subseq", "--omega", "1", "--phi", "0", "--relations",
+          "{tmp}/number_generator.json"], EXIT_USAGE, None),
+        (["subseq", "--omega", "1", "--phi", "0", "--relations",
+          "{tmp}/number_row.json"], EXIT_USAGE, None),
     ],
 )
 def test_bad_inputs_end_in_documented_exit_codes(capsys, tmp_path, argv, code, kind):

@@ -12,12 +12,10 @@ from zetaforms.oscillation import (
     CosEvaluator,
     RelationData,
     build_plan_general,
-    build_plan_single,
     continued_fraction_convergents,
     detect_pi_rational,
     enumerate_psi,
     hypothesis_multi,
-    hypothesis_single,
     kw_density,
     named_constant,
     parse_angle,
@@ -95,19 +93,21 @@ def test_witness_is_reduced():
 
 
 def test_hypothesis_single_trivia():
-    assert hypothesis_single(pair("0", "1/2*pi")) is False
-    assert hypothesis_single(pair("1", "0")) is True
-    assert hypothesis_single(pair("pi", "1/2*pi")) is False
-    assert hypothesis_single(pair("pi", "3/2*pi")) is False  # phi = pi/2 mod pi
-    assert hypothesis_single(pair("1/2*pi", "1/2*pi")) is True
+    assert hypothesis_multi([pair("0", "1/2*pi")]) is False
+    assert hypothesis_multi([pair("1", "0")]) is True
+    assert hypothesis_multi([pair("pi", "1/2*pi")]) is False
+    assert hypothesis_multi([pair("pi", "3/2*pi")]) is False  # phi = pi/2 mod pi
+    assert hypothesis_multi([pair("1/2*pi", "1/2*pi")]) is True
 
 
 def test_hypothesis_undecidable_band():
-    nearly_zero = AnglePair(
-        Angle(Fraction(1, 10**41), Fraction(0)), parse_angle("1/2*pi")
+    # 3 (1/2 - phi/pi) lies 3*10^-25 from an integer: inside the band
+    # around the 10^-25 phase tolerance
+    near_boundary = AnglePair(
+        parse_angle("1/3*pi"), Angle(Fraction(1, 2) + Fraction(1, 10**25))
     )
-    with pytest.raises(UndecidableAtPrecision):
-        hypothesis_single(nearly_zero)
+    with pytest.raises(UndecidableAtPrecision, match="phase congruence"):
+        hypothesis_multi([near_boundary])
 
 
 def test_hypothesis_multi_known_cases():
@@ -139,7 +139,7 @@ def test_hypothesis_multi_boundary_truth_table():
 
 
 def test_plan_rational_pi_over_3():
-    plan = build_plan_single(pair("1/3*pi", "0"))
+    plan = build_plan_general([pair("1/3*pi", "0")])
     assert plan.mode == "rational"
     assert (plan.d, plan.a) == (3, 3)
     assert plan.epsilon == 1
@@ -148,13 +148,13 @@ def test_plan_rational_pi_over_3():
 
 
 def test_plan_degenerate_nonoscillating():
-    plan = build_plan_single(pair("0", "0"))
+    plan = build_plan_general([pair("0", "0")])
     assert (plan.mode, plan.d, plan.a) == ("rational", 1, 1)
     assert plan.epsilon == 1 and plan.lambda_predicted == 1
 
 
 def test_plan_irrational_omega_1():
-    plan = build_plan_single(pair("1", "0"))
+    plan = build_plan_general([pair("1", "0")])
     assert plan.mode == "irrational_single"
     assert plan.box.center == (Fraction(0),)
     assert plan.box.eta == Fraction(1, 4)
@@ -165,13 +165,9 @@ def test_plan_irrational_omega_1():
 
 def test_plan_rejects_hypothesis_violation():
     with pytest.raises(HypothesisViolation):
-        build_plan_single(pair("0", "1/2*pi"))
+        build_plan_general([pair("0", "1/2*pi")])
     with pytest.raises(HypothesisViolation):
         build_plan_general([pair("1/2*pi", "1/2*pi"), pair("1/2*pi", "0")])
-
-
-def test_general_reduces_to_single():
-    assert build_plan_general([pair("1", "0")]) == build_plan_single(pair("1", "0"))
 
 
 def test_general_mixed_rational_irrational():
@@ -213,7 +209,7 @@ def test_relation_validation_rejects_garbage():
 def test_enumerate_monotone_and_floor_exhaustive():
     cases = [pair("1", "0"), pair("sqrt2", "1/4"), pair("2/7*pi", "0.3")]
     for p in cases:
-        plan = build_plan_single(p)
+        plan = build_plan_general([p])
         psi = enumerate_psi(plan, 300)
         assert all(b > a for a, b in zip(psi, psi[1:]))
         ev = CosEvaluator(p)
@@ -230,7 +226,7 @@ def test_rational_mode_constant_cosine():
         p = AnglePair(
             Angle(Fraction(c, d)), Angle(Fraction(0), Fraction(rng.randint(-200, 200), 97))
         )
-        plan = build_plan_single(p)
+        plan = build_plan_general([p])
         if plan.mode != "rational":
             continue
         ev = CosEvaluator(p)
@@ -242,7 +238,7 @@ def test_rational_mode_constant_cosine():
 def test_enumeration_identical_across_precisions():
     for text in ("1", "sqrt2", "e"):
         p = pair(text, "0")
-        plans = [build_plan_single(p, digits=dig) for dig in (40, 80)]
+        plans = [build_plan_general([p], digits=dig) for dig in (40, 80)]
         assert plans[0] == plans[1]
         seqs = [enumerate_psi(pl, 500) for pl in plans]
         assert seqs[0] == seqs[1]
@@ -250,14 +246,14 @@ def test_enumeration_identical_across_precisions():
 
 def test_verify_plan_rational_case():
     p = pair("1/3*pi", "0")
-    report = verify_plan(build_plan_single(p), [p], 2000)
+    report = verify_plan(build_plan_general([p]), [p], 2000)
     assert report.min_abs_cos == 1  # cos((3n+3) pi/3) = +-1, memoised exactly
     assert abs(float(report.ratio) - 3.0) < 0.01
     assert report.passed
 
 
 def test_verify_plan_adversarial():
-    plan = build_plan_single(pair("1", "0"))
+    plan = build_plan_general([pair("1", "0")])
     report = verify_plan(plan, [pair("1", "1/2*pi")], 200)
     assert not report.cosine_ok
     assert not report.passed
@@ -324,7 +320,7 @@ def test_kw_density_guards():
 
 def test_irrational_density_matches_reciprocal_lambda():
     # box measure 1/2 <-> lambda 2: hit density of the plan's own box
-    plan = build_plan_single(pair("1", "0"))
+    plan = build_plan_general([pair("1", "0")])
     lo = plan.box.center[0] - plan.box.eta
     hi = plan.box.center[0] + plan.box.eta
     report = kw_density(plan.theta, [(lo, hi)], 10**6)
