@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
@@ -76,22 +75,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; one instance drives one deterministic run."""
-
-    command: str
-    n: int = 1
-    digits: int = 60
-    k_max: int = 1
-    count: int = 10
-    angles: tuple[AnglePair, ...] = ()
-    relations: Optional[RelationData] = None
-    output: Optional[str] = None
-    format: str = "json"
-    extra: dict = field(default_factory=dict)
 
 
 def _positive_int(text: str) -> int:
@@ -205,10 +188,10 @@ def _load_relations(path: Optional[str], parser_error) -> Optional[RelationData]
 # -- commands -----------------------------------------------------------
 
 
-def cmd_form(config: RunConfig) -> dict:
-    n = config.n
-    check_form_budget(n, config.extra.get("max_n", DEFAULT_MAX_N))
-    digits = config.digits if config.digits else required_digits(n) + 90
+def cmd_form(args, parser) -> dict:
+    n = args.n
+    check_form_budget(n, args.max_n)
+    digits = args.digits or required_digits(n) + 90
     if digits < required_digits(n):
         raise BudgetError(
             f"--digits {digits} is below the required budget "
@@ -256,19 +239,21 @@ def cmd_form(config: RunConfig) -> dict:
     }
 
 
-def cmd_subseq(config: RunConfig) -> dict:
-    pairs = config.angles
-    plan = build_plan_general(pairs, relations=config.relations)
-    psi = enumerate_psi(plan, config.count)
-    verification = verify_plan(plan, pairs, config.count)
+def cmd_subseq(args, parser) -> dict:
+    pairs = _parse_pairs(args.omega, args.phi, parser.error)
+    relations = _load_relations(args.relations, parser.error)
+    plan = build_plan_general(pairs, relations=relations)
+    psi = enumerate_psi(plan, args.count)
+    verification = verify_plan(plan, pairs, args.count)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "subseq",
         "angles": [
             {"omega": p.omega.describe(), "phi": p.phi.describe()} for p in pairs
         ],
-        # build_plan_general raises HypothesisViolation (exit 3) whenever
-        # hypothesis_multi fails, so a plan in hand means the hypothesis holds
+        # build_plan_general's own residue search raises HypothesisViolation
+        # (exit 3) when no class is left, so a plan in hand means the
+        # hypothesis holds
         "hypothesis_ok": True,
         "plan": plan.to_json_dict(),
         "psi": psi,
@@ -276,10 +261,20 @@ def cmd_subseq(config: RunConfig) -> dict:
     }
 
 
-def cmd_density(config: RunConfig) -> dict:
-    report = kw_density(
-        config.extra["theta"], config.extra["box"], config.k_max
-    )
+def cmd_density(args, parser) -> dict:
+    try:
+        theta = [parse_angle(t).value() for t in args.theta.split(",")]
+        box = []
+        for part in args.box.split(","):
+            if ":" not in part:
+                raise DomainError(f"box interval {part!r} must be lo:hi")
+            lo, hi = part.split(":", 1)
+            box.append((decimal_to_fraction(lo), decimal_to_fraction(hi)))
+    except (DomainError, ValueError) as exc:
+        parser.error(str(exc))
+    if len(theta) != len(box):
+        parser.error("need one box interval per theta component")
+    report = kw_density(theta, box, args.kmax)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "density",
@@ -287,9 +282,15 @@ def cmd_density(config: RunConfig) -> dict:
     }
 
 
-def cmd_criterion(config: RunConfig) -> dict:
-    growth: GrowthData = config.extra["growth"]
-    source = config.extra["source"]
+def cmd_criterion(args, parser) -> dict:
+    if args.zudilin:
+        growth, source = zudilin_constants(), "zudilin"
+    elif args.alpha is not None and args.beta is not None:
+        growth, source = GrowthData.from_alpha_beta(args.alpha, args.beta), "alpha_beta"
+    elif args.c0 is not None and args.c1 is not None and args.bits is not None:
+        growth, source = GrowthData.from_constants(args.c0, args.c1, args.bits), "constants"
+    else:
+        parser.error("need --zudilin, or --alpha/--beta, or --c0/--c1/--bits")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "criterion",
@@ -297,8 +298,9 @@ def cmd_criterion(config: RunConfig) -> dict:
         "log_alpha": f"{growth.log_alpha:.10f}",
         "log_beta": f"{growth.log_beta:.10f}",
     }
-    if config.angles:
-        report = oscillating_report(growth, config.angles)
+    if args.omega or args.phi:
+        pairs = _parse_pairs(args.omega, args.phi, parser.error)
+        report = oscillating_report(growth, pairs)
         doc["report"] = report.to_json_dict()
     else:
         dim = dimension_bound(growth)
@@ -362,66 +364,6 @@ def _render_text(doc: dict) -> str:
 # -- entry point -----------------------------------------------------------
 
 
-def _config_from_args(args, parser) -> RunConfig:
-    if args.command == "form":
-        return RunConfig(
-            command="form",
-            n=args.n,
-            digits=args.digits if args.digits else 0,
-            output=args.output,
-            format=args.format,
-            extra={"max_n": args.max_n},
-        )
-    if args.command == "subseq":
-        return RunConfig(
-            command="subseq",
-            count=args.count,
-            angles=_parse_pairs(args.omega, args.phi, parser.error),
-            relations=_load_relations(args.relations, parser.error),
-            output=args.output,
-            format=args.format,
-        )
-    if args.command == "density":
-        try:
-            theta = [parse_angle(t).value() for t in args.theta.split(",")]
-            box = []
-            for part in args.box.split(","):
-                if ":" not in part:
-                    raise DomainError(f"box interval {part!r} must be lo:hi")
-                lo, hi = part.split(":", 1)
-                box.append((decimal_to_fraction(lo), decimal_to_fraction(hi)))
-        except (DomainError, ValueError) as exc:
-            parser.error(str(exc))
-        if len(theta) != len(box):
-            parser.error("need one box interval per theta component")
-        return RunConfig(
-            command="density",
-            k_max=args.kmax,
-            output=args.output,
-            format=args.format,
-            extra={"theta": theta, "box": box},
-        )
-    # criterion
-    if args.zudilin:
-        growth, source = zudilin_constants(), "zudilin"
-    elif args.alpha is not None and args.beta is not None:
-        growth, source = GrowthData.from_alpha_beta(args.alpha, args.beta), "alpha_beta"
-    elif args.c0 is not None and args.c1 is not None and args.bits is not None:
-        growth, source = GrowthData.from_constants(args.c0, args.c1, args.bits), "constants"
-    else:
-        parser.error("need --zudilin, or --alpha/--beta, or --c0/--c1/--bits")
-    angles: tuple[AnglePair, ...] = ()
-    if args.omega or args.phi:
-        angles = _parse_pairs(args.omega, args.phi, parser.error)
-    return RunConfig(
-        command="criterion",
-        angles=angles,
-        output=args.output,
-        format=args.format,
-        extra={"growth": growth, "source": source},
-    )
-
-
 _COMMANDS = {
     "form": cmd_form,
     "subseq": cmd_subseq,
@@ -442,8 +384,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args, parser)
-        doc = _COMMANDS[config.command](config)
+        doc = _COMMANDS[args.command](args, parser)
     except InternalCheckError as exc:
         _emit(_error_doc("internal", exc, args), None)
         return EXIT_INTERNAL
@@ -453,7 +394,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (DomainError, ZetaformsError) as exc:
         _emit(_error_doc("domain", exc, args), None)
         return EXIT_DOMAIN
-    _emit(render(doc, config.format), config.output)
+    _emit(render(doc, args.format), args.output)
     return EXIT_OK
 
 

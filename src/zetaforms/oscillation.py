@@ -22,8 +22,15 @@ approximation at parse time, which makes every decision in this module a
 deterministic exact-rational comparison.
 
 "Irrational" always means irrational-at-precision: no convergent of
-omega/pi with denominator <= d_max approximates it to tol.  The plan
-records which branch was taken.
+omega/pi with denominator <= D_MAX approximates it to RATIONAL_TOL.  The
+plan records which branch was taken.
+
+Each pair is classified once (`_split_pairs`: its pi-rational witness and
+the residues it excludes), and one enumeration, `_free_residues`, walks
+the residues that escape every excluded class.  `build_plan_general`
+decides the hypothesis by its own search over that enumeration, and
+`hypothesis_multi` asks the same enumeration whether anything is left.
+A modulus above D_MAX is a BudgetError.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ from .fixedpoint import (
 
 CANONICAL_DIGITS = 120
 DEFAULT_DIGITS = 60
+D_MAX = 10**6  # largest pi-rational denominator, and the residue-search cap
+RATIONAL_TOL = Fraction(1, 10**30)
 BOUNDARY_GUARD = Fraction(1, 10**25)  # shrink-to-reject margin at box edges
 
 _CONSTANTS: dict[str, Fraction] = {}
@@ -219,21 +228,17 @@ def continued_fraction_convergents(x: Fraction, q_limit: int):
 
 
 def detect_pi_rational(
-    omega: Angle,
-    d_max: int = 10**6,
-    tol: Fraction = Fraction(1, 10**30),
-    digits: int = DEFAULT_DIGITS,
+    omega: Angle, digits: int = DEFAULT_DIGITS
 ) -> Optional[PiRationalWitness]:
     """First continued-fraction convergent of omega/pi with denominator
-    <= d_max and residual < tol, or None (irrational at this precision)."""
-    if d_max < 1 or tol <= 0:
-        raise DomainError("detect_pi_rational needs d_max >= 1 and tol > 0")
+    <= D_MAX and residual < RATIONAL_TOL, or None (irrational at this
+    precision)."""
     x = omega.over_pi(max(digits, DEFAULT_DIGITS))
-    if omega.addend == 0 and x.denominator <= d_max:
+    if omega.addend == 0 and x.denominator <= D_MAX:
         return PiRationalWitness(x.numerator, x.denominator, Fraction(0))
-    for p, q in continued_fraction_convergents(x, d_max):
+    for p, q in continued_fraction_convergents(x, D_MAX):
         residual = abs(x - Fraction(p, q))
-        if residual < tol:
+        if residual < RATIONAL_TOL:
             return PiRationalWitness(p, q, residual)
     return None
 
@@ -276,6 +281,39 @@ def _excluded_residues(
     return {(e0 * pow(c, -1, d)) % d}
 
 
+RationalEntry = tuple[AnglePair, PiRationalWitness, set[int]]
+
+
+def _split_pairs(
+    pairs: Sequence[AnglePair], digits: int
+) -> tuple[list[RationalEntry], list[AnglePair]]:
+    """Classify each pair once, in order: the pi-rational ones with their
+    witness and excluded residues, and the pi-irrational ones."""
+    rational: list[RationalEntry] = []
+    irrational: list[AnglePair] = []
+    for pair in pairs:
+        w = detect_pi_rational(pair.omega, digits=digits)
+        if w is None:
+            irrational.append(pair)
+        else:
+            rational.append((pair, w, _excluded_residues(pair, w, digits)))
+    return rational, irrational
+
+
+def _free_residues(rational: Sequence[RationalEntry]):
+    """The a in 1..d, d = lcm of the witness denominators, outside every
+    excluded class; BudgetError when d exceeds D_MAX."""
+    d = lcm_of(w.d for _, w, _ in rational)
+    if d > D_MAX:
+        raise BudgetError(
+            f"residue search modulus {d} exceeds {D_MAX} (lcm of the "
+            "pi-rational denominators)"
+        )
+    for a in range(1, d + 1):
+        if all(a % w.d not in excluded for _, w, excluded in rational):
+            yield a
+
+
 def hypothesis_multi(
     pairs: Sequence[AnglePair], digits: int = DEFAULT_DIGITS
 ) -> bool:
@@ -286,21 +324,11 @@ def hypothesis_multi(
     ones matter: they exclude full residue classes, and the answer is
     whether some class mod lcm(d_i) escapes them all.
     """
-    exclusions: list[tuple[int, set[int]]] = []
-    for pair in pairs:
-        w = detect_pi_rational(pair.omega, digits=digits)
-        if w is not None:
-            excl = _excluded_residues(pair, w, digits)
-            if excl:
-                exclusions.append((w.d, excl))
-    if not exclusions:
-        return True
-    if sum(Fraction(len(e), d) for d, e in exclusions) < 1:
+    rational, _ = _split_pairs(pairs, digits)
+    excluding = [entry for entry in rational if entry[2]]
+    if sum(Fraction(len(e), w.d) for _, w, e in excluding) < 1:
         return True  # the excluded classes cannot cover all residues
-    big = lcm_of(d for d, _ in exclusions)
-    return any(
-        all(r % d not in excl for d, excl in exclusions) for r in range(big)
-    )
+    return next(_free_residues(excluding), None) is not None
 
 
 # -- plans ---------------------------------------------------------------
@@ -364,15 +392,10 @@ class SubsequencePlan:
         }
 
 
-_SQRT2_HALF: dict[int, Fraction] = {}
-
-
-def sqrt2_half_lower(digits: int = 50) -> Fraction:
-    """sqrt(2)/2 truncated downward (a safe lower bound for the floor)."""
-    if digits not in _SQRT2_HALF:
-        v = sqrt_fixed(Fraction(1, 2), digits).to_fraction()
-        _SQRT2_HALF[digits] = v - Fraction(2, 10**digits)
-    return _SQRT2_HALF[digits]
+def sqrt2_half_lower() -> Fraction:
+    """sqrt(2)/2 at 50 digits truncated downward (a safe lower bound for
+    the floor)."""
+    return sqrt_fixed(Fraction(1, 2), 50).to_fraction() - Fraction(2, 10**50)
 
 
 @dataclass(frozen=True)
@@ -435,13 +458,15 @@ def build_plan_general(
 ) -> SubsequencePlan:
     """The subsequence plan for one or several angle pairs.
 
-    Raises HypothesisViolation whenever `hypothesis_multi` fails, so every
-    returned plan comes with the hypothesis decided true.  The pi-rational
-    pairs fix psi = n d + a with d = lcm(d_i): a in 1..d is the smallest
-    residue outside every excluded class that maximises the least
-    |cos(a omega_i + phi_i)|, which does not depend on n because d omega_i
-    is a multiple of pi.  Without pi-irrational pairs that is the plan
-    (mode "rational", lambda = d).  One pi-irrational pair without
+    Every pair is classified once.  The pi-rational pairs fix psi = n d + a
+    with d = lcm(d_i): a in 1..d is the smallest residue outside every
+    excluded class that maximises the least |cos(a omega_i + phi_i)|, which
+    does not depend on n because d omega_i is a multiple of pi.  When no
+    residue is left that search raises HypothesisViolation, which happens
+    exactly when `hypothesis_multi` is False (d is a multiple of its
+    modulus), so every returned plan comes with the hypothesis decided
+    true; d above D_MAX raises BudgetError.  Without pi-irrational pairs
+    that is the plan (mode "rational", lambda = d).  One pi-irrational pair without
     relations gets the arc of half-width 1/4 centred at -phi/pi (mode
     "irrational_single"): |cos| >= sqrt(2)/2, and the arc measure 1/2 gives
     lambda = 2.  Otherwise the irrational pairs, transformed to
@@ -453,21 +478,7 @@ def build_plan_general(
     pairs = list(pairs)
     if not pairs:
         raise DomainError("need at least one angle pair")
-    if not hypothesis_multi(pairs, digits):
-        raise HypothesisViolation(
-            "no residue class avoids all pi/2 congruences"
-        )
-
-    # rational entries: (evaluator, witness, excluded residues mod witness.d)
-    rational: list[tuple[CosEvaluator, PiRationalWitness, set[int]]] = []
-    irrational: list[AnglePair] = []
-    for pair in pairs:
-        w = detect_pi_rational(pair.omega, digits=digits)
-        if w is None:
-            irrational.append(pair)
-        else:
-            excluded = _excluded_residues(pair, w, digits)
-            rational.append((CosEvaluator(pair, digits), w, excluded))
+    rational, irrational = _split_pairs(pairs, digits)
 
     if irrational and len(pairs) == 1 and relations is None:
         pair = irrational[0]
@@ -483,14 +494,17 @@ def build_plan_general(
     # residue class for the rational part
     if rational:
         d = lcm_of(w.d for _, w, _ in rational)
+        evaluators = [CosEvaluator(pair, digits) for pair, _, _ in rational]
         best_a, best_floor = None, None
-        for a in range(1, d + 1):
-            if any(a % w.d in excluded for _, w, excluded in rational):
-                continue
-            floor = min(ev.abs_cos(a).to_fraction() for ev, _, _ in rational)
+        for a in _free_residues(rational):
+            floor = min(ev.abs_cos(a).to_fraction() for ev in evaluators)
             if best_floor is None or floor > best_floor:
                 best_a, best_floor = a, floor
-        if best_a is None or best_floor < Fraction(1, 10**30):
+        if best_a is None:
+            raise HypothesisViolation(
+                "no residue class avoids all pi/2 congruences"
+            )
+        if best_floor < Fraction(1, 10**30):
             raise HypothesisViolation("all residue classes are excluded")
         a = best_a
         rational_floor = best_floor

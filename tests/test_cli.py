@@ -183,6 +183,9 @@ RELATION_FILES = {
           "{tmp}/number_generator.json"], EXIT_USAGE, None),
         (["subseq", "--omega", "1", "--phi", "0", "--relations",
           "{tmp}/number_row.json"], EXIT_USAGE, None),
+        # residue search modulus lcm(1009, 1013) = 1022117 > 10^6
+        (["subseq", "--omega", "1/1009*pi", "--phi", "0", "--omega",
+          "1/1013*pi", "--phi", "0", "--count", "3"], EXIT_BUDGET, "budget"),
     ],
 )
 def test_bad_inputs_end_in_documented_exit_codes(capsys, tmp_path, argv, code, kind):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from zetaforms import oscillation
 from zetaforms.errors import DomainError, HypothesisViolation, UndecidableAtPrecision
 from zetaforms.oscillation import (
     Angle,
@@ -92,12 +93,26 @@ def test_witness_is_reduced():
 # -- hypothesis --------------------------------------------------------
 
 
+def plan_violates(pairs) -> bool:
+    """Does build_plan_general reject the pairs with HypothesisViolation?"""
+    try:
+        build_plan_general(pairs)
+    except HypothesisViolation:
+        return True
+    return False
+
+
 def test_hypothesis_single_trivia():
     assert hypothesis_multi([pair("0", "1/2*pi")]) is False
+    assert plan_violates([pair("0", "1/2*pi")]) is True
     assert hypothesis_multi([pair("1", "0")]) is True
+    assert plan_violates([pair("1", "0")]) is False
     assert hypothesis_multi([pair("pi", "1/2*pi")]) is False
+    assert plan_violates([pair("pi", "1/2*pi")]) is True
     assert hypothesis_multi([pair("pi", "3/2*pi")]) is False  # phi = pi/2 mod pi
+    assert plan_violates([pair("pi", "3/2*pi")]) is True
     assert hypothesis_multi([pair("1/2*pi", "1/2*pi")]) is True
+    assert plan_violates([pair("1/2*pi", "1/2*pi")]) is False
 
 
 def test_hypothesis_undecidable_band():
@@ -133,6 +148,27 @@ def test_hypothesis_multi_boundary_truth_table():
         for k2, (o2, p2) in KINDS.items():
             got = hypothesis_multi([pair(o1, p1), pair(o2, p2)])
             assert got is expected_two_pair_truth(k1, k2), (k1, k2)
+            assert plan_violates([pair(o1, p1), pair(o2, p2)]) is not got, (k1, k2)
+
+
+def test_plan_classifies_each_pair_once(monkeypatch):
+    calls = {"detect": 0, "excluded": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oscillation, "detect_pi_rational",
+                        counting("detect", oscillation.detect_pi_rational))
+    monkeypatch.setattr(oscillation, "_excluded_residues",
+                        counting("excluded", oscillation._excluded_residues))
+    plan = build_plan_general(
+        [pair("1/3*pi", "0"), pair("2/5*pi", "1/7"), pair("sqrt2", "0")]
+    )
+    assert plan.mode == "general" and plan.d == 15
+    assert calls == {"detect": 3, "excluded": 2}
 
 
 # -- plans ---------------------------------------------------------------
