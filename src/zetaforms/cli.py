@@ -109,8 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sub = sub.add_parser("subseq", help="build and verify a subsequence plan")
     p_sub.add_argument("--omega", action="append", required=True,
-                       help="angle expression (repeatable; pairs with --phi)")
-    p_sub.add_argument("--phi", action="append", required=True)
+                       help="angle expression (repeatable; pairs with --phi); "
+                       "write a leading minus as --omega=-1/4")
+    p_sub.add_argument("--phi", action="append", required=True,
+                       help="phase expression; write a leading minus as --phi=-1/4")
     p_sub.add_argument("--count", type=_positive_int, default=10)
     p_sub.add_argument("--relations", default=None,
                        help="JSON file with rational dependencies among omega_i/pi")
@@ -118,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_den = sub.add_parser("density", help="count torus-box hits of n*theta mod 1")
     p_den.add_argument("--theta", required=True,
-                       help="comma-separated angle expressions (values, not /pi)")
+                       help="comma-separated angle expressions (values, not /pi); "
+                       "write a leading minus as --theta=-1/4")
     p_den.add_argument("--box", required=True,
                        help="comma-separated per-axis intervals lo:hi")
     p_den.add_argument("--kmax", type=_positive_int, required=True)
@@ -132,8 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cri.add_argument("--c0", type=float, default=None)
     p_cri.add_argument("--c1", type=float, default=None)
     p_cri.add_argument("--bits", type=int, default=None)
-    p_cri.add_argument("--omega", action="append", default=None)
-    p_cri.add_argument("--phi", action="append", default=None)
+    p_cri.add_argument("--omega", action="append", default=None,
+                       help="as for subseq; write a leading minus as --omega=-1/4")
+    p_cri.add_argument("--phi", action="append", default=None,
+                       help="as for subseq; write a leading minus as --phi=-1/4")
     _common_output_flags(p_cri)
     return parser
 

@@ -92,23 +92,8 @@ class FixedReal:
         self._check(other)
         return FixedReal(self.scaled + other.scaled, self.digits)
 
-    def __sub__(self, other: "FixedReal") -> "FixedReal":
-        self._check(other)
-        return FixedReal(self.scaled - other.scaled, self.digits)
-
-    def __neg__(self) -> "FixedReal":
-        return FixedReal(-self.scaled, self.digits)
-
     def __abs__(self) -> "FixedReal":
         return FixedReal(abs(self.scaled), self.digits)
-
-    def __lt__(self, other):
-        self._check(other)
-        return self.scaled < other.scaled
-
-    def __le__(self, other):
-        self._check(other)
-        return self.scaled <= other.scaled
 
 
 def decimal_to_fraction(text: str) -> Fraction:

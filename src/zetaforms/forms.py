@@ -395,11 +395,7 @@ def _poly_int(coeffs: list[int], x: int) -> int:
 
 
 def direct_sum(
-    n: int,
-    digits: int,
-    k_cut: int | None = None,
-    *,
-    expansion: PartialFractionExpansion,
+    n: int, digits: int, *, expansion: PartialFractionExpansion
 ) -> FixedReal:
     """Brute-force numeric value of the n-th sum: term-by-term exact
     evaluation of `expansion` (the twice-differentiated partial fractions
@@ -408,8 +404,7 @@ def direct_sum(
     Completely independent of the zeta reduction in sum_over_k; this is
     the oracle side of the oracle/evaluation pair.  The cutoff comes from
     the crude tail bound |term(k)| <= C k^-(78n+11) with C measured from
-    the computed terms times a 10^4 safety factor; pass k_cut to force a
-    specific cutoff (used by the two-cutoff agreement check).
+    the computed terms times a 10^4 safety factor.
     """
     work = digits + GUARD_DIGITS + 5
     scale = 10**work
@@ -418,24 +413,20 @@ def direct_sum(
     k_min = 140 * n  # past the hump where the polynomial decay sets in
     acc = 0
     c_run = 0  # max |term| * k^decay, in 10**-work units
-    k = 0
-    limit = k_cut if k_cut is not None else 10**7
-    while k < limit:
-        k += 1
+    limit = 10**7
+    for k in range(1, limit + 1):
         term = 0
         for m, den, coeffs, big_j in poles:
             base = k + m
             term += _div_nearest(_poly_int(coeffs, base) * scale, den * base**big_j)
         acc += term
-        if k_cut is None:
-            c_run = max(c_run, abs(term) * k**decay)
-            if k >= k_min and 2 * c_run * 10**4 < (decay - 1) * k ** (
-                decay - 1
-            ) * 10 ** (work - digits):
-                break
+        c_run = max(c_run, abs(term) * k**decay)
+        if k >= k_min and 2 * c_run * 10**4 < (decay - 1) * k ** (
+            decay - 1
+        ) * 10 ** (work - digits):
+            break
     else:
-        if k_cut is None:
-            raise BudgetError(f"direct sum cutoff budget exceeded at k={limit}")
+        raise BudgetError(f"direct sum cutoff budget exceeded at k={limit}")
     return FixedReal(_div_nearest(acc, 10 ** (work - digits)), digits)
 
 
@@ -455,16 +446,20 @@ def common_denominator(form: ZetaLinearForm) -> tuple[int, dict]:
     return d, report
 
 
+RECONSTRUCTION_SEED = 20260810
+REFLECTION_SEED = 97
+REFLECTION_POINTS = 5
+
+
 def reconstruction_check(
     f: FactoredRationalFunction,
     p: PartialFractionExpansion,
     points: int | None = None,
-    seed: int = 20260810,
 ) -> dict:
     """Exact equality of the expansion and the factored original at random
     non-integer rational sample points (so no pole can be hit)."""
     count = points if points is not None else p.max_order + 2
-    rng = random.Random(seed)
+    rng = random.Random(RECONSTRUCTION_SEED)
     checked = []
     ok = True
     for _ in range(count):
@@ -479,14 +474,12 @@ def _non_integer_sample(rng: random.Random) -> Fraction:
     return rng.randint(-400, 400) + Fraction(1, rng.choice([2, 3, 5, 7, 11]))
 
 
-def reflection_check(
-    f: FactoredRationalFunction, total: int, points: int = 5, seed: int = 97
-) -> dict:
+def reflection_check(f: FactoredRationalFunction, total: int) -> dict:
     """Does t -> -total - t map the function to +f or -f?  Reported, not
-    asserted: exact evaluation at random rational points."""
-    rng = random.Random(seed)
+    asserted: exact evaluation at REFLECTION_POINTS random rational points."""
+    rng = random.Random(REFLECTION_SEED)
     sign = None
-    for _ in range(points):
+    for _ in range(REFLECTION_POINTS):
         t = _non_integer_sample(rng)
         lhs = f.evaluate(Fraction(-total) - t)
         rhs = f.evaluate(t)

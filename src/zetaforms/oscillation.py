@@ -31,6 +31,10 @@ the residues that escape every excluded class.  `build_plan_general`
 decides the hypothesis by its own search over that enumeration, and
 `hypothesis_multi` asks the same enumeration whether anything is left.
 A modulus above D_MAX is a BudgetError.
+
+One integer walker, `_orbit_hits`, runs the orbit n theta mod 1 for both
+`enumerate_psi` (exact box bounds) and `kw_density` (bounds truncated to
+KW_DIGITS digits): integer positions against integer box bounds.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import (
@@ -62,6 +67,7 @@ DEFAULT_DIGITS = 60
 D_MAX = 10**6  # largest pi-rational denominator, and the residue-search cap
 RATIONAL_TOL = Fraction(1, 10**30)
 BOUNDARY_GUARD = Fraction(1, 10**25)  # shrink-to-reject margin at box edges
+KW_DIGITS = 40  # kw_density truncates theta and the box to this many digits
 
 _CONSTANTS: dict[str, Fraction] = {}
 
@@ -349,15 +355,6 @@ class TorusBox:
     def dimension(self) -> int:
         return len(self.center)
 
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        """Membership with the shrink-to-reject boundary guard."""
-        limit = self.eta - BOUNDARY_GUARD
-        for x, c in zip(point, self.center):
-            delta = (x - c) % 1
-            if min(delta, 1 - delta) > limit:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class SubsequencePlan:
@@ -577,12 +574,33 @@ def build_plan_general(
 # -- enumeration and verification ----------------------------------------
 
 
+def _orbit_hits(steps, moduli, lows, widths, limit):
+    """Each n in 1..limit at which every axis j has pos_j = n steps[j] mod
+    moduli[j] with (pos_j - lows[j]) mod moduli[j] <= widths[j]; that
+    shifted position advances by one integer addition per step."""
+    shifted = [(-low) % m for low, m in zip(lows, moduli)]
+    axes = range(len(shifted))
+    for n in range(1, limit + 1):
+        hit = True
+        for j in axes:
+            q = (shifted[j] + steps[j]) % moduli[j]
+            shifted[j] = q
+            if q > widths[j]:
+                hit = False
+        if hit:
+            yield n
+
+
 def enumerate_psi(plan: SubsequencePlan, count: int) -> list[int]:
     """First `count` values of psi, strictly increasing.
 
-    Irrational modes walk the orbit n theta_j mod 1 in exact rational
-    arithmetic (incremental numerator addition mod the denominator), so the
-    output is identical at every working precision.
+    Irrational modes walk the orbit n theta_j mod 1 through the plan's box
+    with `_orbit_hits`, in exact integers.  Axis j runs mod M_j =
+    den(theta_j) * lcm(den(lo), den(2h)) with h = eta - BOUNDARY_GUARD and
+    lo = (center_j - h) mod 1; since 0 < 2h < 1, "distance to the centre
+    <= h" is exactly "(x - lo) mod 1 <= 2h", the closed arc with the
+    shrink-to-reject guard.  The output is identical at every working
+    precision.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -590,22 +608,21 @@ def enumerate_psi(plan: SubsequencePlan, count: int) -> list[int]:
         return [n * plan.d + plan.a for n in range(1, count + 1)]
     if plan.box is None or not plan.theta:
         raise DomainError("irrational-mode plan lacks its box or generators")
-    nums = [t.numerator % t.denominator for t in plan.theta]
-    dens = [t.denominator for t in plan.theta]
-    states = [0] * len(nums)
-    out: list[int] = []
-    n = 0
+    half = plan.box.eta - BOUNDARY_GUARD
+    width = 2 * half
+    steps, moduli, lows, widths = [], [], [], []
+    for t, c in zip(plan.theta, plan.box.center):
+        lo = (c - half) % 1
+        m = t.denominator * math.lcm(lo.denominator, width.denominator)
+        steps.append(int(t % 1 * m))  # every product is an exact integer
+        moduli.append(m)
+        lows.append(int(lo * m))
+        widths.append(int(width * m))
     cap = 10 * int(plan.lambda_predicted + 1) * count + 10**6
-    while len(out) < count:
-        n += 1
-        if n > cap:
-            raise BudgetError(f"orbit scan exceeded {cap} steps")
-        for j in range(len(states)):
-            states[j] = (states[j] + nums[j]) % dens[j]
-        point = [Fraction(st, de) for st, de in zip(states, dens)]
-        if plan.box.contains(point):
-            out.append(plan.big_d * n * plan.d + plan.a)
-    return out
+    hits = list(islice(_orbit_hits(steps, moduli, lows, widths, cap), count))
+    if len(hits) < count:
+        raise BudgetError(f"orbit scan exceeded {cap} steps")
+    return [plan.big_d * n * plan.d + plan.a for n in hits]
 
 
 @dataclass(frozen=True)
@@ -693,22 +710,22 @@ def kw_density(
     theta: Sequence[Fraction],
     box: Sequence[tuple[Fraction, Fraction]],
     k_max: int,
-    digits: int = 40,
 ) -> DensityReport:
     """Count n <= k_max with every frac(n theta_i) inside [x_i, y_i].
 
-    The orbit advances by incremental addition of the scaled theta (no
-    n*theta multiplication), so there is no rounding drift: the only error
-    is the one-time truncation of theta to `digits` digits, which shifts
-    each position by at most k_max * 10^-digits.
+    The same integer orbit walk as `enumerate_psi` (`_orbit_hits`), on
+    theta, x_i and the width truncated to KW_DIGITS digits (a full-width
+    axis gets the whole modulus), so there is no rounding drift: the only
+    error is the one-time truncation, which shifts each position by at most
+    k_max * 10^-KW_DIGITS.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     theta = [Fraction(t) for t in theta]
     if len(theta) != len(box):
         raise DomainError("need one (lo, hi) interval per theta component")
-    modulus = 10**digits
-    steps, los, widths = [], [], []
+    modulus = 10**KW_DIGITS
+    steps, lows, widths = [], [], []
     predicted = 1.0
     for t, (lo, hi) in zip(theta, box):
         lo, hi = Fraction(lo), Fraction(hi)
@@ -716,20 +733,10 @@ def kw_density(
             raise DomainError(f"malformed interval [{lo}, {hi}]")
         width = hi - lo
         predicted *= float(min(width, 1))
-        steps.append((t % 1).numerator * modulus // (t % 1).denominator if t % 1 else 0)
-        los.append((lo % 1).numerator * modulus // (lo % 1).denominator)
-        widths.append(None if width >= 1 else width.numerator * modulus // width.denominator)
-    positions = [0] * len(steps)
-    hits = 0
-    for _ in range(k_max):
-        hit = True
-        for j in range(len(steps)):
-            positions[j] = (positions[j] + steps[j]) % modulus
-            w = widths[j]
-            if w is not None and (positions[j] - los[j]) % modulus > w:
-                hit = False
-        if hit:
-            hits += 1
+        steps.append(math.floor(t % 1 * modulus))
+        lows.append(math.floor(lo % 1 * modulus))
+        widths.append(modulus if width >= 1 else math.floor(width * modulus))
+    hits = sum(1 for _ in _orbit_hits(steps, [modulus] * len(steps), lows, widths, k_max))
     rational = any(t.denominator <= k_max for t in theta)
     return DensityReport(
         k_max=k_max,

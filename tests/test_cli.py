@@ -72,6 +72,13 @@ def test_subseq_examples(capsys):
     assert doc["plan"]["epsilon"].startswith("1.0")
 
 
+def test_subseq_negative_phase_with_equals(capsys):
+    # "--phi -1/4" would read as an option; the --phi=-1/4 form is the one
+    code, out = run(capsys, "subseq", "--omega", "1", "--phi=-1/4", "--count", "3")
+    assert code == EXIT_OK
+    assert json.loads(out)["angles"][0]["phi"] == "-1/4"
+
+
 def test_subseq_hypothesis_exit(capsys):
     code, out = run(capsys, "subseq", "--omega", "0", "--phi", "1/2*pi", "--count", "3")
     assert code == EXIT_DOMAIN
@@ -240,6 +247,19 @@ def test_form_default_digits_byte_identical(capsys):
     code, out = run(capsys, "form", "--n", "1")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digests["cli form --n 1"]
+
+
+@pytest.mark.parametrize("key", [
+    "cli subseq --omega 1/2*e --phi 1/3 --count 2000",
+    "cli subseq --omega 4/5*pi --phi 2/5 --omega 2/3*e --phi 3/7 --count 2000",
+    "cli density --theta 0.7*sqrt2 --box 0.02:0.41 --kmax 1000000",
+    "cli density --theta 1/2*sqrt2,e --box 0.33:0.52,0.09:0.47 --kmax 400000",
+])
+def test_orbit_ops_byte_identical(capsys, key):
+    digests = json.loads(EXPECTED_DIGESTS.read_text(encoding="utf-8"))["digests"]
+    code, out = run(capsys, *key.split()[1:])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[key]
 
 
 def test_form_csv_one_row_per_coefficient(capsys):

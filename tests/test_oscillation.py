@@ -8,10 +8,13 @@ import pytest
 from zetaforms import oscillation
 from zetaforms.errors import DomainError, HypothesisViolation, UndecidableAtPrecision
 from zetaforms.oscillation import (
+    BOUNDARY_GUARD,
     Angle,
     AnglePair,
     CosEvaluator,
     RelationData,
+    SubsequencePlan,
+    TorusBox,
     build_plan_general,
     continued_fraction_convergents,
     detect_pi_rational,
@@ -217,12 +220,7 @@ def test_general_mixed_rational_irrational():
 
 
 def test_general_with_supplied_relation():
-    # omega2 = 1 + pi, so omega2/pi = omega1/pi + 1: one generator serves both
-    theta1 = parse_angle("1").over_pi()
-    relations = RelationData(
-        (theta1,), ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)))
-    )
-    pairs = [pair("1", "0"), AnglePair(Angle(Fraction(1), Fraction(1)), Angle())]
+    pairs, relations = supplied_relation_case()
     plan = build_plan_general(pairs, relations)
     assert plan.mode == "general"
     assert plan.big_d == 1 and plan.box.eta == Fraction(1, 4)
@@ -252,6 +250,70 @@ def test_enumerate_monotone_and_floor_exhaustive():
         floor = plan.epsilon - Fraction(1, 10**30)
         for k in psi:
             assert ev.abs_cos(k).to_fraction() >= floor, (p, k)
+
+
+def fraction_oracle_psi(plan, last):
+    """psi up to `last` by the Fraction box test the integer walker
+    replaced: n hits when every (n theta_j) mod 1 lies within
+    eta - BOUNDARY_GUARD of the centre, boundary included."""
+    limit = plan.box.eta - BOUNDARY_GUARD
+    out = []
+    for n in range(1, last + 1):
+        psi = plan.big_d * n * plan.d + plan.a
+        if psi > last:
+            break
+        for t, c in zip(plan.theta, plan.box.center):
+            delta = ((n * t) % 1 - c) % 1
+            if min(delta, 1 - delta) > limit:
+                break
+        else:
+            out.append(psi)
+    return out
+
+
+def supplied_relation_case():
+    # omega2 = 1 + pi, so omega2/pi = omega1/pi + 1: one generator serves both
+    theta1 = parse_angle("1").over_pi()
+    relations = RelationData(
+        (theta1,), ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)))
+    )
+    pairs = [pair("1", "0"), AnglePair(Angle(Fraction(1), Fraction(1)), Angle())]
+    return pairs, relations
+
+
+@pytest.mark.parametrize(
+    "pairs, relations, mode, dimension",
+    [
+        ([pair("sqrt2", "1/3")], None, "irrational_single", 1),
+        ([pair("4/5*pi", "2/5"), pair("2/3*e", "3/7")], None, "general", 1),
+        ([pair("1", "0"), pair("sqrt2", "1/4")], None, "general", 2),
+        (*supplied_relation_case(), "general", 1),
+    ],
+    ids=["single", "rational_and_irrational", "two_dimensional", "supplied_relation"],
+)
+def test_enumerate_psi_matches_fraction_oracle(pairs, relations, mode, dimension):
+    plan = build_plan_general(pairs, relations)
+    assert plan.mode == mode and plan.box.dimension == dimension
+    psi = enumerate_psi(plan, 300)
+    assert psi == fraction_oracle_psi(plan, psi[-1])
+
+
+def test_enumerate_psi_closed_box_boundary():
+    # centre 0, eta 1/4: the arc is |x| <= 1/4 - BOUNDARY_GUARD, closed
+    half = Fraction(1, 4) - BOUNDARY_GUARD
+
+    def plan_for(theta):
+        return SubsequencePlan(
+            mode="irrational_single", box=TorusBox((Fraction(0),), Fraction(1, 4)),
+            theta=(theta,),
+        )
+
+    # n = 1 sits on the upper edge, n = 4 at distance 4 * BOUNDARY_GUARD
+    assert enumerate_psi(plan_for(half), 2) == [1, 4]
+    # 3/4 + BOUNDARY_GUARD is the lower edge -half mod 1
+    assert enumerate_psi(plan_for(Fraction(3, 4) + BOUNDARY_GUARD), 1) == [1]
+    # a hair past the edge misses
+    assert enumerate_psi(plan_for(half + Fraction(1, 10**40)), 1)[0] > 1
 
 
 def test_rational_mode_constant_cosine():
@@ -318,6 +380,11 @@ def test_kw_density_direct_count_oracle():
         if lo <= x <= hi:
             expected += 1
     report = kw_density([theta], [(lo, hi)], k_max)
+    assert report.hits == expected
+    # two dimensions, the second axis full width: only the first one counts
+    report = kw_density(
+        [theta, named_constant("e")], [(lo, hi), (Fraction(0), Fraction(1))], k_max
+    )
     assert report.hits == expected
 
 
