@@ -25,7 +25,6 @@ from .forms import (
     direct_sum,
     evaluate_numeric,
     partial_fractions,
-    pole_spectrum,
     second_derivative,
     sum_over_k,
     zudilin_linear_form,
@@ -34,7 +33,6 @@ from .oscillation import (
     Angle,
     AnglePair,
     DensityReport,
-    PiRationalWitness,
     RelationData,
     SubsequencePlan,
     TorusBox,

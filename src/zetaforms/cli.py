@@ -217,7 +217,7 @@ def cmd_form(args, parser) -> dict:
         "vanishing_ok": True,  # check_zudilin_vanishing raised otherwise
         "zero_coefficients": [s for s in sorted(form.coefficients)
                               if s not in ZUDILIN_ZETA_ARGUMENTS],
-        "reconstruction": reconstruction_check(factored, expansion, points=5),
+        "reconstruction": reconstruction_check(factored, expansion),
         "reflection": reflection_check(factored, 37 * n),
         "log2_height_over_n": round(height / n, 6),
         "coefficient_bits_reference": 513,

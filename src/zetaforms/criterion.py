@@ -67,10 +67,6 @@ class GrowthData:
             raise DomainError("decay rate must exceed denominator growth rate")
         return cls(c1 - c0, c1 + bits * math.log(2.0))
 
-    @property
-    def alpha(self) -> float:
-        return math.exp(self.log_alpha)
-
 
 def dimension_bound(g: GrowthData) -> float:
     """Lower bound 1 - log(alpha)/log(beta) on dim span(1, xi_1..xi_r)."""

@@ -28,9 +28,11 @@ from fractions import Fraction
 from .errors import BudgetError, DomainError
 
 GUARD_DIGITS = 10
-# cos_pi_argument runs pi and its Taylor series at the full working
-# precision: about 0.4 s per call at 4000 digits (Python 3.11, one Xeon
-# core), against 85 s at 20000.  At 60 digits the cap admits |x| < ~10^3900.
+# cos_pi_argument needs pi at the full working precision: about 0.5 s the
+# first time at 4000 digits (Python 3.11, one Xeon core), against 54 s at
+# 20000; with pi cached a call at 4000 digits takes about 1 ms, since the
+# Taylor series runs at digits + GUARD_DIGITS.  At 60 digits the cap admits
+# |x| < ~10^3900.
 MAX_COS_WORK_DIGITS = 4000
 
 
@@ -81,16 +83,6 @@ class FixedReal:
         return FixedReal(
             _div_nearest(self.scaled, 10 ** (self.digits - digits)), digits
         )
-
-    # -- arithmetic (same-precision operands) ---------------------------
-
-    def _check(self, other: "FixedReal") -> None:
-        if self.digits != other.digits:
-            raise DomainError("precision mismatch; rescale first")
-
-    def __add__(self, other: "FixedReal") -> "FixedReal":
-        self._check(other)
-        return FixedReal(self.scaled + other.scaled, self.digits)
 
     def __abs__(self) -> "FixedReal":
         return FixedReal(abs(self.scaled), self.digits)
@@ -202,7 +194,8 @@ def cos_pi_argument(pi_part: Fraction, addend: Fraction, digits: int) -> FixedRe
     The pi multiple is reduced modulo 2 exactly in the rationals before any
     rounding, so huge pi_part values (k*omega for k ~ 10^6) cost nothing in
     accuracy.  The residual real argument is then reduced modulo pi at a
-    working precision widened by the quotient size.
+    working precision widened by the quotient size, and the Taylor series
+    runs on the reduced argument at digits + GUARD_DIGITS.
     """
     pi_part = Fraction(pi_part) % 2  # cos is 2pi-periodic; exact reduction
     addend = Fraction(addend)
@@ -234,8 +227,10 @@ def cos_pi_argument(pi_part: Fraction, addend: Fraction, digits: int) -> FixedRe
     if r > half:
         r = pw - r
         sign = -sign
-    val = sign * _cos_core(r, work)
-    return FixedReal(_div_nearest(val, 10 ** (work - digits)), digits)
+    # the reduced argument is below pi/2, so the series needs only guard digits
+    core = digits + GUARD_DIGITS
+    val = sign * _cos_core(_div_nearest(r, 10 ** (work - core)), core)
+    return FixedReal(_div_nearest(val, 10**GUARD_DIGITS), digits)
 
 
 def sin_pi_multiple(x: Fraction, digits: int) -> FixedReal:

@@ -52,10 +52,6 @@ class RisingBlock:
     def degree(self) -> int:
         return self.length * self.power
 
-    def zero_order_at(self, m: int) -> int:
-        """Vanishing order at t = -m."""
-        return self.power if self.shift <= m <= self.shift + self.length - 1 else 0
-
 
 @dataclass(frozen=True)
 class FactoredRationalFunction:
@@ -79,13 +75,6 @@ class FactoredRationalFunction:
     @property
     def is_proper(self) -> bool:
         return self.numerator_degree < self.denominator_degree
-
-    def numerator_zero_order_at(self, m: int) -> int:
-        order = sum(b.zero_order_at(m) for b in self.numerator)
-        c0, c1 = self.prefactor
-        if c1 != 0 and c0 == c1 * m:
-            order += 1
-        return order
 
     def evaluate(self, t: Fraction) -> Fraction:
         """Exact value at a rational point away from the poles."""
@@ -137,20 +126,6 @@ def _denominator_cover(f: FactoredRationalFunction) -> dict[int, int]:
     return cover
 
 
-def pole_spectrum(f: FactoredRationalFunction) -> list[tuple[int, int]]:
-    """Poles t = -m with their analytic multiplicities, sorted by m.
-
-    Multiplicity = denominator cover count minus any numerator vanishing
-    order at -m; entries with multiplicity < 1 are dropped.
-    """
-    out = []
-    for m, cover in sorted(_denominator_cover(f).items()):
-        mult = cover - f.numerator_zero_order_at(m)
-        if mult >= 1:
-            out.append((m, mult))
-    return out
-
-
 @dataclass
 class PartialFractionExpansion:
     """Exact coefficients a_{j,m} of 1/(t+m)^j; zero coefficients omitted.
@@ -158,10 +133,6 @@ class PartialFractionExpansion:
     Treated as immutable once built (safe to share across tasks)."""
 
     terms: dict[tuple[int, int], Fraction] = field(default_factory=dict)  # (m, j)
-
-    @property
-    def max_order(self) -> int:
-        return max((j for _, j in self.terms), default=0)
 
     def evaluate(self, t: Fraction) -> Fraction:
         t = Fraction(t)
@@ -449,20 +420,19 @@ def common_denominator(form: ZetaLinearForm) -> tuple[int, dict]:
 RECONSTRUCTION_SEED = 20260810
 REFLECTION_SEED = 97
 REFLECTION_POINTS = 5
+RECONSTRUCTION_POINTS = 5
 
 
 def reconstruction_check(
-    f: FactoredRationalFunction,
-    p: PartialFractionExpansion,
-    points: int | None = None,
+    f: FactoredRationalFunction, p: PartialFractionExpansion
 ) -> dict:
-    """Exact equality of the expansion and the factored original at random
-    non-integer rational sample points (so no pole can be hit)."""
-    count = points if points is not None else p.max_order + 2
+    """Exact equality of the expansion and the factored original at
+    RECONSTRUCTION_POINTS random non-integer rational sample points (so no
+    pole can be hit)."""
     rng = random.Random(RECONSTRUCTION_SEED)
     checked = []
     ok = True
-    for _ in range(count):
+    for _ in range(RECONSTRUCTION_POINTS):
         t = _non_integer_sample(rng)
         ok = ok and f.evaluate(t) == p.evaluate(t)
         checked.append(fraction_str(t))

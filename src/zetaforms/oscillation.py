@@ -18,19 +18,20 @@ of three modes:
 
 Angles are carried exactly as (rational multiple of pi) + (rational
 addend); named constants are pinned to one canonical 120-digit rational
-approximation at parse time, which makes every decision in this module a
-deterministic exact-rational comparison.
+approximation at parse time, and every angle/pi reads 1/pi at that same
+120-digit pin, which makes every decision in this module a deterministic
+exact-rational comparison.  Every cosine is evaluated at COS_DIGITS.
 
 "Irrational" always means irrational-at-precision: no convergent of
 omega/pi with denominator <= D_MAX approximates it to RATIONAL_TOL.  The
 plan records which branch was taken.
 
-Each pair is classified once (`_split_pairs`: its pi-rational witness and
-the residues it excludes), and one enumeration, `_free_residues`, walks
-the residues that escape every excluded class.  `build_plan_general`
-decides the hypothesis by its own search over that enumeration, and
-`hypothesis_multi` asks the same enumeration whether anything is left.
-A modulus above D_MAX is a BudgetError.
+Each pair is classified once (`_split_pairs`: its reduced omega/pi = c/d
+and the one residue it may exclude), and one enumeration,
+`_free_residues`, walks the residues that escape every excluded class.
+`build_plan_general` decides the hypothesis by its own search over that
+enumeration, and `hypothesis_multi` asks the same enumeration whether
+anything is left.  A modulus above D_MAX is a BudgetError.
 
 One integer walker, `_orbit_hits`, runs the orbit n theta mod 1 for both
 `enumerate_psi` (exact box bounds) and `kw_density` (bounds truncated to
@@ -63,7 +64,7 @@ from .fixedpoint import (
 )
 
 CANONICAL_DIGITS = 120
-DEFAULT_DIGITS = 60
+COS_DIGITS = 60
 D_MAX = 10**6  # largest pi-rational denominator, and the residue-search cap
 RATIONAL_TOL = Fraction(1, 10**30)
 BOUNDARY_GUARD = Fraction(1, 10**25)  # shrink-to-reject margin at box edges
@@ -102,11 +103,12 @@ class Angle:
     def __add__(self, other: "Angle") -> "Angle":
         return Angle(self.pi_mult + other.pi_mult, self.addend + other.addend)
 
-    def over_pi(self, digits: int = CANONICAL_DIGITS) -> Fraction:
-        """This angle divided by pi; exact when the addend vanishes."""
+    def over_pi(self) -> Fraction:
+        """This angle divided by pi, exact when the addend vanishes and
+        otherwise at the canonical 120-digit 1/pi pin."""
         if self.addend == 0:
             return self.pi_mult
-        return self.pi_mult + self.addend * inv_pi_fraction(digits)
+        return self.pi_mult + self.addend * inv_pi_fraction(CANONICAL_DIGITS)
 
     def value(self) -> Fraction:
         """Numeric value at the canonical 120-digit pi pin."""
@@ -180,39 +182,29 @@ class AnglePair:
 class CosEvaluator:
     """|cos(k omega + phi)| with the pi-multiple reduced exactly mod 1.
 
-    When omega is an exact rational multiple of pi the reduced argument
-    takes finitely many values, so results are memoised; the periodic
-    structure is then exact, not approximate.
+    When omega = (c/q) pi exactly, the reduced argument depends on k mod q
+    only, so results are memoised by that integer; the periodic structure
+    is then exact, not approximate.
     """
 
-    def __init__(self, pair: AnglePair, digits: int = DEFAULT_DIGITS):
+    def __init__(self, pair: AnglePair):
         self.pair = pair
-        self.digits = digits
-        self._cache: Optional[dict] = {} if pair.omega.addend == 0 else None
+        self._period = pair.omega.pi_mult.denominator if pair.omega.addend == 0 else 0
+        self._cache: dict[int, FixedReal] = {}
 
     def abs_cos(self, k: int) -> FixedReal:
-        om, ph = self.pair.omega, self.pair.phi
-        pi_part = (k * om.pi_mult + ph.pi_mult) % 1  # |cos| is pi-periodic
-        addend = k * om.addend + ph.addend
-        if self._cache is None:
-            return abs(cos_pi_argument(pi_part, addend, self.digits))
-        got = self._cache.get(pi_part)
+        key = k % self._period if self._period else None
+        got = self._cache.get(key)
         if got is None:
-            got = abs(cos_pi_argument(pi_part, addend, self.digits))
-            self._cache[pi_part] = got
+            om, ph = self.pair.omega, self.pair.phi
+            pi_part = (k * om.pi_mult + ph.pi_mult) % 1  # |cos| is pi-periodic
+            got = abs(cos_pi_argument(pi_part, k * om.addend + ph.addend, COS_DIGITS))
+            if key is not None:
+                self._cache[key] = got
         return got
 
 
 # -- rationality of omega/pi ------------------------------------------
-
-
-@dataclass(frozen=True)
-class PiRationalWitness:
-    """omega/pi ~= c/d to within `residual` (reduced fraction)."""
-
-    c: int
-    d: int
-    residual: Fraction
 
 
 def continued_fraction_convergents(x: Fraction, q_limit: int):
@@ -233,19 +225,16 @@ def continued_fraction_convergents(x: Fraction, q_limit: int):
         rest = 1 / frac_part
 
 
-def detect_pi_rational(
-    omega: Angle, digits: int = DEFAULT_DIGITS
-) -> Optional[PiRationalWitness]:
-    """First continued-fraction convergent of omega/pi with denominator
-    <= D_MAX and residual < RATIONAL_TOL, or None (irrational at this
-    precision)."""
-    x = omega.over_pi(max(digits, DEFAULT_DIGITS))
+def detect_pi_rational(omega: Angle) -> Optional[Fraction]:
+    """omega/pi as a reduced c/d: the first continued-fraction convergent
+    with denominator <= D_MAX and residual < RATIONAL_TOL, or None
+    (irrational at this precision)."""
+    x = omega.over_pi()
     if omega.addend == 0 and x.denominator <= D_MAX:
-        return PiRationalWitness(x.numerator, x.denominator, Fraction(0))
+        return x
     for p, q in continued_fraction_convergents(x, D_MAX):
-        residual = abs(x - Fraction(p, q))
-        if residual < RATIONAL_TOL:
-            return PiRationalWitness(p, q, residual)
+        if abs(x - Fraction(p, q)) < RATIONAL_TOL:
+            return Fraction(p, q)
     return None
 
 
@@ -259,70 +248,66 @@ def _distance_to_integers(x: Fraction) -> Fraction:
     return min(f, 1 - f)
 
 
-def _congruent(dist: Fraction, tol: Fraction, what: str) -> bool:
-    if tol / UNDECIDABLE_BAND < dist < tol * UNDECIDABLE_BAND:
-        raise UndecidableAtPrecision(
-            f"{what}: distance {float(dist):.3e} sits on the decision "
-            f"boundary (tolerance {float(tol):.0e})"
-        )
-    return dist < tol
+PHASE_TOL = Fraction(1, 10**25)
 
 
-def _excluded_residues(
-    pair: AnglePair, witness: PiRationalWitness, digits: int
-) -> set[int]:
-    """Residues a mod d with a*omega + phi = pi/2 mod pi, for omega/pi = c/d.
+def _excluded_residue(pair: AnglePair, ratio: Fraction) -> Optional[int]:
+    """The residue a mod d with a*omega + phi = pi/2 mod pi, for
+    omega/pi = c/d reduced, or None.
 
     The condition is a*c/d + phi/pi - 1/2 in Z, i.e. a*c = e (mod d) where
-    e = d*(1/2 - phi/pi) -- solvable only when e is an integer.
+    e = d*(1/2 - phi/pi): no solution unless e is an integer, and exactly
+    one then, since gcd(c, d) = 1.
     """
-    c, d = witness.c, witness.d
-    e_real = d * (Fraction(1, 2) - pair.phi.over_pi(digits))
+    c, d = ratio.numerator, ratio.denominator
+    e_real = d * (Fraction(1, 2) - pair.phi.over_pi())
     e0 = round(e_real)
-    if not _congruent(abs(e_real - e0), Fraction(1, 10**25), "phase congruence"):
-        return set()
-    if c % d == 0:
-        # omega = 0 mod pi forces d = 1; the congruence is all-or-nothing
-        return {0} if e0 % d == 0 else set()
-    return {(e0 * pow(c, -1, d)) % d}
+    dist = abs(e_real - e0)
+    if PHASE_TOL / UNDECIDABLE_BAND < dist < PHASE_TOL * UNDECIDABLE_BAND:
+        raise UndecidableAtPrecision(
+            f"phase congruence: distance {float(dist):.3e} sits on the "
+            f"decision boundary (tolerance {float(PHASE_TOL):.0e})"
+        )
+    if dist >= PHASE_TOL:
+        return None
+    return e0 * pow(c, -1, d) % d  # d = 1 (omega = 0 mod pi) gives 0
 
 
-RationalEntry = tuple[AnglePair, PiRationalWitness, set[int]]
+RationalEntry = tuple[AnglePair, Fraction, Optional[int]]
 
 
 def _split_pairs(
-    pairs: Sequence[AnglePair], digits: int
+    pairs: Sequence[AnglePair],
 ) -> tuple[list[RationalEntry], list[AnglePair]]:
     """Classify each pair once, in order: the pi-rational ones with their
-    witness and excluded residues, and the pi-irrational ones."""
+    reduced omega/pi and excluded residue, and the pi-irrational ones."""
     rational: list[RationalEntry] = []
     irrational: list[AnglePair] = []
     for pair in pairs:
-        w = detect_pi_rational(pair.omega, digits=digits)
-        if w is None:
+        ratio = detect_pi_rational(pair.omega)
+        if ratio is None:
             irrational.append(pair)
         else:
-            rational.append((pair, w, _excluded_residues(pair, w, digits)))
+            rational.append((pair, ratio, _excluded_residue(pair, ratio)))
     return rational, irrational
 
 
 def _free_residues(rational: Sequence[RationalEntry]):
-    """The a in 1..d, d = lcm of the witness denominators, outside every
+    """The a in 1..d, d = lcm of the omega/pi denominators, outside every
     excluded class; BudgetError when d exceeds D_MAX."""
-    d = lcm_of(w.d for _, w, _ in rational)
+    d = lcm_of(ratio.denominator for _, ratio, _ in rational)
     if d > D_MAX:
         raise BudgetError(
             f"residue search modulus {d} exceeds {D_MAX} (lcm of the "
             "pi-rational denominators)"
         )
+    excluded = [(r.denominator, e) for _, r, e in rational if e is not None]
     for a in range(1, d + 1):
-        if all(a % w.d not in excluded for _, w, excluded in rational):
+        if all(a % q != e for q, e in excluded):
             yield a
 
 
-def hypothesis_multi(
-    pairs: Sequence[AnglePair], digits: int = DEFAULT_DIGITS
-) -> bool:
+def hypothesis_multi(pairs: Sequence[AnglePair]) -> bool:
     """Do infinitely many n satisfy n omega_i + phi_i != pi/2 mod pi for
     every i at once?
 
@@ -330,9 +315,9 @@ def hypothesis_multi(
     ones matter: they exclude full residue classes, and the answer is
     whether some class mod lcm(d_i) escapes them all.
     """
-    rational, _ = _split_pairs(pairs, digits)
-    excluding = [entry for entry in rational if entry[2]]
-    if sum(Fraction(len(e), w.d) for _, w, e in excluding) < 1:
+    rational, _ = _split_pairs(pairs)
+    excluding = [entry for entry in rational if entry[2] is not None]
+    if sum(Fraction(1, ratio.denominator) for _, ratio, _ in excluding) < 1:
         return True  # the excluded classes cannot cover all residues
     return next(_free_residues(excluding), None) is not None
 
@@ -451,7 +436,6 @@ def _box_search(
 def build_plan_general(
     pairs: Sequence[AnglePair],
     relations: Optional[RelationData] = None,
-    digits: int = DEFAULT_DIGITS,
 ) -> SubsequencePlan:
     """The subsequence plan for one or several angle pairs.
 
@@ -475,36 +459,36 @@ def build_plan_general(
     pairs = list(pairs)
     if not pairs:
         raise DomainError("need at least one angle pair")
-    rational, irrational = _split_pairs(pairs, digits)
+    rational, irrational = _split_pairs(pairs)
 
     if irrational and len(pairs) == 1 and relations is None:
         pair = irrational[0]
-        center = (-pair.phi.over_pi(CANONICAL_DIGITS)) % 1
+        center = (-pair.phi.over_pi()) % 1
         return SubsequencePlan(
             mode="irrational_single",
             box=TorusBox((center,), Fraction(1, 4)),
-            theta=(pair.omega.over_pi(CANONICAL_DIGITS),),
+            theta=(pair.omega.over_pi(),),
             epsilon=sqrt2_half_lower(),
             lambda_predicted=Fraction(2),
         )
 
-    # residue class for the rational part
+    # residue class for the rational part; every |cos| is a COS_DIGITS
+    # FixedReal, so floors compare as their scaled integers
     if rational:
-        d = lcm_of(w.d for _, w, _ in rational)
-        evaluators = [CosEvaluator(pair, digits) for pair, _, _ in rational]
-        best_a, best_floor = None, None
-        for a in _free_residues(rational):
-            floor = min(ev.abs_cos(a).to_fraction() for ev in evaluators)
-            if best_floor is None or floor > best_floor:
-                best_a, best_floor = a, floor
-        if best_a is None:
+        d = lcm_of(ratio.denominator for _, ratio, _ in rational)
+        evaluators = [CosEvaluator(pair) for pair, _, _ in rational]
+        a, best_floor = None, -1
+        for residue in _free_residues(rational):
+            floor = min(ev.abs_cos(residue).scaled for ev in evaluators)
+            if floor > best_floor:
+                a, best_floor = residue, floor
+        if a is None:
             raise HypothesisViolation(
                 "no residue class avoids all pi/2 congruences"
             )
-        if best_floor < Fraction(1, 10**30):
+        rational_floor = Fraction(best_floor, 10**COS_DIGITS)
+        if rational_floor < Fraction(1, 10**30):
             raise HypothesisViolation("all residue classes are excluded")
-        a = best_a
-        rational_floor = best_floor
     else:
         d, a = 1, 0
         rational_floor = None
@@ -524,7 +508,7 @@ def build_plan_general(
         for p in irrational
     ]
     if relations is None:
-        theta = tuple(tp.omega.over_pi(CANONICAL_DIGITS) for tp in transformed)
+        theta = tuple(tp.omega.over_pi() for tp in transformed)
         rows = [
             [Fraction(0)] + [Fraction(int(i == j)) for j in range(len(transformed))]
             for i in range(len(transformed))
@@ -540,7 +524,7 @@ def build_plan_general(
         for row, original in zip(relations.rows, irrational):
             if len(row) != len(theta) + 1:
                 raise DomainError("relation row length must be s + 1")
-            target = original.omega.over_pi(CANONICAL_DIGITS)
+            target = original.omega.over_pi()
             value = row[0] + sum(r * t for r, t in zip(row[1:], theta))
             if abs(target - value) > Fraction(1, 10**20):
                 raise DomainError(
@@ -553,9 +537,9 @@ def build_plan_general(
         r.denominator for row in rows for r in row
     )
     int_rows = [[int(big_d * r) for r in row[1:]] for row in rows]
-    phases = [tp.phi.over_pi(CANONICAL_DIGITS) for tp in transformed]
+    phases = [tp.phi.over_pi() for tp in transformed]
     box, margin = _box_search(int_rows, phases)
-    eps_irr = sin_pi_multiple(margin, digits).to_fraction() - Fraction(1, 10**40)
+    eps_irr = sin_pi_multiple(margin, COS_DIGITS).to_fraction() - Fraction(1, 10**40)
     epsilon = eps_irr if rational_floor is None else min(eps_irr, rational_floor)
     s = box.dimension
     lam = Fraction(d * big_d) / (2 * box.eta) ** s
@@ -658,13 +642,12 @@ def verify_plan(
     plan: SubsequencePlan,
     pairs: Sequence[AnglePair],
     count: int,
-    digits: int = DEFAULT_DIGITS,
 ) -> PlanVerification:
     """Exhaustively check the plan's two promises over psi(1..count):
     the cosine floor for every pair, and psi(count)/count within 5% of
     the predicted lambda."""
     psi = enumerate_psi(plan, count)
-    evaluators = [CosEvaluator(p, digits) for p in pairs]
+    evaluators = [CosEvaluator(p) for p in pairs]
     min_cos: Optional[FixedReal] = None
     for k in psi:
         for ev in evaluators:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from zetaforms.errors import BudgetError, DomainError
 from zetaforms.forms import (
+    RECONSTRUCTION_POINTS,
     FactoredRationalFunction,
     PartialFractionExpansion,
     RisingBlock,
@@ -24,7 +25,6 @@ from zetaforms.forms import (
     evaluate_numeric,
     fraction_str,
     partial_fractions,
-    pole_spectrum,
     reconstruction_check,
     reflection_check,
     required_digits,
@@ -55,14 +55,22 @@ def test_build_degrees_and_properness():
         build_zudilin(0)
 
 
+def pole_orders(f):
+    """m -> the top order j among the partial-fraction terms at t = -m."""
+    orders = {}
+    for m, j in partial_fractions(f).terms:
+        orders[m] = max(orders.get(m, 0), j)
+    return orders
+
+
 def test_pole_set_n1():
-    spectrum = dict(pole_spectrum(build_zudilin(1)))
+    spectrum = pole_orders(build_zudilin(1))
     assert sorted(spectrum) == list(range(2, 36))
 
 
 def test_pole_multiplicities_match_cover_oracle():
     for n in (1, 2):
-        spectrum = dict(pole_spectrum(build_zudilin(n)))
+        spectrum = pole_orders(build_zudilin(n))
         for m in range(1, 36 * n + 2):
             expected = cover_count_oracle(n, m)
             if n % 2 == 0 and 2 * m == 37 * n:
@@ -71,7 +79,7 @@ def test_pole_multiplicities_match_cover_oracle():
 
 
 def test_pole_extremes_n1():
-    spectrum = dict(pole_spectrum(build_zudilin(1)))
+    spectrum = pole_orders(build_zudilin(1))
     assert max(spectrum.values()) == 10
     # all ten intervals [(12-j), (25+j)] cover exactly [11, 26]
     assert [m for m, mult in spectrum.items() if mult == 10] == list(range(11, 27))
@@ -80,7 +88,10 @@ def test_pole_extremes_n1():
 
 def test_pole_spectrum_generic():
     f = FactoredRationalFunction((1, 0), (), (RisingBlock(1, 2, 1),))
-    assert pole_spectrum(f) == [(1, 1), (2, 1)]
+    assert pole_orders(f) == {1: 1, 2: 1}
+    # the numerator zero at t = -2 lowers that pole from order 2 to 1
+    f = FactoredRationalFunction((2, 1), (), (RisingBlock(1, 2, 2),))
+    assert pole_orders(f) == {1: 2, 2: 1}
 
 
 def test_non_integer_pole_rejected():
@@ -146,7 +157,7 @@ def test_partial_fractions_scalar_included():
 def test_reconstruction_zudilin_n1(pipeline1):
     report = reconstruction_check(pipeline1.factored, pipeline1.expansion)
     assert report["ok"]
-    assert len(report["points"]) == pipeline1.expansion.max_order + 2
+    assert len(report["points"]) == RECONSTRUCTION_POINTS
 
 
 def test_reconstruction_at_explicit_random_rationals(pipeline1):
@@ -168,7 +179,7 @@ def test_second_derivative_order_shift(pipeline1):
     before = pipeline1.expansion
     after = pipeline1.differentiated
     assert min(j for _, j in after.terms) == min(j for _, j in before.terms) + 2
-    assert after.max_order == before.max_order + 2
+    assert max(j for _, j in after.terms) == max(j for _, j in before.terms) + 2
     for (m, j), a in before.terms.items():
         assert after.terms[(m, j + 2)] == j * (j + 1) * a
 

@@ -1,5 +1,6 @@
 """Subsequence plans, hypothesis checking, enumeration, density counting."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import pytest
 
 from zetaforms import oscillation
 from zetaforms.errors import DomainError, HypothesisViolation, UndecidableAtPrecision
+from zetaforms.fixedpoint import cos_pi_argument
 from zetaforms.oscillation import (
     BOUNDARY_GUARD,
+    COS_DIGITS,
     Angle,
     AnglePair,
     CosEvaluator,
@@ -69,12 +72,12 @@ def test_angle_arithmetic():
 
 
 def test_detect_pi_rational_trivia():
-    w = detect_pi_rational(parse_angle("1/3*pi"))
-    assert (w.c, w.d, w.residual) == (1, 3, 0)
-    w = detect_pi_rational(parse_angle("2*pi"))
-    assert (w.c, w.d) == (2, 1)
-    w = detect_pi_rational(parse_angle("0"))
-    assert (w.c, w.d) == (0, 1)
+    assert detect_pi_rational(parse_angle("1/3*pi")) == Fraction(1, 3)
+    assert detect_pi_rational(parse_angle("2*pi")) == 2
+    assert detect_pi_rational(parse_angle("0")) == 0
+    # a tiny addend leaves the convergent 1/3 within RATIONAL_TOL
+    assert detect_pi_rational(parse_angle("1/3*pi+1e-40")) == Fraction(1, 3)
+    assert detect_pi_rational(parse_angle("1/3*pi+1e-20")) is None
 
 
 def test_detect_pi_rational_omega_1_is_irrational():
@@ -89,8 +92,8 @@ def test_detect_pi_rational_omega_1_is_irrational():
 
 
 def test_witness_is_reduced():
-    w = detect_pi_rational(parse_angle("6/4*pi"))
-    assert (w.c, w.d) == (3, 2)
+    ratio = detect_pi_rational(parse_angle("6/4*pi"))
+    assert (ratio.numerator, ratio.denominator) == (3, 2)
 
 
 # -- hypothesis --------------------------------------------------------
@@ -165,8 +168,8 @@ def test_plan_classifies_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(oscillation, "detect_pi_rational",
                         counting("detect", oscillation.detect_pi_rational))
-    monkeypatch.setattr(oscillation, "_excluded_residues",
-                        counting("excluded", oscillation._excluded_residues))
+    monkeypatch.setattr(oscillation, "_excluded_residue",
+                        counting("excluded", oscillation._excluded_residue))
     plan = build_plan_general(
         [pair("1/3*pi", "0"), pair("2/5*pi", "1/7"), pair("sqrt2", "0")]
     )
@@ -175,6 +178,62 @@ def test_plan_classifies_each_pair_once(monkeypatch):
 
 
 # -- plans ---------------------------------------------------------------
+
+
+def residue_oracle(pairs):
+    """(a, epsilon) by brute force over every a in 1..d, d the lcm of the
+    pi_mult denominators: the smallest a whose least |cos(a omega_i +
+    phi_i)|, each an exact Fraction from cos_pi_argument, is largest.  None
+    when that floor is below 10^-30, i.e. every class is excluded."""
+    d = math.lcm(*(p.omega.pi_mult.denominator for p in pairs))
+
+    def floor(a):
+        return min(
+            abs(cos_pi_argument(a * p.omega.pi_mult + p.phi.pi_mult,
+                                a * p.omega.addend + p.phi.addend,
+                                COS_DIGITS).to_fraction())
+            for p in pairs
+        )
+
+    best = max(range(1, d + 1), key=floor)
+    epsilon = floor(best)
+    return None if epsilon < Fraction(1, 10**30) else (best, epsilon)
+
+
+def residue_cases():
+    fixed = [
+        # every residue ties at sqrt(2)/2 on the first pair
+        [("1/2*pi", "1/4*pi"), ("1/3*pi", "0")],
+        # a = 1 mod 3 is phase-congruent (a pi/3 + pi/6 = pi/2 mod pi)
+        [("1/3*pi", "1/6*pi"), ("1/2*pi", "1/4*pi")],
+        [("1/3*pi+1e-40", "1/6*pi"), ("2/5*pi", "1/7")],
+        [("1/4*pi", "0"), ("1/6*pi", "1/2*pi"), ("2/3*pi", "1/3")],
+        [("1/2*pi", "1/2*pi"), ("1/2*pi", "0")],  # every class excluded
+        # d = 97 * 89; a = 0 mod 89 is phase-congruent on the second pair
+        [("1/97*pi", "1/4*pi"), ("3/89*pi", "1/2*pi")],
+    ]
+    rng = random.Random(20261018)
+    phases = ["0", "1/4*pi", "1/6*pi", "1/2*pi", "-1/3*pi", "2/7", "1/2*pi+1e-40"]
+    for _ in range(8):
+        fixed.append([
+            (f"{rng.randint(1, 20)}/{rng.choice([2, 3, 4, 5, 6, 7, 9, 11])}*pi",
+             rng.choice(phases))
+            for _ in range(rng.choice([2, 3]))
+        ])
+    return fixed
+
+
+@pytest.mark.parametrize("spec", residue_cases())
+def test_residue_search_matches_fraction_oracle(spec):
+    pairs = [pair(omega, phi) for omega, phi in spec]
+    expected = residue_oracle(pairs)
+    if expected is None:
+        with pytest.raises(HypothesisViolation):
+            build_plan_general(pairs)
+        return
+    plan = build_plan_general(pairs)
+    assert plan.mode == "rational"
+    assert (plan.a, plan.epsilon) == expected
 
 
 def test_plan_rational_pi_over_3():
@@ -331,15 +390,6 @@ def test_rational_mode_constant_cosine():
         values = {ev.abs_cos(k).to_fraction() for k in enumerate_psi(plan, 50)}
         lo, hi = min(values), max(values)
         assert hi - lo < Fraction(1, 10**30)
-
-
-def test_enumeration_identical_across_precisions():
-    for text in ("1", "sqrt2", "e"):
-        p = pair(text, "0")
-        plans = [build_plan_general([p], digits=dig) for dig in (40, 80)]
-        assert plans[0] == plans[1]
-        seqs = [enumerate_psi(pl, 500) for pl in plans]
-        assert seqs[0] == seqs[1]
 
 
 def test_verify_plan_rational_case():
