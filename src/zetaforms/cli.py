@@ -20,19 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
 from . import __version__
-from .criterion import (
-    CriterionReport,
-    GrowthData,
-    dimension_bound,
-    exponent_threshold,
-    oscillating_report,
-    zudilin_constants,
-)
+from .criterion import GrowthData, oscillating_report, zudilin_constants
 from .errors import (
     BudgetError,
     DomainError,
@@ -218,11 +210,12 @@ def cmd_form(args, parser) -> dict:
         "zero_coefficients": [s for s in sorted(form.coefficients)
                               if s not in ZUDILIN_ZETA_ARGUMENTS],
         "reconstruction": reconstruction_check(factored, expansion),
-        "reflection": reflection_check(factored, 37 * n),
+        "reflection": reflection_check(expansion),
         "log2_height_over_n": round(height / n, 6),
         "coefficient_bits_reference": 513,
     }
     denominator, den_report = common_denominator(form)
+    log10_abs = log10_fraction(value.to_fraction())
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "form",
@@ -233,8 +226,8 @@ def cmd_form(args, parser) -> dict:
         "numeric": {
             "value": value.to_decimal(),
             "value_digits": value.digits,
-            "log10_abs": round(value.log10_abs(), 6),
-            "log10_abs_over_n": round(value.log10_abs() / n, 6),
+            "log10_abs": round(log10_abs, 6),
+            "log10_abs_over_n": round(log10_abs / n, 6),
             "direct_sum": direct.to_decimal(),
             "direct_sum_digits": ds_digits,
             "agreement_delta_log10": None
@@ -303,20 +296,12 @@ def cmd_criterion(args, parser) -> dict:
         "log_alpha": f"{growth.log_alpha:.10f}",
         "log_beta": f"{growth.log_beta:.10f}",
     }
-    if args.omega or args.phi:
-        pairs = _parse_pairs(args.omega, args.phi, parser.error)
-        report = oscillating_report(growth, pairs)
-        doc["report"] = report.to_json_dict()
-    else:
-        dim = dimension_bound(growth)
-        kappa = exponent_threshold(growth)
-        doc["report"] = CriterionReport(
-            dim_lower_bound=dim,
-            dim_lower_bound_ceiled=math.ceil(dim),
-            kappa_threshold=kappa,
-            hypothesis_ok=True,
-            lambda_used=None,
-        ).to_json_dict()
+    pairs = (
+        _parse_pairs(args.omega, args.phi, parser.error)
+        if args.omega or args.phi
+        else ()
+    )
+    doc["report"] = oscillating_report(growth, pairs).to_json_dict()
     return doc
 
 
@@ -396,7 +381,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetError as exc:
         _emit(_error_doc("budget", exc, args), None)
         return EXIT_BUDGET
-    except (DomainError, ZetaformsError) as exc:
+    except ZetaformsError as exc:
         _emit(_error_doc("domain", exc, args), None)
         return EXIT_DOMAIN
     _emit(render(doc, args.format), args.output)

@@ -124,27 +124,31 @@ def oscillating_report(
     g: GrowthData, pairs: Sequence[AnglePair]
 ) -> CriterionReport:
     """End-to-end report: check the oscillation hypothesis, build a
-    subsequence plan (recording its lambda), and emit both bounds.
+    subsequence plan (recording its lambda), and emit both bounds.  With
+    no pairs there is nothing to check: no plan is built and lambda_used
+    is None.
 
     The bounds are computed from (alpha, beta) directly: the subsequence
     rescales both to the lambda-th power and log-ratios cancel lambda, so
     any admissible plan yields the same conclusions.
     """
-    try:
-        plan = build_plan_general(pairs)
-    except (HypothesisViolation, UndecidableAtPrecision):
-        return CriterionReport(
-            dim_lower_bound=0.0,
-            dim_lower_bound_ceiled=0,
-            kappa_threshold=0.0,
-            hypothesis_ok=False,
-            lambda_used=None,
-        )
+    lambda_used = None
+    if pairs:
+        try:
+            lambda_used = float(build_plan_general(pairs).lambda_predicted)
+        except (HypothesisViolation, UndecidableAtPrecision):
+            return CriterionReport(
+                dim_lower_bound=0.0,
+                dim_lower_bound_ceiled=0,
+                kappa_threshold=0.0,
+                hypothesis_ok=False,
+                lambda_used=None,
+            )
     dim = dimension_bound(g)
     return CriterionReport(
         dim_lower_bound=dim,
         dim_lower_bound_ceiled=math.ceil(dim),
         kappa_threshold=exponent_threshold(g),
         hypothesis_ok=True,
-        lambda_used=float(plan.lambda_predicted),
+        lambda_used=lambda_used,
     )

@@ -1,5 +1,6 @@
-"""Exact rational building blocks: factorials, rising factorials, harmonic
-power sums, least common multiples and logarithms of huge rationals.
+"""Exact rational building blocks: rising factorials, harmonic power sums
+and logarithms of huge rationals (factorials and least common multiples
+are `math.factorial` and `math.lcm`).
 
 Rationals are `fractions.Fraction` throughout (always stored reduced, exact,
 unbounded).
@@ -14,13 +15,6 @@ from typing import Union
 from .errors import DomainError
 
 Rational = Union[int, Fraction]
-
-
-def factorial(m: int) -> int:
-    """m! for m >= 0."""
-    if m < 0:
-        raise DomainError(f"factorial of negative argument {m}")
-    return math.factorial(m)
 
 
 def pochhammer(a: Rational, p: int) -> Fraction:
@@ -45,14 +39,6 @@ def harmonic_power_sum(m: int, s: int) -> Fraction:
     if s < 2:
         raise DomainError(f"harmonic_power_sum needs s >= 2, got {s}")
     return sum((Fraction(1, l**s) for l in range(1, m + 1)), Fraction(0))
-
-
-def lcm_of(values) -> int:
-    """Least common multiple of an iterable of positive integers."""
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
 
 
 def log2_fraction(x: Fraction) -> float:

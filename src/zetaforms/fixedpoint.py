@@ -66,15 +66,6 @@ class FixedReal:
         unit = 10**self.digits
         return f"{sign}{mag // unit}.{mag % unit:0{self.digits}d}"
 
-    def log10_abs(self) -> float:
-        """log10 |value|; value must be nonzero."""
-        if self.scaled == 0:
-            raise DomainError("log10 of zero")
-        m = abs(self.scaled)
-        nb = m.bit_length()
-        shift = max(0, nb - 64)
-        return (math.log10(m >> shift) + shift * math.log10(2.0)) - self.digits
-
     def rescale(self, digits: int) -> "FixedReal":
         if digits == self.digits:
             return self

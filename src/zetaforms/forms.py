@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError, InternalCheckError
-from .exact import (
-    factorial,
-    harmonic_power_sum,
-    lcm_of,
-    log2_fraction,
-    pochhammer,
-)
+from .exact import harmonic_power_sum, log2_fraction, pochhammer
 from .fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
 from .zeta import ZetaTable
 
@@ -111,8 +105,8 @@ def build_zudilin(n: int) -> FactoredRationalFunction:
     )
     scalar = Fraction(1, 2)
     for j in range(1, 11):
-        scalar *= factorial((13 + 2 * j) * n)
-    scalar /= factorial(27 * n) ** 6
+        scalar *= math.factorial((13 + 2 * j) * n)
+    scalar /= math.factorial(27 * n) ** 6
     return FactoredRationalFunction((37 * n, 2), numerator, denominator, scalar)
 
 
@@ -350,7 +344,7 @@ def _per_pole_polynomials(p: PartialFractionExpansion):
     for m in sorted(grouped):
         orders = grouped[m]
         big_j = max(orders)
-        den = lcm_of(a.denominator for a in orders.values())
+        den = math.lcm(*(a.denominator for a in orders.values()))
         coeffs = [0] * (big_j + 1)  # coeffs[d] multiplies x^d
         for j, a in orders.items():
             coeffs[big_j - j] = a.numerator * (den // a.denominator)
@@ -408,7 +402,7 @@ def common_denominator(form: ZetaLinearForm) -> tuple[int, dict]:
     only an n -> infinity statement.
     """
     dens = [form.ell0.denominator] + [c.denominator for c in form.coefficients.values()]
-    d = lcm_of(dens)
+    d = math.lcm(*dens)
     log_d = log2_fraction(Fraction(d)) * math.log(2) if d > 1 else 0.0
     report = {
         "log_denominator": round(log_d, 6),
@@ -418,8 +412,6 @@ def common_denominator(form: ZetaLinearForm) -> tuple[int, dict]:
 
 
 RECONSTRUCTION_SEED = 20260810
-REFLECTION_SEED = 97
-REFLECTION_POINTS = 5
 RECONSTRUCTION_POINTS = 5
 
 
@@ -444,26 +436,22 @@ def _non_integer_sample(rng: random.Random) -> Fraction:
     return rng.randint(-400, 400) + Fraction(1, rng.choice([2, 3, 5, 7, 11]))
 
 
-def reflection_check(f: FactoredRationalFunction, total: int) -> dict:
-    """Does t -> -total - t map the function to +f or -f?  Reported, not
-    asserted: exact evaluation at REFLECTION_POINTS random rational points."""
-    rng = random.Random(REFLECTION_SEED)
-    sign = None
-    for _ in range(REFLECTION_POINTS):
-        t = _non_integer_sample(rng)
-        lhs = f.evaluate(Fraction(-total) - t)
-        rhs = f.evaluate(t)
-        if rhs == 0:
-            continue
-        ratio = lhs / rhs
-        if ratio == 1:
-            here = 1
-        elif ratio == -1:
-            here = -1
-        else:
-            return {"symmetric": False, "sign": None}
-        if sign is None:
-            sign = here
-        elif sign != here:
-            return {"symmetric": False, "sign": None}
-    return {"symmetric": sign is not None, "sign": sign}
+def reflection_check(p: PartialFractionExpansion) -> dict:
+    """Does t -> -T - t map the expanded function to +f or -f?  Reported,
+    not asserted, and exact on the coefficients: a/(t+m)^j becomes
+    (-1)^j a/(t+T-m)^j, so f(-T-t) = sign * f(t) exactly when every
+    a_{j,T-m} = sign * (-1)^j a_{j,m}.  A symmetric pole set forces
+    T = min m + max m (37n for Zudilin's forms, with sign -1).  The zero
+    function (no terms) has no sign."""
+    if not p.terms:
+        return {"symmetric": False, "sign": None}
+    poles = [m for m, _ in p.terms]
+    total = min(poles) + max(poles)
+    (m0, j0), a0 = next(iter(p.terms.items()))
+    sign = (-1) ** j0 * p.terms.get((total - m0, j0), 0) / a0
+    if sign not in (1, -1) or any(
+        p.terms.get((total - m, j)) != sign * (-1) ** j * a
+        for (m, j), a in p.terms.items()
+    ):
+        return {"symmetric": False, "sign": None}
+    return {"symmetric": True, "sign": int(sign)}

@@ -19,8 +19,10 @@ of three modes:
 Angles are carried exactly as (rational multiple of pi) + (rational
 addend); named constants are pinned to one canonical 120-digit rational
 approximation at parse time, and every angle/pi reads 1/pi at that same
-120-digit pin, which makes every decision in this module a deterministic
-exact-rational comparison.  Every cosine is evaluated at COS_DIGITS.
+120-digit pin, widened for an addend of more than 87 integer digits so
+that the pin's error stays below 10^-33.  That makes every decision in
+this module a deterministic exact-rational comparison.  Every cosine is
+evaluated at COS_DIGITS.
 
 "Irrational" always means irrational-at-precision: no convergent of
 omega/pi with denominator <= D_MAX approximates it to RATIONAL_TOL.  The
@@ -52,8 +54,8 @@ from .errors import (
     HypothesisViolation,
     UndecidableAtPrecision,
 )
-from .exact import lcm_of
 from .fixedpoint import (
+    MAX_COS_WORK_DIGITS,
     FixedReal,
     cos_pi_argument,
     decimal_to_fraction,
@@ -64,6 +66,7 @@ from .fixedpoint import (
 )
 
 CANONICAL_DIGITS = 120
+PIN_ERROR_DIGITS = 33  # |addend| * (1/pi pin error) stays below 10^-33
 COS_DIGITS = 60
 D_MAX = 10**6  # largest pi-rational denominator, and the residue-search cap
 RATIONAL_TOL = Fraction(1, 10**30)
@@ -105,10 +108,22 @@ class Angle:
 
     def over_pi(self) -> Fraction:
         """This angle divided by pi, exact when the addend vanishes and
-        otherwise at the canonical 120-digit 1/pi pin."""
+        otherwise with 1/pi at the canonical 120-digit pin, or at
+        D + PIN_ERROR_DIGITS digits for an addend of D integer digits, so
+        that the pin adds an error below 10^-PIN_ERROR_DIGITS.  BudgetError
+        when that pin exceeds MAX_COS_WORK_DIGITS."""
         if self.addend == 0:
             return self.pi_mult
-        return self.pi_mult + self.addend * inv_pi_fraction(CANONICAL_DIGITS)
+        whole = abs(self.addend.numerator) // self.addend.denominator
+        # bit_length, not str(): str() refuses integers past 4300 digits
+        int_digits = math.ceil(whole.bit_length() * math.log10(2))
+        digits = max(CANONICAL_DIGITS, int_digits + PIN_ERROR_DIGITS)
+        if digits > MAX_COS_WORK_DIGITS:
+            raise BudgetError(
+                f"angle addend of {int_digits} digits needs 1/pi at {digits} "
+                f"digits, above the cap {MAX_COS_WORK_DIGITS}"
+            )
+        return self.pi_mult + self.addend * inv_pi_fraction(digits)
 
     def value(self) -> Fraction:
         """Numeric value at the canonical 120-digit pi pin."""
@@ -295,7 +310,7 @@ def _split_pairs(
 def _free_residues(rational: Sequence[RationalEntry]):
     """The a in 1..d, d = lcm of the omega/pi denominators, outside every
     excluded class; BudgetError when d exceeds D_MAX."""
-    d = lcm_of(ratio.denominator for _, ratio, _ in rational)
+    d = math.lcm(*(ratio.denominator for _, ratio, _ in rational))
     if d > D_MAX:
         raise BudgetError(
             f"residue search modulus {d} exceeds {D_MAX} (lcm of the "
@@ -475,7 +490,7 @@ def build_plan_general(
     # residue class for the rational part; every |cos| is a COS_DIGITS
     # FixedReal, so floors compare as their scaled integers
     if rational:
-        d = lcm_of(ratio.denominator for _, ratio, _ in rational)
+        d = math.lcm(*(ratio.denominator for _, ratio, _ in rational))
         evaluators = [CosEvaluator(pair) for pair, _, _ in rational]
         a, best_floor = None, -1
         for residue in _free_residues(rational):
@@ -533,9 +548,7 @@ def build_plan_general(
                 )
             rows.append([d * r for r in row])  # omega' = d omega
 
-    big_d = lcm_of(
-        r.denominator for row in rows for r in row
-    )
+    big_d = math.lcm(*(r.denominator for row in rows for r in row))
     int_rows = [[int(big_d * r) for r in row[1:]] for row in rows]
     phases = [tp.phi.over_pi() for tp in transformed]
     box, margin = _box_search(int_rows, phases)

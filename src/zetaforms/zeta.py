@@ -94,25 +94,25 @@ def power_tail_scaled(start: int, s: int, work: int) -> int:
     # integral + half-term
     total = _div_nearest(scale, (s - 1) * n ** (s - 1))
     total += _div_nearest(scale, 2 * n**s)
-    poch = Fraction(s)  # (s)_{2j-1} built incrementally
-    best_bound = None
+    # term j is B_2j / (2j)! * (s)_{2j-1} / n^(s+2j-1); each is built once,
+    # first as the previous step's remainder bound, then added
+    poch = s  # (s)_{2j-1} built incrementally
     j = 1
+    term = bernoulli(2) / 2 * poch / n ** (s + 1)
     while True:
-        coeff = bernoulli(2 * j) / math.factorial(2 * j) * poch
-        term = coeff / n ** (s + 2 * j - 1)
-        bound = 2 * bernoulli(2 * j + 2) / math.factorial(2 * j + 2)
-        bound = abs(bound * poch * (s + 2 * j - 1) * (s + 2 * j)) / n ** (s + 2 * j + 1)
         total += _div_nearest(scale * term.numerator, term.denominator)
-        if bound * scale < 1:
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        j += 1
+        following = bernoulli(2 * j) / math.factorial(2 * j) * poch
+        following /= n ** (s + 2 * j - 1)
+        if 2 * abs(following) * scale < 1:
             return total
-        if best_bound is not None and bound > best_bound:
+        if j > 2 and abs(following) > abs(term):
             raise BudgetError(
                 f"Euler-Maclaurin tail for s={s} does not reach 10^-{work} "
                 f"at cutoff {start}; increase the cutoff"
             )
-        best_bound = bound
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        j += 1
+        term = following
 
 
 def zeta_euler_maclaurin(s: int, digits: int) -> FixedReal:

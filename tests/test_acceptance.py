@@ -19,6 +19,7 @@ from zetaforms.criterion import (
     dimension_bound,
     exponent_threshold,
 )
+from zetaforms.exact import log10_fraction
 from zetaforms.forms import common_denominator, direct_sum, evaluate_numeric
 from zetaforms.oscillation import (
     Angle,
@@ -80,7 +81,7 @@ def test_criterion_04_oracle_equivalence(pipeline1, table400):
     assert delta < Fraction(1, 10**50)
     assert value.scaled != 0  # S_1 is nonzero at guaranteed precision
     assert abs(value.to_fraction()) < Fraction(1, 10**30)
-    log_s1 = value.log10_abs()
+    log_s1 = log10_fraction(value.to_fraction())
     _, den_report = common_denominator(pipeline1.form)
     assert time.time() - t0 < 600
     report(

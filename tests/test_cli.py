@@ -72,6 +72,15 @@ def test_subseq_examples(capsys):
     assert doc["plan"]["epsilon"].startswith("1.0")
 
 
+def test_subseq_huge_addend_is_irrational(capsys):
+    # 10^300/pi keeps 33 fractional digits: 1/pi is read at 334 digits
+    code, out = run(capsys, "subseq", "--omega", "1e300", "--phi", "0", "--count", "40")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["plan"]["mode"] == "irrational_single"
+    assert doc["verification"]["passed"] is True
+
+
 def test_subseq_negative_phase_with_equals(capsys):
     # "--phi -1/4" would read as an option; the --phi=-1/4 form is the one
     code, out = run(capsys, "subseq", "--omega", "1", "--phi=-1/4", "--count", "3")
@@ -243,10 +252,17 @@ def test_form_command_full(capsys):
 
 
 def test_form_default_digits_byte_identical(capsys):
+    # every form_cli op of the benchmark
     digests = json.loads(EXPECTED_DIGESTS.read_text(encoding="utf-8"))["digests"]
-    code, out = run(capsys, "form", "--n", "1")
-    assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == digests["cli form --n 1"]
+    for key in (
+        "cli form --n 1",
+        "cli form --n 1 --format csv",
+        "cli form --n 1 --format text",
+        "cli form --n 2",
+    ):
+        code, out = run(capsys, *key.split()[1:])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
 
 
 @pytest.mark.parametrize("key", [

@@ -1,35 +1,13 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaforms.errors import DomainError
-from zetaforms.exact import (
-    factorial,
-    harmonic_power_sum,
-    log2_fraction,
-    pochhammer,
-)
+from zetaforms.exact import harmonic_power_sum, log2_fraction, pochhammer
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=50
 )
-
-
-def test_factorial_trivia():
-    assert factorial(0) == 1  # empty product
-    assert factorial(5) == 120
-    with pytest.raises(DomainError):
-        factorial(-1)
-
-
-def test_factorial_33_against_product_loop():
-    # independent oracle: naive repeated multiplication
-    expected = 1
-    for i in range(1, 34):
-        expected *= i
-    assert factorial(33) == expected
 
 
 def test_pochhammer_trivia():

@@ -1,11 +1,13 @@
 """Fixed-point engine checked against mpmath as an independent oracle."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from zetaforms.errors import BudgetError, DomainError
+from zetaforms.exact import log10_fraction
 from zetaforms.fixedpoint import (
     MAX_COS_WORK_DIGITS,
     FixedReal,
@@ -98,5 +100,8 @@ def test_decimal_to_fraction():
 
 
 def test_log10_abs():
+    # log10 |value| of a FixedReal is log10_fraction of its exact value
     x = FixedReal(10**10, 60)  # 10^-50
-    assert abs(x.log10_abs() + 50) < 1e-9
+    assert abs(log10_fraction(x.to_fraction()) + 50) < 1e-9
+    y = FixedReal(-(3 * 10**700), 1000)  # -3 * 10^-300
+    assert abs(log10_fraction(y.to_fraction()) - (math.log10(3) - 300)) < 1e-9

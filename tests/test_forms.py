@@ -41,6 +41,25 @@ def cover_count_oracle(n, m):
     return sum(1 for j in range(1, 11) if (12 - j) * n <= m <= (25 + j) * n)
 
 
+def sampled_reflection_oracle(f, p):
+    """Independent oracle: exact evaluation of the factored f at sampled
+    rational points, t against -T - t, with T = min m + max m over the
+    poles (the only centre a reflection can have)."""
+    poles = [m for m, _ in p.terms] or [0]
+    total = min(poles) + max(poles)
+    rng = random.Random(97)
+    sign = None
+    for _ in range(5):
+        t = rng.randint(-400, 400) + Fraction(1, rng.choice([2, 3, 5, 7, 11]))
+        lhs, rhs = f.evaluate(-total - t), f.evaluate(t)
+        if rhs == 0:
+            continue
+        if lhs not in (rhs, -rhs) or sign not in (None, lhs / rhs):
+            return {"symmetric": False, "sign": None}
+        sign = lhs / rhs
+    return {"symmetric": sign is not None, "sign": sign}
+
+
 def test_build_degrees_and_properness():
     for n in (1, 2, 3):
         f = build_zudilin(n)
@@ -137,7 +156,43 @@ def test_partial_fractions_reconstruct_random_functions(den, num, prefactor, sca
     numerator = () if num is None else (num,)
     f = FactoredRationalFunction(prefactor, numerator, tuple(den), scalar)
     assume(f.is_proper)
-    assert reconstruction_check(f, partial_fractions(f))["ok"]
+    p = partial_fractions(f)
+    assert reconstruction_check(f, p)["ok"]
+    assert reflection_check(p) == sampled_reflection_oracle(f, p)
+
+
+@st.composite
+def reflected_functions(draw):
+    """A block (t + a)_L is mapped to +-itself by t -> -T - t when
+    T = 2a + L - 1, so blocks sharing one T give a symmetric pole set;
+    the prefactor 1 or 2t + T is even or odd about -T/2."""
+    total = draw(st.integers(0, 12))
+
+    def centred_blocks(max_size):  # lengths up to 7
+        shifts = st.integers(max(0, (total - 5) // 2), total // 2)
+        return st.lists(
+            st.builds(
+                lambda a, power: RisingBlock(a, total - 2 * a + 1, power),
+                shifts,
+                st.integers(1, 3),
+            ),
+            max_size=max_size,
+        )
+
+    den = draw(centred_blocks(3).filter(bool))
+    num = tuple(draw(centred_blocks(1)))
+    prefactor = draw(st.sampled_from([(1, 0), (total, 2)]))
+    return FactoredRationalFunction(prefactor, num, tuple(den), Fraction(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(reflected_functions())
+def test_reflection_matches_sampled_evaluation_symmetric(f):
+    assume(f.is_proper)
+    p = partial_fractions(f)
+    report = reflection_check(p)
+    assert report == sampled_reflection_oracle(f, p)
+    assert report["symmetric"] or not p.terms
 
 
 def test_partial_fractions_rejects_improper():
@@ -231,16 +286,56 @@ def test_coefficient_height_report(pipeline1, pipeline2):
         assert pipe.form.log2_height() / pipe.n <= 513 + 60
 
 
-def test_well_poised_reflection(pipeline1):
-    report = reflection_check(pipeline1.factored, 37)
-    assert report == {"symmetric": True, "sign": -1}
-    report2 = reflection_check(build_zudilin(2), 74)
-    assert report2 == {"symmetric": True, "sign": -1}
+# (2t + 3) / ((t+1)(t+2))^2 is odd about t = -3/2
+ODD_ABOUT_THREE_HALVES = FactoredRationalFunction((3, 2), (), (RisingBlock(1, 2, 2),))
+# 1 / ((t+1)(t+2)) is even about t = -3/2
+EVEN_ABOUT_THREE_HALVES = FactoredRationalFunction((1, 0), (), (RisingBlock(1, 2, 1),))
+
+
+def test_well_poised_reflection(pipeline1, pipeline2):
+    # a_{j,37n-m} = (-1)^(j+1) a_{j,m} on every coefficient
+    for pipe in (pipeline1, pipeline2):
+        assert reflection_check(pipe.expansion) == {"symmetric": True, "sign": -1}
+        for (m, j), a in pipe.expansion.terms.items():
+            assert pipe.expansion.terms[(37 * pipe.n - m, j)] == (-1) ** (j + 1) * a
 
 
 def test_reflection_detects_asymmetric():
-    f = FactoredRationalFunction((1, 0), (), (RisingBlock(1, 2, 1),))
-    assert reflection_check(f, 7)["symmetric"] is False
+    even = partial_fractions(EVEN_ABOUT_THREE_HALVES)
+    assert reflection_check(even) == {"symmetric": True, "sign": 1}
+    odd = partial_fractions(ODD_ABOUT_THREE_HALVES)
+    assert reflection_check(odd) == {"symmetric": True, "sign": -1}
+    # 1/((t+1)^2 (t+2)): the double pole has no partner
+    lopsided = FactoredRationalFunction(
+        (1, 0), (), (RisingBlock(1, 1, 2), RisingBlock(2, 1, 1))
+    )
+    assert reflection_check(partial_fractions(lopsided)) == {
+        "symmetric": False,
+        "sign": None,
+    }
+    # the zero function has no sign
+    assert reflection_check(PartialFractionExpansion({})) == {
+        "symmetric": False,
+        "sign": None,
+    }
+
+
+def test_reflection_is_exact_on_every_coefficient(pipeline1):
+    # one coefficient off by 10^-300 breaks the symmetry
+    terms = dict(pipeline1.expansion.terms)
+    key = max(terms)
+    terms[key] += Fraction(1, 10**300)
+    assert reflection_check(PartialFractionExpansion(terms))["symmetric"] is False
+
+
+def test_reflection_matches_sampled_evaluation(pipeline1, pipeline2):
+    cases = [(pipe.factored, pipe.expansion) for pipe in (pipeline1, pipeline2)]
+    cases += [
+        (f, partial_fractions(f))
+        for f in (EVEN_ABOUT_THREE_HALVES, ODD_ABOUT_THREE_HALVES)
+    ]
+    for f, p in cases:
+        assert reflection_check(p) == sampled_reflection_oracle(f, p)
 
 
 def test_evaluate_numeric_trivia(table400):

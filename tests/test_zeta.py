@@ -86,6 +86,24 @@ def test_table_tail_converges_first_try(monkeypatch):
     assert max(indices) <= 400
 
 
+def test_power_tail_builds_each_term_once(monkeypatch):
+    # each correction term serves first as the remainder bound, then as
+    # the term: one request per Bernoulli index
+    indices = []
+    bernoulli_number = zeta.bernoulli
+
+    def counting_bernoulli(n):
+        indices.append(n)
+        return bernoulli_number(n)
+
+    monkeypatch.setattr(zeta, "bernoulli", counting_bernoulli)
+    for s, work in ((2, 40), (5, 300), (11, 675)):
+        indices.clear()
+        zeta.power_tail_scaled(4 * work, s, work)
+        assert len(indices) > 5
+        assert indices == list(range(2, 2 * len(indices) + 1, 2)), (s, work)
+
+
 def test_zeta2_matches_pi_squared_over_6_independent_pi():
     # independent pi oracle: mpmath
     with mp.workdps(50):
