@@ -371,6 +371,10 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # exact rationals are printed whole, past Python's 4300-digit str(int)
+    # limit; interpreters without the setter have no limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

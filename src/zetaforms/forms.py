@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError, InternalCheckError
-from .exact import harmonic_power_sum, log2_fraction, pochhammer
+from .exact import log2_fraction, pochhammer
 from .fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
 from .zeta import ZetaTable
 
@@ -242,17 +242,25 @@ def sum_over_k(p: PartialFractionExpansion, n: int = 0) -> ZetaLinearForm:
     """Sum the expansion over t = 1, 2, 3, ... into a zeta linear form.
 
     Uses sum_{k>=1} (k+m)^(-s) = zeta(s) - H_m(s), so every order must be
-    >= 2 (absolute convergence) and every m >= 0.
+    >= 2 (absolute convergence) and every m >= 0.  The constant
+    -sum a_{m,s} H_m(s) is summed as -sum_s sum_l l^-s A_s(l), with the
+    tails A_s(l) = sum_{m>=l} a_{m,s} kept in one walk down the poles.
     """
     ell: dict[int, Fraction] = {}
-    ell0 = Fraction(0)
+    by_pole: dict[int, list[tuple[int, Fraction]]] = {}
     for (m, s), a in sorted(p.terms.items()):
         if s <= 1:
             raise DomainError(f"divergent order {s} at pole -{m}")
         if m < 0:
             raise DomainError(f"pole at positive integer t={-m} hits the sum range")
         ell[s] = ell.get(s, Fraction(0)) + a
-        ell0 -= a * harmonic_power_sum(m, s)
+        by_pole.setdefault(m, []).append((s, a))
+    tails: dict[int, Fraction] = {}
+    ell0 = Fraction(0)
+    for l in range(max(by_pole, default=0), 0, -1):
+        for s, a in by_pole.get(l, ()):
+            tails[s] = tails.get(s, Fraction(0)) + a
+        ell0 -= sum(tail / l**s for s, tail in tails.items())
     return ZetaLinearForm(n, ell0, ell)
 
 

@@ -24,9 +24,9 @@ that the pin's error stays below 10^-33.  That makes every decision in
 this module a deterministic exact-rational comparison.  Every cosine is
 evaluated at COS_DIGITS.
 
-"Irrational" always means irrational-at-precision: no convergent of
-omega/pi with denominator <= D_MAX approximates it to RATIONAL_TOL.  The
-plan records which branch was taken.
+"Irrational" always means irrational-at-precision: the best approximation
+of omega/pi with denominator <= D_MAX misses it by RATIONAL_TOL or more.
+The plan records which branch was taken.
 
 Each pair is classified once (`_split_pairs`: its reduced omega/pi = c/d
 and the one residue it may exclude), and one enumeration,
@@ -222,35 +222,14 @@ class CosEvaluator:
 # -- rationality of omega/pi ------------------------------------------
 
 
-def continued_fraction_convergents(x: Fraction, q_limit: int):
-    """Convergents p/q of x in CF order, while q <= q_limit."""
-    p_back, p_last = 0, 1  # h_{-2}, h_{-1}
-    q_back, q_last = 1, 0
-    rest = Fraction(x)
-    while True:
-        a = math.floor(rest)
-        p_back, p_last = p_last, a * p_last + p_back
-        q_back, q_last = q_last, a * q_last + q_back
-        if q_last > q_limit:
-            return
-        yield p_last, q_last
-        frac_part = rest - a
-        if frac_part == 0:
-            return
-        rest = 1 / frac_part
-
-
 def detect_pi_rational(omega: Angle) -> Optional[Fraction]:
-    """omega/pi as a reduced c/d: the first continued-fraction convergent
-    with denominator <= D_MAX and residual < RATIONAL_TOL, or None
-    (irrational at this precision)."""
+    """omega/pi as a reduced c/d: its best approximation with denominator
+    <= D_MAX when that lies within RATIONAL_TOL, else None (irrational at
+    this precision).  At most one such fraction is that close, and by
+    Legendre's theorem it is a continued-fraction convergent."""
     x = omega.over_pi()
-    if omega.addend == 0 and x.denominator <= D_MAX:
-        return x
-    for p, q in continued_fraction_convergents(x, D_MAX):
-        if abs(x - Fraction(p, q)) < RATIONAL_TOL:
-            return Fraction(p, q)
-    return None
+    best = x.limit_denominator(D_MAX)
+    return best if abs(x - best) < RATIONAL_TOL else None
 
 
 # -- hypothesis checking ------------------------------------------------

@@ -2,9 +2,10 @@ import pytest
 
 from zetaforms.forms import (
     build_zudilin,
+    check_zudilin_vanishing,
     partial_fractions,
     second_derivative,
-    zudilin_linear_form,
+    sum_over_k,
 )
 from zetaforms.zeta import ZetaTable
 
@@ -15,7 +16,8 @@ class Pipeline:
         self.factored = build_zudilin(n)
         self.expansion = partial_fractions(self.factored)
         self.differentiated = second_derivative(self.expansion)
-        self.form = zudilin_linear_form(n)
+        self.form = sum_over_k(self.differentiated, n)
+        check_zudilin_vanishing(self.form)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,28 @@ def test_subseq_huge_addend_is_irrational(capsys):
     doc = json.loads(out)
     assert doc["plan"]["mode"] == "irrational_single"
     assert doc["verification"]["passed"] is True
+
+
+@pytest.fixture
+def int_str_limit():
+    """main lifts Python's int-to-str digit limit for its process; the
+    test puts the interpreter's limit back."""
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "omega, phi, printed",
+    [
+        ("1", "1e-4400", {"omega": "1", "phi": "1/1" + "0" * 4400}),
+        ("1e-4400*pi", "0", {"omega": "1/1" + "0" * 4400 + "*pi", "phi": "0"}),
+    ],
+)
+def test_subseq_prints_angles_past_4300_digits(capsys, int_str_limit, omega, phi, printed):
+    code, out = run(capsys, "subseq", "--omega", omega, "--phi", phi, "--count", "3")
+    assert code == EXIT_OK
+    assert json.loads(out)["angles"] == [printed]
 
 
 def test_subseq_negative_phase_with_equals(capsys):

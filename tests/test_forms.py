@@ -9,10 +9,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zetaforms.errors import BudgetError, DomainError
+from zetaforms.exact import harmonic_power_sum
 from zetaforms.forms import (
     RECONSTRUCTION_POINTS,
     FactoredRationalFunction,
@@ -255,6 +256,49 @@ def test_sum_over_k_rejects_divergent():
         sum_over_k(PartialFractionExpansion({(1, 1): Fraction(1)}))
     with pytest.raises(DomainError):
         sum_over_k(PartialFractionExpansion({(-2, 3): Fraction(1)}))
+    # the error names the first bad term in sorted (m, s) order
+    bad = {(4, 1): Fraction(1), (-1, 3): Fraction(1), (-3, 2): Fraction(1)}
+    with pytest.raises(DomainError, match=r"^pole at positive integer t=3 "):
+        sum_over_k(PartialFractionExpansion(bad))
+    bad = {(9, 0): Fraction(1), (2, 5): Fraction(1), (7, 1): Fraction(1)}
+    with pytest.raises(DomainError, match=r"^divergent order 1 at pole -7$"):
+        sum_over_k(PartialFractionExpansion(bad))
+
+
+def per_term_sum_oracle(p):
+    """Oracle: ell_s = sum_m a_{m,s} and ell0 = -sum a_{m,s} H_m(s), one
+    harmonic sum per term, with ell in sorted (m, s) order."""
+    ell, ell0 = {}, Fraction(0)
+    for (m, s), a in sorted(p.terms.items()):
+        ell[s] = ell.get(s, Fraction(0)) + a
+        ell0 -= a * harmonic_power_sum(m, s)
+    return ell0, list(ell.items())
+
+
+def test_sum_over_k_matches_per_term_oracle_zudilin(pipeline1, pipeline2):
+    for pipe in (pipeline1, pipeline2):
+        form = sum_over_k(pipe.differentiated, pipe.n)
+        want = per_term_sum_oracle(pipe.differentiated)
+        assert (form.ell0, list(form.coefficients.items())) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 40), st.integers(2, 12)),
+        st.fractions(max_denominator=10**6).filter(bool),
+        max_size=25,
+    )
+)
+@example(
+    {(0, 2): Fraction(1), (0, 12): Fraction(-2, 3), (7, 5): Fraction(5),
+     (30, 2): Fraction(1, 9)}
+)
+def test_sum_over_k_matches_per_term_oracle(terms):
+    # m = 0 terms, gaps between poles and every order 2..12
+    p = PartialFractionExpansion(terms)
+    form = sum_over_k(p)
+    assert (form.ell0, list(form.coefficients.items())) == per_term_sum_oracle(p)
 
 
 def test_zudilin_form_structure(pipeline1):
@@ -270,6 +314,11 @@ def test_zudilin_form_structure_n2(pipeline2):
     assert form.nonzero_arguments() == [5, 7, 9, 11]
     for s in (3, 4, 6, 8, 10, 12):
         assert form.coefficients[s] == 0
+
+
+def test_zudilin_linear_form_is_the_pipeline_form(pipeline1, pipeline2):
+    for pipe in (pipeline1, pipeline2):
+        assert zudilin_linear_form(pipe.n) == pipe.form
 
 
 def test_budget_cap():

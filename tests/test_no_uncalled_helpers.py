@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 OUTSIDE_CALLERS = {
     "zudilin_linear_form": ("bench/child.py", "calls it for the exact_ladder workload"),
     "hypothesis_multi": ("bench/tracer.py", "wraps it as the oscillation.hypothesis span"),
+    "harmonic_power_sum": ("bench/tracer.py", "wraps it as the exact.harmonic_power_sum span"),
 }
 
 

@@ -19,7 +19,6 @@ from zetaforms.oscillation import (
     SubsequencePlan,
     TorusBox,
     build_plan_general,
-    continued_fraction_convergents,
     detect_pi_rational,
     enumerate_psi,
     hypothesis_multi,
@@ -80,6 +79,35 @@ def test_detect_pi_rational_trivia():
     assert detect_pi_rational(parse_angle("1/3*pi+1e-20")) is None
 
 
+def continued_fraction_convergents(x: Fraction, q_limit: int):
+    """Oracle: convergents p/q of x in continued-fraction order, while
+    q <= q_limit."""
+    p_back, p_last = 0, 1  # h_{-2}, h_{-1}
+    q_back, q_last = 1, 0
+    rest = Fraction(x)
+    while True:
+        a = math.floor(rest)
+        p_back, p_last = p_last, a * p_last + p_back
+        q_back, q_last = q_last, a * q_last + q_back
+        if q_last > q_limit:
+            return
+        yield p_last, q_last
+        frac_part = rest - a
+        if frac_part == 0:
+            return
+        rest = 1 / frac_part
+
+
+def first_close_convergent(omega: Angle):
+    """Oracle: the first convergent of omega/pi with q <= D_MAX within
+    RATIONAL_TOL, or None."""
+    x = omega.over_pi()
+    for p, q in continued_fraction_convergents(x, oscillation.D_MAX):
+        if abs(x - Fraction(p, q)) < oscillation.RATIONAL_TOL:
+            return Fraction(p, q)
+    return None
+
+
 def test_detect_pi_rational_omega_1_is_irrational():
     # oracle: enumerate every convergent of 1/pi below denominator 10^6
     # and check none is accurate to 10^-30
@@ -89,6 +117,34 @@ def test_detect_pi_rational_omega_1_is_irrational():
     )
     assert best > Fraction(1, 10**13)
     assert detect_pi_rational(parse_angle("1")) is None
+
+
+def _oracle_angles(rng: random.Random):
+    def ratio(d_max):
+        d = rng.randint(1, d_max)
+        return Fraction(rng.randint(-3 * d, 3 * d), d)
+
+    sqrt2, e = named_constant("sqrt2"), named_constant("e")
+    for _ in range(500):
+        yield Angle(ratio(10**6))  # exact pi-rationals, d <= D_MAX
+        yield Angle(ratio(10**12))  # mostly d > D_MAX
+        # around the tolerance: addends of 10^-29 .. 10^-31, and a pi_mult
+        # exactly RATIONAL_TOL away, which the strict < rejects
+        scale = Fraction(rng.randint(1, 99), 10 ** rng.randint(30, 32))
+        yield Angle(ratio(10**6), rng.choice((1, -1)) * scale)
+        yield Angle(ratio(10**6) + rng.choice((1, -1)) * oscillation.RATIONAL_TOL)
+        yield Angle(ratio(10**3), ratio(50) * rng.choice((sqrt2, e)))
+        huge = Fraction(rng.randint(1, 10**200), rng.randint(1, 10**6))
+        yield Angle(ratio(10**3), huge)  # addends up to 10^200
+
+
+def test_detect_pi_rational_matches_first_close_convergent():
+    omegas = list(_oracle_angles(random.Random(20121)))
+    got = [detect_pi_rational(omega) for omega in omegas]
+    # Fraction equality compares the reduced numerator and denominator
+    assert got == [first_close_convergent(omega) for omega in omegas]
+    rational = sum(ratio is not None for ratio in got)
+    assert len(omegas) == 3000 and 500 < rational < 2500  # both branches run
 
 
 def test_witness_is_reduced():
