@@ -2,9 +2,18 @@
 
 The pipeline: build the factored function (a linear prefactor, rising-
 factorial blocks in the numerator and denominator, one scalar), decompose
-it exactly into partial fractions by local series division at each
-integer pole, shift orders for the second derivative, and sum over
-positive integer arguments using sum_{k>=1} (k+m)^(-s) = zeta(s) - H_m(s).
+it exactly into partial fractions, shift orders for the second derivative,
+and sum over positive integer arguments using sum_{k>=1} (k+m)^(-s) =
+zeta(s) - H_m(s).
+
+The partial fractions come from one walk up the integer poles.  Each
+block's linear factors, expanded around the pole, are kept as one
+truncated integer series; from one pole to the next each block's window
+of factors slides by one, so the series is updated by one exact division
+and one multiplication per block and power (a division that leaves a
+remainder is an internal error), and rebuilt only where the poles are not
+adjacent.  Dividing the numerator series by the denominator series then
+gives each coefficient as one exact Fraction.
 
 Everything up to the final numeric evaluation is exact rational
 arithmetic; the two numeric routes (coefficient * zeta-table evaluation
@@ -135,11 +144,68 @@ class PartialFractionExpansion:
         )
 
 
-def _int_series_mul_linear(coeffs: list[int], const: int, top: int) -> None:
+def _int_series_mul_linear(coeffs: list[int], const: int) -> None:
     """In-place multiply an integer coefficient list by (const + u)."""
-    for k in range(top, 0, -1):
+    for k in range(len(coeffs) - 1, 0, -1):
         coeffs[k] = const * coeffs[k] + coeffs[k - 1]
     coeffs[0] *= const
+
+
+def _int_series_div_linear(coeffs: list[int], const: int) -> None:
+    """In-place divide an integer coefficient list by (const + u), const != 0.
+
+    The quotient q of s = (const + u) q satisfies q[k] = (s[k] - q[k-1]) /
+    const; its leading terms depend only on the leading terms of s, so a
+    truncated product divides exactly.  A nonzero remainder means the
+    series never had that factor."""
+    carry = 0
+    for k, c in enumerate(coeffs):
+        carry, rem = divmod(c - carry, const)
+        if rem:
+            raise InternalCheckError(
+                f"series not divisible by ({const} + u) at order {k}"
+            )
+        coeffs[k] = carry
+
+
+def _window_product(
+    blocks: tuple[RisingBlock, ...], m: int, size: int
+) -> tuple[list[int], int]:
+    """The blocks' factors at t = u - m: prod (c + u)^power over the window
+    constants c = shift - m ... shift - m + length - 1.  Returns the
+    product of the factors with c != 0 as an integer series truncated to
+    `size` terms, and the number of factors with c = 0 (powers counted)."""
+    series = [1] + [0] * (size - 1)
+    zeros = 0
+    for b in blocks:
+        for c in range(b.shift - m, b.shift - m + b.length):
+            if c == 0:
+                zeros += b.power
+                continue
+            for _ in range(b.power):
+                _int_series_mul_linear(series, c)
+    return series, zeros
+
+
+def _slide_window(
+    series: list[int], blocks: tuple[RisingBlock, ...], m: int
+) -> int:
+    """Move a _window_product from pole m to m + 1 in place: each block's
+    window loses the constant shift - m + length - 1 and gains shift - m - 1.
+    Returns the change in the zero-factor count."""
+    dz = 0
+    for b in blocks:
+        out, into = b.shift - m + b.length - 1, b.shift - m - 1
+        for _ in range(b.power):
+            if out:
+                _int_series_div_linear(series, out)
+            else:
+                dz -= 1
+            if into:
+                _int_series_mul_linear(series, into)
+            else:
+                dz += 1
+    return dz
 
 
 def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
@@ -148,10 +214,24 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
     Per pole t = -m with denominator cover mu: substitute t = u - m, so
     every linear factor (t + c) becomes (c - m) + u; the mu vanishing
     denominator factors contribute u^mu and the rest give integer series
-    num and den truncated at order mu - 1.  Exact series division
-    local[k] = (num[k] - sum_{i=1..k} den[i] local[k-i]) / den[0] gives
-    num/den, and a_{j,m} = scalar * local[mu - j] (so reconstruction
-    reproduces the original including the scalar).
+    num and den truncated at order mu - 1.  Exact series division of
+    scalar * num by den gives a_{j,m} as the coefficient of u^(mu - j).
+
+    One walk up the sorted poles keeps two integer series, the numerator
+    blocks' and the denominator blocks' factors with nonzero constant,
+    truncated at L = max cover terms; factors that vanish at the pole are
+    counted and enter as a power of u.  From pole m to m + 1 each block's
+    window of constants slides by one, so each power of each block costs
+    one division by the outgoing factor and one multiplication by the
+    incoming one.  The division is exact in integers, because the full
+    product has that factor; a remainder raises InternalCheckError.  A pole
+    that does not follow its predecessor has no window to slide from, and
+    the series are rebuilt from all factors there.
+
+    The scalar sn/sd is folded into the division: local[k] = (sn num[k] -
+    sd sum_{i=1..k} den[i] local[k-i]) / (sd den[0]), with the sum kept as
+    an integer over the lcm of the denominators found so far, so each
+    coefficient is built as one Fraction.
     """
     if not f.is_proper:
         raise DomainError(
@@ -161,31 +241,41 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
         )
     c0, c1 = f.prefactor
     out: dict[tuple[int, int], Fraction] = {}
-    for m, mu in sorted(_denominator_cover(f).items()):
-        top = mu - 1
-        num = [0] * (top + 1)
-        num[0] = c0 - c1 * m
-        if top >= 1:
-            num[1] = c1
-        if num[0] == 0 and c1 == 0:
-            continue  # zero prefactor: the whole function is 0
-        for b in f.numerator:
-            for i in range(b.shift - m, b.shift - m + b.length):
-                for _ in range(b.power):
-                    _int_series_mul_linear(num, i, top)
-        den = [1] + [0] * top
-        for b in f.denominator:
-            for i in range(b.shift - m, b.shift - m + b.length):
-                if i == 0:
-                    continue  # the u^mu factors handled by the order shift
-                for _ in range(b.power):
-                    _int_series_mul_linear(den, i, top)
+    if c0 == 0 and c1 == 0:
+        return PartialFractionExpansion(out)  # the zero function
+    sn, sd = f.scalar.numerator, f.scalar.denominator
+    poles = sorted(_denominator_cover(f).items())
+    size = max(mu for _, mu in poles)
+    previous = None
+    for m, mu in poles:
+        if m - 1 == previous:
+            zeros += _slide_window(num_series, f.numerator, previous)
+            _slide_window(den_series, f.denominator, previous)
+        else:
+            num_series, zeros = _window_product(f.numerator, m, size)
+            den_series, _ = _window_product(f.denominator, m, size)
+        previous = m
+        # the prefactor (c0 - c1 m) + c1 u times u^zeros times num_series
+        shifted = ([0] * zeros + num_series)[:mu]
+        p0 = c0 - c1 * m
+        num = [p0 * a + c1 * b for a, b in zip(shifted, [0] + shifted)]
+        den0 = sd * den_series[0]
+        scale = 1  # lcm of the denominators of local[0 .. k-1]
+        scaled: list[int] = []  # local[i] * scale
         local: list[Fraction] = []
         for k in range(mu):
-            acc = num[k] - sum(den[i] * local[k - i] for i in range(1, k + 1))
-            local.append(Fraction(acc, den[0]))
+            acc = sn * num[k] * scale - sd * sum(
+                den_series[i] * scaled[k - i] for i in range(1, k + 1)
+            )
+            x = Fraction(acc, scale * den0)
+            grow = x.denominator // math.gcd(scale, x.denominator)
+            if grow > 1:
+                scale *= grow
+                scaled = [v * grow for v in scaled]
+            scaled.append(x.numerator * (scale // x.denominator))
+            local.append(x)
         for j in range(1, mu + 1):
-            a = f.scalar * local[mu - j]
+            a = local[mu - j]
             if a != 0:
                 out[(m, j)] = a
     return PartialFractionExpansion(out)
@@ -249,10 +339,10 @@ def sum_over_k(p: PartialFractionExpansion, n: int = 0) -> ZetaLinearForm:
     ell: dict[int, Fraction] = {}
     by_pole: dict[int, list[tuple[int, Fraction]]] = {}
     for (m, s), a in sorted(p.terms.items()):
-        if s <= 1:
-            raise DomainError(f"divergent order {s} at pole -{m}")
         if m < 0:
             raise DomainError(f"pole at positive integer t={-m} hits the sum range")
+        if s <= 1:
+            raise DomainError(f"divergent order {s} at pole -{m}")
         ell[s] = ell.get(s, Fraction(0)) + a
         by_pole.setdefault(m, []).append((s, a))
     tails: dict[int, Fraction] = {}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from zetaforms.errors import BudgetError, DomainError
+from zetaforms.errors import BudgetError, DomainError, InternalCheckError
 from zetaforms.exact import harmonic_power_sum
 from zetaforms.forms import (
     RECONSTRUCTION_POINTS,
@@ -33,6 +33,7 @@ from zetaforms.forms import (
     sum_over_k,
     zudilin_linear_form,
 )
+from zetaforms.forms import _int_series_div_linear, _slide_window
 from zetaforms.zeta import ZetaTable
 
 
@@ -196,6 +197,129 @@ def test_reflection_matches_sampled_evaluation_symmetric(f):
     assert report["symmetric"] or not p.terms
 
 
+def per_pole_rebuild_oracle(f):
+    """Oracle: the per-pole rebuild.  At each pole t = -m every linear
+    factor (t + c) becomes (c - m) + u, num and den are multiplied out from
+    all factors (den without the vanishing ones) truncated at order mu - 1,
+    and local[k] = (num[k] - sum_{i=1..k} den[i] local[k-i]) / den[0] is
+    divided in Fractions, step by step; a_{j,m} = scalar * local[mu - j]."""
+
+    def mul_linear(coeffs, const):
+        for k in range(len(coeffs) - 1, 0, -1):
+            coeffs[k] = const * coeffs[k] + coeffs[k - 1]
+        coeffs[0] *= const
+
+    cover = {}
+    for b in f.denominator:
+        for m in range(b.shift, b.shift + b.length):
+            cover[m] = cover.get(m, 0) + b.power
+    c0, c1 = f.prefactor
+    out = {}
+    for m, mu in sorted(cover.items()):
+        num = [c0 - c1 * m, c1][:mu] + [0] * (mu - 2)
+        if num[0] == 0 and c1 == 0:
+            continue  # zero prefactor: the whole function is 0
+        for b in f.numerator:
+            for c in range(b.shift - m, b.shift - m + b.length):
+                for _ in range(b.power):
+                    mul_linear(num, c)
+        den = [1] + [0] * (mu - 1)
+        for b in f.denominator:
+            for c in range(b.shift - m, b.shift - m + b.length):
+                if c != 0:
+                    for _ in range(b.power):
+                        mul_linear(den, c)
+        local = []
+        for k in range(mu):
+            acc = num[k] - sum(den[i] * local[k - i] for i in range(1, k + 1))
+            local.append(Fraction(acc, den[0]))
+        for j in range(1, mu + 1):
+            a = f.scalar * local[mu - j]
+            if a != 0:
+                out[(m, j)] = a
+    return out
+
+
+def test_partial_fractions_matches_rebuild_oracle_zudilin(pipeline1, pipeline2):
+    # same dict, same key order; even n puts the prefactor zero 37n + 2t
+    # on the pole m = 37n/2
+    cases = [(pipe.factored, pipe.expansion) for pipe in (pipeline1, pipeline2)]
+    cases += [(f, partial_fractions(f)) for f in map(build_zudilin, (3, 4))]
+    for f, p in cases:
+        assert list(p.terms.items()) == list(per_pole_rebuild_oracle(f).items())
+
+
+@st.composite
+def edge_case_functions(draw):
+    """Poles at m < 0 (negative shifts), denominator blocks 50 or more
+    apart (no window to slide from, so the series are rebuilt), numerator
+    zeros on poles, c0 - c1 m = 0 at a pole, powers 1..3 on both sides."""
+    powers = st.integers(1, 3)
+    den = draw(
+        st.lists(
+            st.builds(RisingBlock, st.integers(-8, 8), st.integers(1, 4), powers),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    if draw(st.booleans()):
+        last = max(b.shift + b.length - 1 for b in den)
+        den.append(
+            RisingBlock(last + draw(st.integers(50, 60)), draw(st.integers(1, 3)),
+                        draw(powers))
+        )
+    poles = sorted({m for b in den for m in range(b.shift, b.shift + b.length)})
+    num = []
+    for _ in range(draw(st.integers(0, 2))):
+        length = draw(st.integers(1, 3))
+        zero = draw(st.sampled_from(poles))  # the block vanishes at t = -zero
+        num.append(RisingBlock(zero - draw(st.integers(0, length - 1)), length,
+                               draw(powers)))
+    c1 = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        c0 = c1 * draw(st.sampled_from(poles))
+    else:
+        c0 = draw(st.integers(-5, 5))
+    scalar = draw(st.fractions(min_value=-10, max_value=10, max_denominator=20))
+    return FactoredRationalFunction((c0, c1), tuple(num), tuple(den), scalar)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_case_functions())
+@example(
+    # poles -5..-3 and 60, 61; numerator zeros at -4, -3; prefactor zero at -5
+    FactoredRationalFunction(
+        (-5, 1),
+        (RisingBlock(-4, 2, 1),),
+        (RisingBlock(-5, 3, 2), RisingBlock(60, 2, 3)),
+        Fraction(-7, 3),
+    )
+)
+def test_partial_fractions_edge_cases_match_rebuild_oracle(f):
+    assume(f.is_proper)
+    p = partial_fractions(f)
+    assert list(p.terms.items()) == list(per_pole_rebuild_oracle(f).items())
+    assert reconstruction_check(f, p)["ok"]
+
+
+def test_window_division_is_exact_or_raises():
+    # (2 + u)(3 + u) = 6 + 5u + u^2, the window of RisingBlock(2, 2, 1) at
+    # t = u: sliding to m = 1 divides by the outgoing (3 + u) and
+    # multiplies by the incoming (1 + u)
+    block = (RisingBlock(2, 2, 1),)
+    series = [6, 5, 1]
+    assert _slide_window(series, block, 0) == 0
+    assert series == [2, 3, 1]  # (1 + u)(2 + u)
+    corrupt = [7, 5, 1]  # 7 is not divisible by 3
+    with pytest.raises(InternalCheckError):
+        _slide_window(corrupt, block, 0)
+    truncated = [-2, 1]  # (-1 + u)(2 + u) to order 1
+    _int_series_div_linear(truncated, -1)
+    assert truncated == [2, 1]
+    with pytest.raises(InternalCheckError):
+        _int_series_div_linear([3, 1], -2)  # divmod would floor to -2
+
+
 def test_partial_fractions_rejects_improper():
     f = FactoredRationalFunction((0, 1), (RisingBlock(1, 2, 1),), (RisingBlock(5, 2, 1),))
     with pytest.raises(DomainError):
@@ -263,6 +387,9 @@ def test_sum_over_k_rejects_divergent():
     bad = {(9, 0): Fraction(1), (2, 5): Fraction(1), (7, 1): Fraction(1)}
     with pytest.raises(DomainError, match=r"^divergent order 1 at pole -7$"):
         sum_over_k(PartialFractionExpansion(bad))
+    # a pole at t = 1 is reported as such even when its order is 1
+    with pytest.raises(DomainError, match=r"^pole at positive integer t=1 "):
+        sum_over_k(PartialFractionExpansion({(-1, 1): Fraction(1)}))
 
 
 def per_term_sum_oracle(p):
