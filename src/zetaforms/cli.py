@@ -202,7 +202,7 @@ def cmd_form(args, parser) -> dict:
     table = ZetaTable(form.nonzero_arguments(), digits)
     value = evaluate_numeric(form, table)
     ds_digits = min(digits, 200)
-    direct = direct_sum(n, ds_digits, expansion=differentiated)
+    direct = direct_sum(factored, ds_digits)
     delta = abs(value.to_fraction() - direct.to_fraction())
     height = form.log2_height()
     checks = {

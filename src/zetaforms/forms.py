@@ -6,22 +6,24 @@ it exactly into partial fractions, shift orders for the second derivative,
 and sum over positive integer arguments using sum_{k>=1} (k+m)^(-s) =
 zeta(s) - H_m(s).
 
-The partial fractions come from one walk up the integer poles.  Each
-block's linear factors, expanded around the pole, are kept as one
-truncated integer series; from one pole to the next each block's window
-of factors slides by one, so the series is updated by one exact division
-and one multiplication per block and power (a division that leaves a
-remainder is an internal error), and rebuilt only where the poles are not
-adjacent.  Dividing the numerator series by the denominator series then
-gives each coefficient as one exact Fraction.
+Two walks read the factored function through one helper, _window_walk:
+its numerator and denominator at t = u - m, kept as truncated integer
+series.  From m to m +- 1 each block's window of factors slides by one, so
+the series are updated by one exact division and one multiplication per
+block and power (a division that leaves a remainder is an internal error).
+partial_fractions walks up the poles and divides the series into exact
+coefficients; direct_sum walks up t = 1, 2, ... and reads each R''(k) off
+them as one exact rational.
 
-Everything up to the final numeric evaluation is exact rational
-arithmetic; the two numeric routes (coefficient * zeta-table evaluation
-vs. brute-force term summation) act as oracles for one another.
+The two numeric routes act as oracles for one another: the exact
+coefficients times the zeta table, against direct_sum, which reads only
+the factored function and derives its cutoff (decay and hump) from it, so
+it checks partial_fractions, sum_over_k and the zeta table at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -188,14 +190,17 @@ def _window_product(
 
 
 def _slide_window(
-    series: list[int], blocks: tuple[RisingBlock, ...], m: int
+    series: list[int], blocks: tuple[RisingBlock, ...], m: int, step: int
 ) -> int:
-    """Move a _window_product from pole m to m + 1 in place: each block's
-    window loses the constant shift - m + length - 1 and gains shift - m - 1.
-    Returns the change in the zero-factor count."""
+    """Move a _window_product from pole m to m + step (step = +1 or -1) in
+    place: each block's window of constants lo = shift - m ... hi = lo +
+    length - 1 loses hi and gains lo - 1 going up, loses lo and gains hi + 1
+    going down.  Returns the change in the zero-factor count."""
     dz = 0
     for b in blocks:
-        out, into = b.shift - m + b.length - 1, b.shift - m - 1
+        lo = b.shift - m
+        hi = lo + b.length - 1
+        out, into = (hi, lo - 1) if step > 0 else (lo, hi + 1)
         for _ in range(b.power):
             if out:
                 _int_series_div_linear(series, out)
@@ -208,6 +213,28 @@ def _slide_window(
     return dz
 
 
+def _window_walk(f: FactoredRationalFunction, ms, size: int):
+    """Yield (m, num, den) for each m in ms: f at t = u - m as integer
+    series truncated to `size` terms, num the whole numerator (scalar
+    aside: prefactor, and the factors vanishing there as a power of u) and
+    den the denominator factors with nonzero constant.  From m to m +- 1
+    each block's window slides by one factor; anywhere else the series are
+    rebuilt.  The yielded lists change on the next step."""
+    c0, c1 = f.prefactor
+    previous = None
+    for m in ms:
+        if previous in (m - 1, m + 1):
+            zeros += _slide_window(num_series, f.numerator, previous, m - previous)
+            _slide_window(den_series, f.denominator, previous, m - previous)
+        else:
+            num_series, zeros = _window_product(f.numerator, m, size)
+            den_series, _ = _window_product(f.denominator, m, size)
+        previous = m
+        shifted = ([0] * zeros + num_series)[:size]
+        p0 = c0 - c1 * m
+        yield m, [p0 * a + c1 * b for a, b in zip(shifted, [0] + shifted)], den_series
+
+
 def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
     """Exact partial-fraction expansion of a proper factored function.
 
@@ -217,16 +244,9 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
     num and den truncated at order mu - 1.  Exact series division of
     scalar * num by den gives a_{j,m} as the coefficient of u^(mu - j).
 
-    One walk up the sorted poles keeps two integer series, the numerator
-    blocks' and the denominator blocks' factors with nonzero constant,
-    truncated at L = max cover terms; factors that vanish at the pole are
-    counted and enter as a power of u.  From pole m to m + 1 each block's
-    window of constants slides by one, so each power of each block costs
-    one division by the outgoing factor and one multiplication by the
-    incoming one.  The division is exact in integers, because the full
-    product has that factor; a remainder raises InternalCheckError.  A pole
-    that does not follow its predecessor has no window to slide from, and
-    the series are rebuilt from all factors there.
+    The series come from one _window_walk up the sorted poles, truncated
+    at max mu terms; a pole that does not follow its predecessor has no
+    window to slide from, and the series are rebuilt there.
 
     The scalar sn/sd is folded into the division: local[k] = (sn num[k] -
     sd sum_{i=1..k} den[i] local[k-i]) / (sd den[0]), with the sum kept as
@@ -244,21 +264,9 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
     if c0 == 0 and c1 == 0:
         return PartialFractionExpansion(out)  # the zero function
     sn, sd = f.scalar.numerator, f.scalar.denominator
-    poles = sorted(_denominator_cover(f).items())
-    size = max(mu for _, mu in poles)
-    previous = None
-    for m, mu in poles:
-        if m - 1 == previous:
-            zeros += _slide_window(num_series, f.numerator, previous)
-            _slide_window(den_series, f.denominator, previous)
-        else:
-            num_series, zeros = _window_product(f.numerator, m, size)
-            den_series, _ = _window_product(f.denominator, m, size)
-        previous = m
-        # the prefactor (c0 - c1 m) + c1 u times u^zeros times num_series
-        shifted = ([0] * zeros + num_series)[:mu]
-        p0 = c0 - c1 * m
-        num = [p0 * a + c1 * b for a, b in zip(shifted, [0] + shifted)]
+    cover = _denominator_cover(f)
+    for m, num, den_series in _window_walk(f, sorted(cover), max(cover.values())):
+        mu = cover[m]
         den0 = sd * den_series[0]
         scale = 1  # lcm of the denominators of local[0 .. k-1]
         scaled: list[int] = []  # local[i] * scale
@@ -303,8 +311,10 @@ class ZetaLinearForm:
         return sorted(s for s, c in self.coefficients.items() if c != 0)
 
     def log2_height(self) -> float:
-        vals = [self.ell0] + list(self.coefficients.values())
-        return max(log2_fraction(v) for v in vals if v != 0)
+        vals = [v for v in (self.ell0, *self.coefficients.values()) if v != 0]
+        if not vals:
+            raise DomainError("the zero form (every coefficient 0) has no height")
+        return max(map(log2_fraction, vals))
 
     def to_json_dict(self, checks: dict | None = None) -> dict:
         doc = {
@@ -432,56 +442,44 @@ def evaluate_numeric(form: ZetaLinearForm, table: ZetaTable) -> FixedReal:
     return FixedReal(acc, digits).rescale(out_digits)
 
 
-def _per_pole_polynomials(p: PartialFractionExpansion):
-    """Group terms per pole: m -> (den, int_coeffs, J) with
-    sum_j a_{j,m} x^(J-j) = poly(x) / den."""
-    grouped: dict[int, dict[int, Fraction]] = {}
-    for (m, j), a in p.terms.items():
-        grouped.setdefault(m, {})[j] = a
-    out = []
-    for m in sorted(grouped):
-        orders = grouped[m]
-        big_j = max(orders)
-        den = math.lcm(*(a.denominator for a in orders.values()))
-        coeffs = [0] * (big_j + 1)  # coeffs[d] multiplies x^d
-        for j, a in orders.items():
-            coeffs[big_j - j] = a.numerator * (den // a.denominator)
-        out.append((m, den, coeffs, big_j))
-    return out
+def _second_derivative_at(f: FactoredRationalFunction):
+    """Yield (a, b), b > 0, with R''(k) = a / b exactly for k = 1, 2, ..., R = f.
+
+    R''(k) = 2 [u^2] R(k + u): the _window_walk series of f at t = k + u
+    (m = -k, one slide per k), truncated at u^2, give [u^2] num/den =
+    (d0 (p2 d0 - p1 d1 - p0 d2) + p0 d1^2) / d0^3 in integers."""
+    cover = _denominator_cover(f)
+    if min(cover, default=0) < 0:
+        raise DomainError(
+            f"pole at positive integer t={-min(cover)} hits the sum range"
+        )
+    sn2, sd = 2 * f.scalar.numerator, f.scalar.denominator
+    for _, (p0, p1, p2), (d0, d1, d2) in _window_walk(f, itertools.count(-1, -1), 3):
+        yield sn2 * (d0 * (p2 * d0 - p1 * d1 - p0 * d2) + p0 * d1 * d1), sd * d0**3
 
 
-def _poly_int(coeffs: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
+    """Numeric value of sum_{k>=1} R''(k) for the factored R = f, term by
+    term from the factors themselves (_second_derivative_at), each term one
+    exact rational rounded once.
 
-
-def direct_sum(
-    n: int, digits: int, *, expansion: PartialFractionExpansion
-) -> FixedReal:
-    """Brute-force numeric value of the n-th sum: term-by-term exact
-    evaluation of `expansion` (the twice-differentiated partial fractions
-    of the n-th function) at t = 1, 2, ...
-
-    Completely independent of the zeta reduction in sum_over_k; this is
-    the oracle side of the oracle/evaluation pair.  The cutoff comes from
-    the crude tail bound |term(k)| <= C k^-(78n+11) with C measured from
-    the computed terms times a 10^4 safety factor.
+    It reads neither the output of partial_fractions nor the zeta reduction
+    in sum_over_k, so it is the oracle side of the oracle/evaluation pair.
+    The cutoff comes from the crude tail bound |R''(k)| <= C k^-decay, where
+    decay = deg den - deg num + 2 and C is measured from the computed terms
+    past the hump, k >= 4 x the largest pole, times a 10^4 safety factor.
     """
+    if not f.is_proper:
+        raise DomainError("the direct sum needs a proper function")
     work = digits + GUARD_DIGITS + 5
     scale = 10**work
-    poles = _per_pole_polynomials(expansion)
-    decay = 78 * n + 11
-    k_min = 140 * n  # past the hump where the polynomial decay sets in
+    decay = f.denominator_degree - f.numerator_degree + 2
+    k_min = 4 * max(_denominator_cover(f))  # past the hump
     acc = 0
     c_run = 0  # max |term| * k^decay, in 10**-work units
     limit = 10**7
-    for k in range(1, limit + 1):
-        term = 0
-        for m, den, coeffs, big_j in poles:
-            base = k + m
-            term += _div_nearest(_poly_int(coeffs, base) * scale, den * base**big_j)
+    for k, (a, b) in zip(range(1, limit + 1), _second_derivative_at(f)):
+        term = _div_nearest(a * scale, b)
         acc += term
         c_run = max(c_run, abs(term) * k**decay)
         if k >= k_min and 2 * c_run * 10**4 < (decay - 1) * k ** (

@@ -76,7 +76,7 @@ def test_criterion_03_structural_vanishing(pipeline1):
 def test_criterion_04_oracle_equivalence(pipeline1, table400):
     t0 = time.time()
     value = evaluate_numeric(pipeline1.form, table400)
-    direct = direct_sum(1, 160, expansion=pipeline1.differentiated)
+    direct = direct_sum(pipeline1.factored, 160)
     delta = abs(value.to_fraction() - direct.to_fraction())
     assert delta < Fraction(1, 10**50)
     assert value.scaled != 0  # S_1 is nonzero at guaranteed precision

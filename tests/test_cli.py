@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,31 @@ def test_form_command_full(capsys):
     assert doc["form"]["checks"]["reflection"]["sign"] == -1
     assert float(doc["numeric"]["agreement_delta_log10"]) < -50
     assert doc["numeric"]["log10_abs"] < -30
+
+
+def test_direct_sum_sees_partial_fractions(capsys, monkeypatch):
+    # scale every partial-fraction coefficient by 1 + 10^-10: the form and
+    # its value move by 10^-10 relative, the direct sum of the factored
+    # function does not, and the two routes part
+    import zetaforms.cli as cli
+
+    code, out = run(capsys, "form", "--n", "1")
+    assert code == EXIT_OK
+    clean = json.loads(out)["numeric"]
+    exact = cli.partial_fractions
+
+    def scaled(f):
+        p = exact(f)
+        factor = 1 + Fraction(1, 10**10)
+        return type(p)({key: a * factor for key, a in p.terms.items()})
+
+    monkeypatch.setattr(cli, "partial_fractions", scaled)
+    code, out = run(capsys, "form", "--n", "1")
+    assert code == EXIT_OK
+    mutated = json.loads(out)["numeric"]
+    assert mutated["direct_sum"] == clean["direct_sum"]
+    assert clean["agreement_delta_log10"] < -200
+    assert mutated["agreement_delta_log10"] > -150
 
 
 def test_form_default_digits_byte_identical(capsys):

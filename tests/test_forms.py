@@ -5,8 +5,10 @@ the block bookkeeping, pole multiplicities from an interval cover count,
 reconstruction by exact evaluation at sample points.
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,7 +35,12 @@ from zetaforms.forms import (
     sum_over_k,
     zudilin_linear_form,
 )
-from zetaforms.forms import _int_series_div_linear, _slide_window
+from zetaforms.fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
+from zetaforms.forms import (
+    _int_series_div_linear,
+    _second_derivative_at,
+    _slide_window,
+)
 from zetaforms.zeta import ZetaTable
 
 
@@ -250,14 +257,15 @@ def test_partial_fractions_matches_rebuild_oracle_zudilin(pipeline1, pipeline2):
 
 
 @st.composite
-def edge_case_functions(draw):
-    """Poles at m < 0 (negative shifts), denominator blocks 50 or more
-    apart (no window to slide from, so the series are rebuilt), numerator
-    zeros on poles, c0 - c1 m = 0 at a pole, powers 1..3 on both sides."""
+def edge_case_functions(draw, min_shift=-8):
+    """Poles at m < 0 (negative shifts, unless min_shift >= 0), denominator
+    blocks 50 or more apart (no window to slide from, so the series are
+    rebuilt), numerator zeros on poles, c0 - c1 m = 0 at a pole, powers
+    1..3 on both sides."""
     powers = st.integers(1, 3)
     den = draw(
         st.lists(
-            st.builds(RisingBlock, st.integers(-8, 8), st.integers(1, 4), powers),
+            st.builds(RisingBlock, st.integers(min_shift, 8), st.integers(1, 4), powers),
             min_size=1,
             max_size=3,
         )
@@ -308,11 +316,19 @@ def test_window_division_is_exact_or_raises():
     # multiplies by the incoming (1 + u)
     block = (RisingBlock(2, 2, 1),)
     series = [6, 5, 1]
-    assert _slide_window(series, block, 0) == 0
+    assert _slide_window(series, block, 0, 1) == 0
     assert series == [2, 3, 1]  # (1 + u)(2 + u)
+    # and back down: out goes (1 + u), in comes (3 + u)
+    assert _slide_window(series, block, 1, -1) == 0
+    assert series == [6, 5, 1]
     corrupt = [7, 5, 1]  # 7 is not divisible by 3
     with pytest.raises(InternalCheckError):
-        _slide_window(corrupt, block, 0)
+        _slide_window(corrupt, block, 0, 1)
+    # RisingBlock(0, 2, 1) at t = u is u (1 + u), the zero factor counted
+    # apart; sliding down to m = -1 (t = u + 1) drops it for (2 + u)
+    series = [1, 1, 0]
+    assert _slide_window(series, (RisingBlock(0, 2, 1),), 0, -1) == -1
+    assert series == [2, 3, 1]  # (1 + u)(2 + u)
     truncated = [-2, 1]  # (-1 + u)(2 + u) to order 1
     _int_series_div_linear(truncated, -1)
     assert truncated == [2, 1]
@@ -324,6 +340,8 @@ def test_partial_fractions_rejects_improper():
     f = FactoredRationalFunction((0, 1), (RisingBlock(1, 2, 1),), (RisingBlock(5, 2, 1),))
     with pytest.raises(DomainError):
         partial_fractions(f)
+    with pytest.raises(DomainError, match="proper"):
+        direct_sum(f, 50)  # and the direct sum, whose cutoff needs decay >= 3
 
 
 def test_partial_fractions_scalar_included():
@@ -532,14 +550,109 @@ def test_evaluate_numeric_budget(pipeline1):
 def test_direct_sum_two_cutoffs(pipeline1):
     # the production cutoff at two precisions: each stops where its own
     # tail bound allows, and the two sums agree to the coarser one
-    a = direct_sum(1, 140, expansion=pipeline1.differentiated)
-    b = direct_sum(1, 160, expansion=pipeline1.differentiated)
+    a = direct_sum(pipeline1.factored, 140)
+    b = direct_sum(pipeline1.factored, 160)
     assert abs(a.to_fraction() - b.to_fraction()) < Fraction(1, 10**138)
+
+
+def per_pole_direct_sum_oracle(n, digits, expansion):
+    """Oracle: the per-pole direct sum.  Each pole's terms of `expansion`
+    (the twice-differentiated partial fractions of the n-th function) are
+    one integer polynomial over a common denominator, evaluated exactly at
+    every t = k and rounded per pole; the cutoff is the crude tail bound
+    |term(k)| <= C k^-(78n+11) from k = 140n on, C measured from the
+    computed terms times a 10^4 safety factor.  Returns the sum and the
+    cutoff k."""
+    work = digits + GUARD_DIGITS + 5
+    scale = 10**work
+    poles = []
+    for m in sorted({m for m, _ in expansion.terms}):
+        orders = {j: a for (mm, j), a in expansion.terms.items() if mm == m}
+        big_j = max(orders)
+        den = math.lcm(*(a.denominator for a in orders.values()))
+        coeffs = [0] * (big_j + 1)  # coeffs[d] multiplies x^d
+        for j, a in orders.items():
+            coeffs[big_j - j] = a.numerator * (den // a.denominator)
+        poles.append((m, den, coeffs, big_j))
+    decay, acc, c_run, k = 78 * n + 11, 0, 0, 0
+    while True:
+        k += 1
+        term = 0
+        for m, den, coeffs, big_j in poles:
+            value = 0
+            for c in reversed(coeffs):
+                value = value * (k + m) + c
+            term += _div_nearest(value * scale, den * (k + m) ** big_j)
+        acc += term
+        c_run = max(c_run, abs(term) * k**decay)
+        if k >= 140 * n and 2 * c_run * 10**4 < (decay - 1) * k ** (
+            decay - 1
+        ) * 10 ** (work - digits):
+            return FixedReal(_div_nearest(acc, 10 ** (work - digits)), digits), k
+
+
+def test_direct_sum_matches_per_pole_oracle(pipeline1, pipeline2, monkeypatch):
+    # same 200 digits and the same cutoff k as the per-pole route: the
+    # decay and hump derived from f are 78n + 11 and 4 x 35n = 140n
+    import zetaforms.forms as forms
+
+    terms = forms._second_derivative_at
+    used = []
+
+    def counted(f):
+        used.append(0)
+        for term in terms(f):
+            used[-1] += 1
+            yield term
+
+    monkeypatch.setattr(forms, "_second_derivative_at", counted)
+    cases = [(pipe.n, pipe.factored, pipe.differentiated) for pipe in (pipeline1, pipeline2)]
+    f3 = build_zudilin(3)
+    cases.append((3, f3, second_derivative(partial_fractions(f3))))
+    for n, f, differentiated in cases:
+        value, cutoff = per_pole_direct_sum_oracle(n, 200, differentiated)
+        assert direct_sum(f, 200).to_decimal() == value.to_decimal()
+        assert used[-1] == cutoff, n
+
+
+def test_second_derivative_terms_exact_zudilin(pipeline1, pipeline2):
+    for pipe in (pipeline1, pipeline2):
+        n = pipe.n
+        terms = [Fraction(a, b) for a, b in islice(
+            _second_derivative_at(pipe.factored), 140 * n
+        )]
+        assert terms[: 27 * n] == [0] * (27 * n)  # triple zeros at t = 1..27n
+        for k in (1, 27 * n, 27 * n + 1, 35 * n, 140 * n):
+            assert terms[k - 1] == pipe.differentiated.evaluate(k), (n, k)
+        assert terms[27 * n] != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_case_functions(min_shift=0))
+def test_second_derivative_terms_exact(f):
+    # every pole at t <= 0, so t = 1..10 are regular points
+    assume(f.is_proper)
+    d = second_derivative(partial_fractions(f))
+    terms = islice(_second_derivative_at(f), 10)
+    for k, (a, b) in enumerate(terms, 1):
+        assert Fraction(a, b) == d.evaluate(k), k
+
+
+def test_second_derivative_terms_reject_positive_pole():
+    # (t - 3)(t - 2) vanishes at t = 2, 3: the same error as sum_over_k's
+    f = FactoredRationalFunction((1, 0), (), (RisingBlock(-3, 2, 1),))
+    message = "pole at positive integer t=3 hits the sum range"
+    with pytest.raises(DomainError, match=message):
+        next(_second_derivative_at(f))
+    with pytest.raises(DomainError, match=message):
+        direct_sum(f, 50)
+    with pytest.raises(DomainError, match=message):
+        sum_over_k(second_derivative(partial_fractions(f)))
 
 
 def test_oracle_pair_tight(pipeline1, table400):
     value = evaluate_numeric(pipeline1.form, table400)
-    direct = direct_sum(1, 160, expansion=pipeline1.differentiated)
+    direct = direct_sum(pipeline1.factored, 160)
     # far tighter than the acceptance tolerance: ~50 significant digits
     assert abs(value.to_fraction() - direct.to_fraction()) < Fraction(1, 10**155)
 
@@ -557,6 +670,14 @@ def test_common_denominator_clears_zudilin(pipeline1):
     for coeff in pipeline1.form.coefficients.values():
         assert (d * coeff).denominator == 1
     assert report["log_denominator_over_n"] > 0
+
+
+def test_zero_form_has_no_height():
+    zero = sum_over_k(PartialFractionExpansion({}))
+    with pytest.raises(DomainError, match="zero form"):
+        zero.log2_height()
+    with pytest.raises(DomainError, match="zero form"):
+        zero.to_json_dict()
 
 
 def test_json_document_shape(pipeline1):
