@@ -36,8 +36,10 @@ enumeration, and `hypothesis_multi` asks the same enumeration whether
 anything is left.  A modulus above D_MAX is a BudgetError.
 
 One integer walker, `_orbit_hits`, runs the orbit n theta mod 1 for both
-`enumerate_psi` (exact box bounds) and `kw_density` (bounds truncated to
-KW_DIGITS digits): integer positions against integer box bounds.
+`enumerate_psi` (exact box bounds) and `kw_density` over two or more axes
+(bounds truncated to KW_DIGITS digits): integer positions against integer
+box bounds.  `kw_density` over one axis counts the same hits with two
+floor sums (`_floor_sum`) in O(log k_max) steps instead of walking.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ D_MAX = 10**6  # largest pi-rational denominator, and the residue-search cap
 RATIONAL_TOL = Fraction(1, 10**30)
 BOUNDARY_GUARD = Fraction(1, 10**25)  # shrink-to-reject margin at box edges
 KW_DIGITS = 40  # kw_density truncates theta and the box to this many digits
+KW_MAX_COUNT = 10 ** (KW_DIGITS - 10)  # 1-D k_max: truncation shift <= 10^-10
+KW_MAX_WALK = 10**8  # k_max of a walk over two or more axes
 
 _CONSTANTS: dict[str, Fraction] = {}
 
@@ -553,7 +557,9 @@ def build_plan_general(
 def _orbit_hits(steps, moduli, lows, widths, limit):
     """Each n in 1..limit at which every axis j has pos_j = n steps[j] mod
     moduli[j] with (pos_j - lows[j]) mod moduli[j] <= widths[j]; that
-    shifted position advances by one integer addition per step."""
+    shifted position advances by one integer addition per step.  One step
+    per n: `enumerate_psi` needs the hits themselves, and `kw_density`
+    walks only a box of two or more axes."""
     shifted = [(-low) % m for low, m in zip(lows, moduli)]
     axes = range(len(shifted))
     for n in range(1, limit + 1):
@@ -681,6 +687,26 @@ class DensityReport:
         }
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i<n} floor((a i + b) / m) for n >= 0, m >= 1 and a, b >= 0, in
+    O(log m) steps: split off the whole parts of a/m and b/m, then count
+    the lattice points under the remaining line with the roles of a and m
+    swapped (Euclid's recursion, unrolled)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b  # every term is now floor((a i + b)/m) < n
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
 def kw_density(
     theta: Sequence[Fraction],
     box: Sequence[tuple[Fraction, Fraction]],
@@ -688,11 +714,19 @@ def kw_density(
 ) -> DensityReport:
     """Count n <= k_max with every frac(n theta_i) inside [x_i, y_i].
 
-    The same integer orbit walk as `enumerate_psi` (`_orbit_hits`), on
-    theta, x_i and the width truncated to KW_DIGITS digits (a full-width
-    axis gets the whole modulus), so there is no rounding drift: the only
-    error is the one-time truncation, which shifts each position by at most
-    k_max * 10^-KW_DIGITS.
+    theta_i, x_i and the width are truncated to integers mod
+    M = 10^KW_DIGITS, so there is no rounding drift: the only error is the
+    one-time truncation, which shifts each position by at most
+    k_max * 10^-KW_DIGITS.  On those integers the count is exact.  A
+    full-width axis always hits and drops out; with none left the count is
+    k_max.  One axis left is counted in O(log M) steps by two floor sums,
+    since for 0 <= w < M, x mod M <= w exactly when
+    floor(x/M) - floor((x - w - 1)/M) = 1.  Two or more axes walk the
+    orbit with `_orbit_hits`, the walk `enumerate_psi` uses.
+
+    BudgetError before any work when one axis is left and k_max exceeds
+    10^(KW_DIGITS - 10) (the truncation shift would pass 10^-10), or when
+    two or more are left and k_max exceeds KW_MAX_WALK.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -708,10 +742,31 @@ def kw_density(
             raise DomainError(f"malformed interval [{lo}, {hi}]")
         width = hi - lo
         predicted *= float(min(width, 1))
-        steps.append(math.floor(t % 1 * modulus))
-        lows.append(math.floor(lo % 1 * modulus))
-        widths.append(modulus if width >= 1 else math.floor(width * modulus))
-    hits = sum(1 for _ in _orbit_hits(steps, [modulus] * len(steps), lows, widths, k_max))
+        if width < 1:
+            steps.append(math.floor(t % 1 * modulus))
+            lows.append(math.floor(lo % 1 * modulus))
+            widths.append(math.floor(width * modulus))
+    if len(steps) == 1 and k_max > KW_MAX_COUNT:
+        raise BudgetError(
+            f"k_max {k_max} exceeds {KW_MAX_COUNT}: truncating theta to "
+            f"{KW_DIGITS} digits would shift the orbit by more than 10^-10"
+        )
+    if len(steps) > 1 and k_max > KW_MAX_WALK:
+        raise BudgetError(
+            f"k_max {k_max} exceeds the {KW_MAX_WALK}-step orbit walk of a "
+            f"{len(steps)}-axis box"
+        )
+    if not steps:
+        hits = k_max
+    elif len(steps) == 1:
+        # n = i + 1: x = s i + b with b = s - low made non-negative mod M;
+        # adding M to both numerators keeps x - w - 1 non-negative
+        (s,), (low,), (w,) = steps, lows, widths
+        b = (s - low) % modulus + modulus
+        hits = _floor_sum(k_max, modulus, s, b) - _floor_sum(k_max, modulus, s, b - w - 1)
+    else:
+        walk = _orbit_hits(steps, [modulus] * len(steps), lows, widths, k_max)
+        hits = sum(1 for _ in walk)
     rational = any(t.denominator <= k_max for t in theta)
     return DensityReport(
         k_max=k_max,

@@ -185,6 +185,29 @@ def test_density_command(capsys):
     assert float(json.loads(out)["empirical"]) == 1.0
 
 
+def test_density_one_axis_counts_past_any_walk(capsys):
+    code, out = run(capsys, "density", "--theta", "sqrt2", "--box", "0.1:0.35",
+                    "--kmax", str(10**30))
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["k_max"] == 10**30
+    assert abs(float(doc["empirical"]) - 0.25) < 1e-6
+    assert abs(doc["hits"] / 10**30 - 0.25) < 1e-6
+
+
+def test_density_two_axes_over_the_walk_cap_exit_4_unwalked(capsys, monkeypatch):
+    from zetaforms import oscillation
+
+    def no_walk(*args):
+        raise AssertionError("walked past the budget")
+
+    monkeypatch.setattr(oscillation, "_orbit_hits", no_walk)
+    code, out = run(capsys, "density", "--theta", "sqrt2,e",
+                    "--box", "0.1:0.35,0.2:0.7", "--kmax", str(oscillation.KW_MAX_WALK + 1))
+    assert code == EXIT_BUDGET
+    assert json.loads(out)["error"]["kind"] == "budget"
+
+
 def test_density_malformed_box_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["density", "--theta", "sqrt2", "--box", "nonsense", "--kmax", "10"])
@@ -226,6 +249,9 @@ RELATION_FILES = {
         # residue search modulus lcm(1009, 1013) = 1022117 > 10^6
         (["subseq", "--omega", "1/1009*pi", "--phi", "0", "--omega",
           "1/1013*pi", "--phi", "0", "--count", "3"], EXIT_BUDGET, "budget"),
+        # one axis past 10^30: the 40-digit truncation would shift the orbit
+        (["density", "--theta", "sqrt2", "--box", "0.1:0.35", "--kmax",
+          str(10**30 + 1)], EXIT_BUDGET, "budget"),
     ],
 )
 def test_bad_inputs_end_in_documented_exit_codes(capsys, tmp_path, argv, code, kind):

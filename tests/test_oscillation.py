@@ -5,13 +5,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zetaforms import oscillation
-from zetaforms.errors import DomainError, HypothesisViolation, UndecidableAtPrecision
+from zetaforms.errors import (
+    BudgetError,
+    DomainError,
+    HypothesisViolation,
+    UndecidableAtPrecision,
+)
 from zetaforms.fixedpoint import cos_pi_argument
 from zetaforms.oscillation import (
     BOUNDARY_GUARD,
     COS_DIGITS,
+    KW_DIGITS,
+    KW_MAX_WALK,
     Angle,
     AnglePair,
     CosEvaluator,
@@ -475,16 +484,27 @@ def test_kw_density_sqrt2_quarter_box():
     assert not report.rational_theta
 
 
+def fraction_count(theta, lo, hi, k_max):
+    """Independent oracle: the n <= k_max with frac(n theta) on the arc
+    from lo to hi (wrapping past 1), recounted in exact Fractions."""
+    if hi - lo >= 1:
+        return k_max
+    return sum(1 for n in range(1, k_max + 1) if (n * theta - lo) % 1 <= hi - lo)
+
+
+def walked_count(theta, lo, hi, k_max):
+    """The same truncated count through the orbit walk: a second axis with
+    theta = 0 and the box [0, 1/2] hits at every n, but it is not full
+    width, so two axes are left and kw_density walks `_orbit_hits`."""
+    box = [(lo, hi), (Fraction(0), Fraction(1, 2))]
+    return kw_density([theta, Fraction(0)], box, k_max).hits
+
+
 def test_kw_density_direct_count_oracle():
-    # independent oracle: recount with exact Fractions at small k_max
     theta = named_constant("sqrt2")
     lo, hi = Fraction(1, 10), Fraction(35, 100)
     k_max = 2000
-    expected = 0
-    for n in range(1, k_max + 1):
-        x = (n * theta) % 1
-        if lo <= x <= hi:
-            expected += 1
+    expected = fraction_count(theta, lo, hi, k_max)
     report = kw_density([theta], [(lo, hi)], k_max)
     assert report.hits == expected
     # two dimensions, the second axis full width: only the first one counts
@@ -492,6 +512,87 @@ def test_kw_density_direct_count_oracle():
         [theta, named_constant("e")], [(lo, hi), (Fraction(0), Fraction(1))], k_max
     )
     assert report.hits == expected
+
+
+def test_floor_sum_matches_direct_sum():
+    rng = random.Random(12)
+    cases = [(0, 7, 3, 2), (1, 7, 3, 2), (1, 5, 12, 31), (6, 1, 0, 0), (9, 4, 0, 9)]
+    for _ in range(300):
+        m = rng.randrange(1, 60)
+        # a and b range past m, so the whole-part split runs too
+        a, b = rng.randrange(0, 3 * m), rng.randrange(0, 3 * m)
+        cases.append((rng.randrange(0, 40), m, a, b))
+    for _ in range(20):
+        m = rng.randrange(1, 10**40)
+        a, b = rng.randrange(0, 2 * m), rng.randrange(0, 2 * m)
+        cases.append((rng.randrange(0, 300), m, a, b))
+    for n, m, a, b in cases:
+        assert oscillation._floor_sum(n, m, a, b) == sum(
+            (a * i + b) // m for i in range(n)
+        ), (n, m, a, b)
+
+
+SQRT2 = named_constant("sqrt2")
+
+
+@pytest.mark.parametrize("theta,lo,hi,k_max", [
+    (SQRT2, Fraction(1, 3), Fraction(1, 3), 3000),  # width 0
+    (SQRT2, Fraction(1, 5), Fraction(6, 5), 500),  # width 1: every n
+    (SQRT2, Fraction(-3, 2), Fraction(7, 4), 500),  # width above 1
+    (SQRT2, Fraction(9, 10), Fraction(6, 5), 3000),  # wraps past 1
+    (-SQRT2, Fraction(1, 10), Fraction(35, 100), 3000),
+    (-named_constant("e"), Fraction(-7, 10), Fraction(-1, 4), 3000),
+    (Fraction(1, 3), Fraction(1, 10), Fraction(35, 100), 300),
+    (Fraction(2, 7), Fraction(9, 10), Fraction(6, 5), 300),
+    (Fraction(-2, 7), Fraction(1, 10), Fraction(1, 5), 300),
+    (SQRT2, Fraction(1, 10), Fraction(1, 2), 1),
+    (SQRT2, Fraction(1, 2), Fraction(3, 5), 1),
+])
+def test_kw_density_one_axis_matches_walk_and_fractions(theta, lo, hi, k_max):
+    hits = kw_density([theta], [(lo, hi)], k_max).hits
+    assert hits == fraction_count(theta, lo, hi, k_max)
+    assert hits == walked_count(theta, lo, hi, k_max)
+
+
+small_fractions = st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    small_fractions,
+    small_fractions,
+    st.fractions(0, 3, max_denominator=60),
+    st.integers(1, 400),
+)
+@example(Fraction(1, 3), Fraction(1, 3), Fraction(0), 30)  # orbit points on the edges
+@example(Fraction(1, 3), Fraction(0), Fraction(1, 3), 30)
+def test_kw_density_one_axis_matches_walk(theta, lo, width, k_max):
+    # exact agreement on the truncated integers, boundary ties included
+    hi = lo + width
+    hits = kw_density([theta], [(lo, hi)], k_max).hits
+    assert hits == walked_count(theta, lo, hi, k_max)
+
+
+def test_kw_density_budgets_raise_before_work(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked past the budget")
+
+    monkeypatch.setattr(oscillation, "_orbit_hits", no_walk)
+    one_axis_cap = 10 ** (KW_DIGITS - 10)
+    box = (Fraction(1, 10), Fraction(35, 100))
+    report = kw_density([SQRT2], [box], one_axis_cap)
+    assert abs(report.empirical - 0.25) < 1e-6
+    with pytest.raises(BudgetError):
+        kw_density([SQRT2], [box], one_axis_cap + 1)
+    with pytest.raises(BudgetError):
+        kw_density([SQRT2, named_constant("e")], [box, box], KW_MAX_WALK + 1)
+    # a full-width axis drops out before the budgets are read
+    full = (Fraction(0), Fraction(1))
+    assert kw_density([SQRT2, named_constant("e")], [full, full], 10**50).hits == 10**50
+    two = kw_density([SQRT2, named_constant("e")], [box, full], one_axis_cap)
+    assert two.hits == report.hits
 
 
 def test_kw_density_rational_orbit_flagged():
