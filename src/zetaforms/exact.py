@@ -1,6 +1,7 @@
-"""Exact rational building blocks: rising factorials, harmonic power sums
-and logarithms of huge rationals (factorials and least common multiples
-are `math.factorial` and `math.lcm`).
+"""Exact rational building blocks: rising factorials, harmonic power sums,
+logarithms of huge rationals and the p/q text of the JSON output
+(factorials and least common multiples are `math.factorial` and
+`math.lcm`).
 
 Rationals are `fractions.Fraction` throughout (always stored reduced, exact,
 unbounded).
@@ -40,6 +41,15 @@ def harmonic_power_sum(m: int, s: int) -> Fraction:
     if s < 2:
         raise DomainError(f"harmonic_power_sum needs s >= 2, got {s}")
     return sum((Fraction(1, l**s) for l in range(1, m + 1)), Fraction(0))
+
+
+def fraction_str(x: Fraction) -> str:
+    """p/q, or p alone for an integer: the exact rational text of the JSON
+    output."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def log2_fraction(x: Fraction) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError, InternalCheckError
-from .exact import log2_fraction, pochhammer
+from .exact import fraction_str, log2_fraction, pochhammer
 from .fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
 from .zeta import ZetaTable
 
@@ -329,13 +329,6 @@ class ZetaLinearForm:
         }
         doc["checks"] = checks if checks is not None else {}
         return doc
-
-
-def fraction_str(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def sum_over_k(p: PartialFractionExpansion, n: int = 0) -> ZetaLinearForm:

@@ -35,11 +35,14 @@ and the one residue it may exclude), and one enumeration,
 enumeration, and `hypothesis_multi` asks the same enumeration whether
 anything is left.  A modulus above D_MAX is a BudgetError.
 
-One integer walker, `_orbit_hits`, runs the orbit n theta mod 1 for both
-`enumerate_psi` (exact box bounds) and `kw_density` over two or more axes
-(bounds truncated to KW_DIGITS digits): integer positions against integer
-box bounds.  `kw_density` over one axis counts the same hits with two
-floor sums (`_floor_sum`) in O(log k_max) steps instead of walking.
+Both orbit counters, `enumerate_psi` and `kw_density`, read the same
+exact integers: `_exact_axes` puts each axis of the box on its own
+modulus, so that theta, the arc's low end and its width are all whole
+multiples of 1/M_j.  One integer walker, `_orbit_hits`, runs the orbit
+n theta mod 1 on those integers for `enumerate_psi` and for `kw_density`
+over two or more axes; `kw_density` over one axis counts the same hits
+with two floor sums (`_floor_sum`) in O(log M) steps instead of walking.
+Every count is exact on the given rationals, arc ends included.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .errors import (
     HypothesisViolation,
     UndecidableAtPrecision,
 )
+from .exact import fraction_str
 from .fixedpoint import (
     MAX_COS_WORK_DIGITS,
     FixedReal,
@@ -63,6 +67,7 @@ from .fixedpoint import (
     decimal_to_fraction,
     e_fixed,
     inv_pi_fraction,
+    pi_fixed,
     sin_pi_multiple,
     sqrt_fixed,
 )
@@ -73,8 +78,6 @@ COS_DIGITS = 60
 D_MAX = 10**6  # largest pi-rational denominator, and the residue-search cap
 RATIONAL_TOL = Fraction(1, 10**30)
 BOUNDARY_GUARD = Fraction(1, 10**25)  # shrink-to-reject margin at box edges
-KW_DIGITS = 40  # kw_density truncates theta and the box to this many digits
-KW_MAX_COUNT = 10 ** (KW_DIGITS - 10)  # 1-D k_max: truncation shift <= 10^-10
 KW_MAX_WALK = 10**8  # k_max of a walk over two or more axes
 
 _CONSTANTS: dict[str, Fraction] = {}
@@ -83,8 +86,6 @@ _CONSTANTS: dict[str, Fraction] = {}
 def named_constant(name: str) -> Fraction:
     """Canonical 120-digit rational pin of sqrt2 / e / pi."""
     if not _CONSTANTS:
-        from .fixedpoint import pi_fixed
-
         _CONSTANTS["sqrt2"] = sqrt_fixed(Fraction(2), CANONICAL_DIGITS).to_fraction()
         _CONSTANTS["e"] = e_fixed(CANONICAL_DIGITS).to_fraction()
         _CONSTANTS["pi"] = pi_fixed(CANONICAL_DIGITS).to_fraction()
@@ -353,8 +354,6 @@ class SubsequencePlan:
     lambda_predicted: Fraction = Fraction(1)
 
     def to_json_dict(self) -> dict:
-        from .forms import fraction_str
-
         return {
             "mode": self.mode,
             "d": self.d,
@@ -554,18 +553,41 @@ def build_plan_general(
 # -- enumeration and verification ----------------------------------------
 
 
+def _exact_axes(arcs):
+    """The integers both orbit counters work on, one axis per (theta, lo,
+    width) with 0 <= width < 1: axis j runs mod M_j = den(theta_j) *
+    lcm(den(lo_j mod 1), den(width_j)), on which theta_j mod 1, lo_j mod 1
+    and width_j are the whole numbers step_j, low_j and w_j.  Then
+    frac(n theta_j) lies on the closed arc from lo_j to lo_j + width_j
+    (wrapping past 1) exactly when (n step_j - low_j) mod M_j <= w_j.
+    Returns the lists (steps, moduli, lows, widths)."""
+    steps, moduli, lows, widths = [], [], [], []
+    for theta, lo, width in arcs:
+        lo = lo % 1
+        m = theta.denominator * math.lcm(lo.denominator, width.denominator)
+        steps.append(int(theta % 1 * m))  # every product is an exact integer
+        moduli.append(m)
+        lows.append(int(lo * m))
+        widths.append(int(width * m))
+    return steps, moduli, lows, widths
+
+
 def _orbit_hits(steps, moduli, lows, widths, limit):
     """Each n in 1..limit at which every axis j has pos_j = n steps[j] mod
-    moduli[j] with (pos_j - lows[j]) mod moduli[j] <= widths[j]; that
-    shifted position advances by one integer addition per step.  One step
-    per n: `enumerate_psi` needs the hits themselves, and `kw_density`
-    walks only a box of two or more axes."""
+    moduli[j] with (pos_j - lows[j]) mod moduli[j] <= widths[j], on the
+    integers of `_exact_axes`.  That shifted position advances by one
+    addition and at most one subtraction of the modulus per step, since
+    0 <= steps[j] < moduli[j].  One step per n: `enumerate_psi` needs the
+    hits themselves, and `kw_density` walks only a box of two or more
+    axes."""
     shifted = [(-low) % m for low, m in zip(lows, moduli)]
     axes = range(len(shifted))
     for n in range(1, limit + 1):
         hit = True
         for j in axes:
-            q = (shifted[j] + steps[j]) % moduli[j]
+            q = shifted[j] + steps[j]
+            if q >= moduli[j]:
+                q -= moduli[j]
             shifted[j] = q
             if q > widths[j]:
                 hit = False
@@ -577,9 +599,9 @@ def enumerate_psi(plan: SubsequencePlan, count: int) -> list[int]:
     """First `count` values of psi, strictly increasing.
 
     Irrational modes walk the orbit n theta_j mod 1 through the plan's box
-    with `_orbit_hits`, in exact integers.  Axis j runs mod M_j =
-    den(theta_j) * lcm(den(lo), den(2h)) with h = eta - BOUNDARY_GUARD and
-    lo = (center_j - h) mod 1; since 0 < 2h < 1, "distance to the centre
+    with `_orbit_hits`, on the exact integers of `_exact_axes`.  Axis j is
+    the arc from lo = (center_j - h) mod 1 of width 2h, with
+    h = eta - BOUNDARY_GUARD; since 0 < 2h < 1, "distance to the centre
     <= h" is exactly "(x - lo) mod 1 <= 2h", the closed arc with the
     shrink-to-reject guard.  The output is identical at every working
     precision.
@@ -591,17 +613,9 @@ def enumerate_psi(plan: SubsequencePlan, count: int) -> list[int]:
     if plan.box is None or not plan.theta:
         raise DomainError("irrational-mode plan lacks its box or generators")
     half = plan.box.eta - BOUNDARY_GUARD
-    width = 2 * half
-    steps, moduli, lows, widths = [], [], [], []
-    for t, c in zip(plan.theta, plan.box.center):
-        lo = (c - half) % 1
-        m = t.denominator * math.lcm(lo.denominator, width.denominator)
-        steps.append(int(t % 1 * m))  # every product is an exact integer
-        moduli.append(m)
-        lows.append(int(lo * m))
-        widths.append(int(width * m))
+    arcs = [(t, c - half, 2 * half) for t, c in zip(plan.theta, plan.box.center)]
     cap = 10 * int(plan.lambda_predicted + 1) * count + 10**6
-    hits = list(islice(_orbit_hits(steps, moduli, lows, widths, cap), count))
+    hits = list(islice(_orbit_hits(*_exact_axes(arcs), cap), count))
     if len(hits) < count:
         raise BudgetError(f"orbit scan exceeded {cap} steps")
     return [plan.big_d * n * plan.d + plan.a for n in hits]
@@ -622,8 +636,6 @@ class PlanVerification:
         return self.cosine_ok and self.lambda_ok
 
     def to_json_dict(self) -> dict:
-        from .forms import fraction_str
-
         return {
             "count": self.count,
             "min_abs_cos": f"{float(self.min_abs_cos):.15f}",
@@ -714,27 +726,21 @@ def kw_density(
 ) -> DensityReport:
     """Count n <= k_max with every frac(n theta_i) inside [x_i, y_i].
 
-    theta_i, x_i and the width are truncated to integers mod
-    M = 10^KW_DIGITS, so there is no rounding drift: the only error is the
-    one-time truncation, which shifts each position by at most
-    k_max * 10^-KW_DIGITS.  On those integers the count is exact.  A
-    full-width axis always hits and drops out; with none left the count is
-    k_max.  One axis left is counted in O(log M) steps by two floor sums,
-    since for 0 <= w < M, x mod M <= w exactly when
-    floor(x/M) - floor((x - w - 1)/M) = 1.  Two or more axes walk the
-    orbit with `_orbit_hits`, the walk `enumerate_psi` uses.
-
-    BudgetError before any work when one axis is left and k_max exceeds
-    10^(KW_DIGITS - 10) (the truncation shift would pass 10^-10), or when
-    two or more are left and k_max exceeds KW_MAX_WALK.
+    The count is exact on the given rationals, arc ends included: each
+    axis is put on its own modulus by `_exact_axes`, the integers
+    `enumerate_psi` walks.  A full-width axis always hits and drops out;
+    with none left the count is k_max.  One axis left is counted in
+    O(log M) steps by two floor sums, since for 0 <= w < M, x mod M <= w
+    exactly when floor(x/M) - floor((x - w - 1)/M) = 1.  Two or more axes
+    walk the orbit with `_orbit_hits`; BudgetError before any work when
+    k_max exceeds KW_MAX_WALK then.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     theta = [Fraction(t) for t in theta]
     if len(theta) != len(box):
         raise DomainError("need one (lo, hi) interval per theta component")
-    modulus = 10**KW_DIGITS
-    steps, lows, widths = [], [], []
+    arcs = []
     predicted = 1.0
     for t, (lo, hi) in zip(theta, box):
         lo, hi = Fraction(lo), Fraction(hi)
@@ -743,30 +749,23 @@ def kw_density(
         width = hi - lo
         predicted *= float(min(width, 1))
         if width < 1:
-            steps.append(math.floor(t % 1 * modulus))
-            lows.append(math.floor(lo % 1 * modulus))
-            widths.append(math.floor(width * modulus))
-    if len(steps) == 1 and k_max > KW_MAX_COUNT:
-        raise BudgetError(
-            f"k_max {k_max} exceeds {KW_MAX_COUNT}: truncating theta to "
-            f"{KW_DIGITS} digits would shift the orbit by more than 10^-10"
-        )
-    if len(steps) > 1 and k_max > KW_MAX_WALK:
+            arcs.append((t, lo, width))
+    if len(arcs) > 1 and k_max > KW_MAX_WALK:
         raise BudgetError(
             f"k_max {k_max} exceeds the {KW_MAX_WALK}-step orbit walk of a "
-            f"{len(steps)}-axis box"
+            f"{len(arcs)}-axis box"
         )
-    if not steps:
+    steps, moduli, lows, widths = _exact_axes(arcs)
+    if not arcs:
         hits = k_max
-    elif len(steps) == 1:
+    elif len(arcs) == 1:
         # n = i + 1: x = s i + b with b = s - low made non-negative mod M;
         # adding M to both numerators keeps x - w - 1 non-negative
-        (s,), (low,), (w,) = steps, lows, widths
-        b = (s - low) % modulus + modulus
-        hits = _floor_sum(k_max, modulus, s, b) - _floor_sum(k_max, modulus, s, b - w - 1)
+        (s,), (m,), (low,), (w,) = steps, moduli, lows, widths
+        b = (s - low) % m + m
+        hits = _floor_sum(k_max, m, s, b) - _floor_sum(k_max, m, s, b - w - 1)
     else:
-        walk = _orbit_hits(steps, [modulus] * len(steps), lows, widths, k_max)
-        hits = sum(1 for _ in walk)
+        hits = sum(1 for _ in _orbit_hits(steps, moduli, lows, widths, k_max))
     rational = any(t.denominator <= k_max for t in theta)
     return DensityReport(
         k_max=k_max,

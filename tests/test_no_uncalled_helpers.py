@@ -3,7 +3,11 @@ each module-level function and each non-dunder method is named (as an
 `ast.Name` or an `ast.Attribute`) somewhere in src/zetaforms outside its own
 body.  Being exported through `__init__.py` is no excuse; the only
 exceptions are the names in `OUTSIDE_CALLERS`, each with the caller outside
-src/zetaforms that keeps it."""
+src/zetaforms that keeps it.
+
+Likewise every module-level constant (each non-dunder name a module-level
+assignment binds) is read somewhere in src/zetaforms, except the names in
+`UNREAD_CONSTANTS`, each with the file outside src/zetaforms that reads it."""
 
 import ast
 from collections import Counter
@@ -19,6 +23,10 @@ OUTSIDE_CALLERS = {
     "zudilin_linear_form": ("bench/child.py", "calls it for the exact_ladder workload"),
     "hypothesis_multi": ("bench/tracer.py", "wraps it as the oscillation.hypothesis span"),
     "harmonic_power_sum": ("bench/tracer.py", "wraps it as the exact.harmonic_power_sum span"),
+}
+UNREAD_CONSTANTS = {
+    "EXIT_USAGE": ("tests/test_cli.py", "argparse exits 2 itself on a usage error; "
+                   "the tests compare against it"),
 }
 
 
@@ -57,6 +65,37 @@ def test_every_helper_has_a_caller():
     assert uncalled == [], "no caller in src/zetaforms: " + ", ".join(uncalled)
 
 
+def _constants(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                yield target.id, node
+
+
+def test_every_constant_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    reads = Counter()
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                reads[sub.id] += 1
+            elif isinstance(sub, ast.Attribute):
+                reads[sub.attr] += 1
+    unread = [
+        f"{module}:{node.lineno} {name}"
+        for module, tree in trees.items()
+        for name, node in _constants(tree)
+        if name not in UNREAD_CONSTANTS and reads[name] == 0
+    ]
+    assert unread == [], "never read in src/zetaforms: " + ", ".join(unread)
+
+
 def test_outside_callers_still_call():
-    for name, (path, _) in OUTSIDE_CALLERS.items():
+    for name, (path, _) in {**OUTSIDE_CALLERS, **UNREAD_CONSTANTS}.items():
         assert name in (ROOT / path).read_text(encoding="utf-8"), (name, path)

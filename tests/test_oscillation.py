@@ -19,7 +19,6 @@ from zetaforms.fixedpoint import cos_pi_argument
 from zetaforms.oscillation import (
     BOUNDARY_GUARD,
     COS_DIGITS,
-    KW_DIGITS,
     KW_MAX_WALK,
     Angle,
     AnglePair,
@@ -493,7 +492,7 @@ def fraction_count(theta, lo, hi, k_max):
 
 
 def walked_count(theta, lo, hi, k_max):
-    """The same truncated count through the orbit walk: a second axis with
+    """The same exact count through the orbit walk: a second axis with
     theta = 0 and the box [0, 1/2] hits at every n, but it is not full
     width, so two axes are left and kw_density walks `_orbit_hits`."""
     box = [(lo, hi), (Fraction(0), Fraction(1, 2))]
@@ -569,10 +568,11 @@ small_fractions = st.builds(
 @example(Fraction(1, 3), Fraction(1, 3), Fraction(0), 30)  # orbit points on the edges
 @example(Fraction(1, 3), Fraction(0), Fraction(1, 3), 30)
 def test_kw_density_one_axis_matches_walk(theta, lo, width, k_max):
-    # exact agreement on the truncated integers, boundary ties included
+    # the floor sums, the walk and the Fraction recount agree, edge ties included
     hi = lo + width
     hits = kw_density([theta], [(lo, hi)], k_max).hits
     assert hits == walked_count(theta, lo, hi, k_max)
+    assert hits == fraction_count(theta, lo, hi, k_max)
 
 
 def test_kw_density_budgets_raise_before_work(monkeypatch):
@@ -580,18 +580,16 @@ def test_kw_density_budgets_raise_before_work(monkeypatch):
         raise AssertionError("walked past the budget")
 
     monkeypatch.setattr(oscillation, "_orbit_hits", no_walk)
-    one_axis_cap = 10 ** (KW_DIGITS - 10)
+    # one axis has no budget: the floor sums count far past any walk
     box = (Fraction(1, 10), Fraction(35, 100))
-    report = kw_density([SQRT2], [box], one_axis_cap)
+    report = kw_density([SQRT2], [box], 10**50)
     assert abs(report.empirical - 0.25) < 1e-6
     with pytest.raises(BudgetError):
-        kw_density([SQRT2], [box], one_axis_cap + 1)
-    with pytest.raises(BudgetError):
         kw_density([SQRT2, named_constant("e")], [box, box], KW_MAX_WALK + 1)
-    # a full-width axis drops out before the budgets are read
+    # a full-width axis drops out before the budget is read
     full = (Fraction(0), Fraction(1))
     assert kw_density([SQRT2, named_constant("e")], [full, full], 10**50).hits == 10**50
-    two = kw_density([SQRT2, named_constant("e")], [box, full], one_axis_cap)
+    two = kw_density([SQRT2, named_constant("e")], [box, full], 10**50)
     assert two.hits == report.hits
 
 
