@@ -15,6 +15,7 @@ from zetaforms.cli import (
     EXIT_USAGE,
     main,
 )
+from zetaforms.oscillation import KW_MAX_WALK
 
 EXPECTED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
@@ -257,6 +258,9 @@ RELATION_FILES = {
         # residue search modulus lcm(1009, 1013) = 1022117 > 10^6
         (["subseq", "--omega", "1/1009*pi", "--phi", "0", "--omega",
           "1/1013*pi", "--phi", "0", "--count", "3"], EXIT_BUDGET, "budget"),
+        # two box axes walk the orbit, capped at KW_MAX_WALK steps
+        (["density", "--theta", "sqrt2,e", "--box", "0.1:0.35,0.2:0.7", "--kmax",
+          str(KW_MAX_WALK + 1)], EXIT_BUDGET, "budget"),
     ],
 )
 def test_bad_inputs_end_in_documented_exit_codes(capsys, tmp_path, argv, code, kind):
