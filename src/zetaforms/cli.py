@@ -223,7 +223,7 @@ def cmd_form(args, parser) -> dict:
         "command": "form",
         "n": n,
         "digits": digits,
-        "form": form.to_json_dict(checks),
+        "form": form.to_json_dict(checks, denominator=denominator, height=height),
         "denominator_report": den_report,
         "numeric": {
             "value": value.to_decimal(),

@@ -34,6 +34,10 @@ GUARD_DIGITS = 10
 # Taylor series runs at digits + GUARD_DIGITS.  At 60 digits the cap admits
 # |x| < ~10^3900.
 MAX_COS_WORK_DIGITS = 4000
+# Written digits plus |decimal exponent| of a literal (Fraction("1e-99999999")
+# alone runs past 20 s); at the cap a `subseq` or `density` run takes about
+# 0.15 s (2 vCPUs, Python 3.11).
+MAX_LITERAL_DIGITS = 20_000
 
 
 def _div_nearest(a: int, b: int) -> int:
@@ -81,8 +85,16 @@ class FixedReal:
 
 def decimal_to_fraction(text: str) -> Fraction:
     """Exact rational value of a decimal or p/q literal; DomainError for a
-    malformed literal or a zero denominator."""
+    malformed literal or a zero denominator, BudgetError (before any
+    conversion) for one past MAX_LITERAL_DIGITS."""
     text = text.strip()
+    head, _, power = text.lower().partition("e")
+    # an exponent of six digits or more is past the cap whatever follows
+    power = power.lstrip("+-").replace("_", "").lstrip("0")[:6]
+    size = sum(c.isdigit() for c in head) + (int(power) if power.isdecimal() else 0)
+    if size > MAX_LITERAL_DIGITS:
+        raise BudgetError(f"numeric literal past {MAX_LITERAL_DIGITS} written "
+                          "digits plus decimal exponent")
     try:
         if "/" in text:
             num, den = text.split("/", 1)

@@ -7,13 +7,13 @@ and sum over positive integer arguments using sum_{k>=1} (k+m)^(-s) =
 zeta(s) - H_m(s).
 
 Two walks read the factored function through one helper, _window_walk:
-its numerator and denominator at t = u - m, kept as truncated integer
-series.  From m to m +- 1 each block's window of factors slides by one, so
-the series are updated by one exact division and one multiplication per
-block and power (a division that leaves a remainder is an internal error).
-partial_fractions walks up the poles and divides the series into exact
-coefficients; direct_sum walks up t = 1, 2, ... and reads each R''(k) off
-them as one exact rational.
+its numerator and denominator at t = u - m as truncated integer series,
+built once and walked down in m.  From m to m - 1 each block's window of
+factors slides by one: one exact division and one multiplication per block
+and power (a division that leaves a remainder is an internal error).
+partial_fractions walks down the poles and divides the series into exact
+coefficients; direct_sum walks down m = -1, -2, ... (t = 1, 2, ...) and
+reads each R''(k) off them as one exact rational.
 
 The two numeric routes act as oracles for one another: the exact
 coefficients times the zeta table, against direct_sum, which reads only
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -125,8 +124,7 @@ def _denominator_cover(f: FactoredRationalFunction) -> dict[int, int]:
     """m -> how many denominator factors vanish at t = -m (with powers)."""
     cover: dict[int, int] = {}
     for b in f.denominator:
-        for i in range(b.length):
-            m = b.shift + i
+        for m in range(b.shift, b.shift + b.length):
             cover[m] = cover.get(m, 0) + b.power
     return cover
 
@@ -189,18 +187,13 @@ def _window_product(
     return series, zeros
 
 
-def _slide_window(
-    series: list[int], blocks: tuple[RisingBlock, ...], m: int, step: int
-) -> int:
-    """Move a _window_product from pole m to m + step (step = +1 or -1) in
-    place: each block's window of constants lo = shift - m ... hi = lo +
-    length - 1 loses hi and gains lo - 1 going up, loses lo and gains hi + 1
-    going down.  Returns the change in the zero-factor count."""
+def _slide_window(series: list[int], blocks: tuple[RisingBlock, ...], m: int) -> int:
+    """Move a _window_product from m down to m - 1 in place: each
+    block's window of constants lo = shift - m ... lo + length - 1 loses lo
+    and gains lo + length.  Returns the change in the zero-factor count."""
     dz = 0
     for b in blocks:
-        lo = b.shift - m
-        hi = lo + b.length - 1
-        out, into = (hi, lo - 1) if step > 0 else (lo, hi + 1)
+        out, into = b.shift - m, b.shift - m + b.length
         for _ in range(b.power):
             if out:
                 _int_series_div_linear(series, out)
@@ -213,26 +206,22 @@ def _slide_window(
     return dz
 
 
-def _window_walk(f: FactoredRationalFunction, ms, size: int):
-    """Yield (m, num, den) for each m in ms: f at t = u - m as integer
-    series truncated to `size` terms, num the whole numerator (scalar
-    aside: prefactor, and the factors vanishing there as a power of u) and
-    den the denominator factors with nonzero constant.  From m to m +- 1
-    each block's window slides by one factor; anywhere else the series are
-    rebuilt.  The yielded lists change on the next step."""
+def _window_walk(f: FactoredRationalFunction, top: int, size: int):
+    """Yield (m, num, den) for m = top, top - 1, ... without end: f at
+    t = u - m as integer series truncated to `size` terms, num the whole
+    numerator (scalar aside: prefactor, and the factors vanishing there as
+    a power of u) and den the denominator factors with nonzero constant.
+    Built once at m = top, the series slide one factor per block and power
+    at each step; the yielded lists change on the next step."""
     c0, c1 = f.prefactor
-    previous = None
-    for m in ms:
-        if previous in (m - 1, m + 1):
-            zeros += _slide_window(num_series, f.numerator, previous, m - previous)
-            _slide_window(den_series, f.denominator, previous, m - previous)
-        else:
-            num_series, zeros = _window_product(f.numerator, m, size)
-            den_series, _ = _window_product(f.denominator, m, size)
-        previous = m
+    num_series, zeros = _window_product(f.numerator, top, size)
+    den_series, _ = _window_product(f.denominator, top, size)
+    for m in itertools.count(top, -1):
         shifted = ([0] * zeros + num_series)[:size]
         p0 = c0 - c1 * m
         yield m, [p0 * a + c1 * b for a, b in zip(shifted, [0] + shifted)], den_series
+        zeros += _slide_window(num_series, f.numerator, m)
+        _slide_window(den_series, f.denominator, m)
 
 
 def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
@@ -244,9 +233,10 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
     num and den truncated at order mu - 1.  Exact series division of
     scalar * num by den gives a_{j,m} as the coefficient of u^(mu - j).
 
-    The series come from one _window_walk up the sorted poles, truncated
-    at max mu terms; a pole that does not follow its predecessor has no
-    window to slide from, and the series are rebuilt there.
+    The series come from one _window_walk down from the largest pole to
+    the smallest, truncated at max mu terms; an m between two poles that is
+    no pole costs one slide and is skipped.  The terms are returned sorted
+    by (m, j).
 
     The scalar sn/sd is folded into the division: local[k] = (sn num[k] -
     sd sum_{i=1..k} den[i] local[k-i]) / (sd den[0]), with the sum kept as
@@ -259,14 +249,14 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
             f"polynomial part (degrees {f.numerator_degree} >= "
             f"{f.denominator_degree})"
         )
-    c0, c1 = f.prefactor
     out: dict[tuple[int, int], Fraction] = {}
-    if c0 == 0 and c1 == 0:
-        return PartialFractionExpansion(out)  # the zero function
     sn, sd = f.scalar.numerator, f.scalar.denominator
     cover = _denominator_cover(f)
-    for m, num, den_series in _window_walk(f, sorted(cover), max(cover.values())):
-        mu = cover[m]
+    walk = _window_walk(f, max(cover), max(cover.values()))
+    for m, num, den_series in itertools.islice(walk, max(cover) - min(cover) + 1):
+        mu = cover.get(m)
+        if mu is None:
+            continue  # between two poles
         den0 = sd * den_series[0]
         scale = 1  # lcm of the denominators of local[0 .. k-1]
         scaled: list[int] = []  # local[i] * scale
@@ -286,7 +276,7 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
             a = local[mu - j]
             if a != 0:
                 out[(m, j)] = a
-    return PartialFractionExpansion(out)
+    return PartialFractionExpansion(dict(sorted(out.items())))
 
 
 def second_derivative(p: PartialFractionExpansion) -> PartialFractionExpansion:
@@ -316,7 +306,12 @@ class ZetaLinearForm:
             raise DomainError("the zero form (every coefficient 0) has no height")
         return max(map(log2_fraction, vals))
 
-    def to_json_dict(self, checks: dict | None = None) -> dict:
+    def to_json_dict(
+        self, checks: dict | None = None, *,
+        denominator: int | None = None, height: float | None = None,
+    ) -> dict:
+        """The JSON view; a caller that already holds the common denominator
+        or the log2 height passes it in."""
         doc = {
             "n": self.n,
             "ell0": fraction_str(self.ell0),
@@ -324,8 +319,8 @@ class ZetaLinearForm:
                 str(s): fraction_str(self.coefficients[s])
                 for s in sorted(self.coefficients)
             },
-            "denominator": str(common_denominator(self)[0]),
-            "log2_height": round(self.log2_height(), 6),
+            "denominator": str(denominator or common_denominator(self)[0]),
+            "log2_height": round(self.log2_height() if height is None else height, 6),
         }
         doc["checks"] = checks if checks is not None else {}
         return doc
@@ -447,7 +442,7 @@ def _second_derivative_at(f: FactoredRationalFunction):
             f"pole at positive integer t={-min(cover)} hits the sum range"
         )
     sn2, sd = 2 * f.scalar.numerator, f.scalar.denominator
-    for _, (p0, p1, p2), (d0, d1, d2) in _window_walk(f, itertools.count(-1, -1), 3):
+    for _, (p0, p1, p2), (d0, d1, d2) in _window_walk(f, -1, 3):
         yield sn2 * (d0 * (p2 * d0 - p1 * d1 - p0 * d2) + p0 * d1 * d1), sd * d0**3
 
 
@@ -500,29 +495,16 @@ def common_denominator(form: ZetaLinearForm) -> tuple[int, dict]:
     return d, report
 
 
-RECONSTRUCTION_SEED = 20260810
-RECONSTRUCTION_POINTS = 5
+# integer + 1/q is never an integer, so never a pole
+RECONSTRUCTION_POINTS = tuple(map(Fraction, "-139/2 -73/2 173/2 2069/11 63/2".split()))
 
 
-def reconstruction_check(
-    f: FactoredRationalFunction, p: PartialFractionExpansion
-) -> dict:
-    """Exact equality of the expansion and the factored original at
-    RECONSTRUCTION_POINTS random non-integer rational sample points (so no
-    pole can be hit)."""
-    rng = random.Random(RECONSTRUCTION_SEED)
-    checked = []
-    ok = True
-    for _ in range(RECONSTRUCTION_POINTS):
-        t = _non_integer_sample(rng)
-        ok = ok and f.evaluate(t) == p.evaluate(t)
-        checked.append(fraction_str(t))
+def reconstruction_check(f: FactoredRationalFunction, p: PartialFractionExpansion) -> dict:
+    """Exact equality of the expansion and the factored original at the
+    RECONSTRUCTION_POINTS, rationals that are no pole."""
+    checked = [fraction_str(t) for t in RECONSTRUCTION_POINTS]
+    ok = all(f.evaluate(t) == p.evaluate(t) for t in RECONSTRUCTION_POINTS)
     return {"ok": ok, "points": checked}
-
-
-def _non_integer_sample(rng: random.Random) -> Fraction:
-    """integer + 1/q is never an integer, so never a pole."""
-    return rng.randint(-400, 400) + Fraction(1, rng.choice([2, 3, 5, 7, 11]))
 
 
 def reflection_check(p: PartialFractionExpansion) -> dict:

@@ -59,7 +59,7 @@ from .errors import (
     HypothesisViolation,
     UndecidableAtPrecision,
 )
-from .exact import fraction_str
+from .exact import fraction_str, log10_fraction
 from .fixedpoint import (
     MAX_COS_WORK_DIGITS,
     FixedReal,
@@ -523,10 +523,14 @@ def build_plan_general(
                 raise DomainError("relation row length must be s + 1")
             target = original.omega.over_pi()
             value = row[0] + sum(r * t for r, t in zip(row[1:], theta))
-            if abs(target - value) > Fraction(1, 10**20):
+            residual = abs(target - value)
+            if residual > Fraction(1, 10**20):
+                try:
+                    shown = f"{float(residual):.3e}"
+                except OverflowError:  # past the double range
+                    shown = f"10^{log10_fraction(residual):.1f}"
                 raise DomainError(
-                    "inconsistent relation data: residual "
-                    f"{float(abs(target - value)):.3e} for omega/pi"
+                    f"inconsistent relation data: residual {shown} for omega/pi"
                 )
             rows.append([d * r for r in row])  # omega' = d omega
 

@@ -229,6 +229,8 @@ RELATION_FILES = {
     "no_rows.json": '{"generators": ["1/2"]}',
     "number_generator.json": '{"generators": [0.5], "rows": [["0", "1"]]}',
     "number_row.json": '{"generators": ["0.5"], "rows": [5]}',
+    "huge_residual.json": '{"generators": ["1e400"], "rows": [["0", "1"]]}',
+    "long_generator.json": '{"generators": ["1e-99999999"], "rows": [["0", "1"]]}',
 }
 
 
@@ -261,6 +263,19 @@ RELATION_FILES = {
         # two box axes walk the orbit, capped at KW_MAX_WALK steps
         (["density", "--theta", "sqrt2,e", "--box", "0.1:0.35,0.2:0.7", "--kmax",
           str(KW_MAX_WALK + 1)], EXIT_BUDGET, "budget"),
+        # a residual past the double range is still printed
+        (["subseq", "--omega", "1", "--phi", "0", "--count", "3", "--relations",
+          "{tmp}/huge_residual.json"], EXIT_DOMAIN, "domain"),
+        # written digits plus decimal exponent are capped before Fraction
+        # builds 10^|exponent|
+        (["subseq", "--omega", "1e-999999", "--phi", "0", "--count", "3"],
+         EXIT_BUDGET, "budget"),
+        (["subseq", "--omega", "1", "--phi", "0", "--count", "3", "--relations",
+          "{tmp}/long_generator.json"], EXIT_BUDGET, "budget"),
+        (["density", "--theta", "1e99999999", "--box", "0:0.5", "--kmax", "5"],
+         EXIT_BUDGET, "budget"),
+        (["density", "--theta", "sqrt2", "--box", "0:0." + "5" * 20_000, "--kmax",
+          "5"], EXIT_BUDGET, "budget"),
     ],
 )
 def test_bad_inputs_end_in_documented_exit_codes(capsys, tmp_path, argv, code, kind):

@@ -259,8 +259,8 @@ def test_partial_fractions_matches_rebuild_oracle_zudilin(pipeline1, pipeline2):
 @st.composite
 def edge_case_functions(draw, min_shift=-8):
     """Poles at m < 0 (negative shifts, unless min_shift >= 0), denominator
-    blocks 50 or more apart (no window to slide from, so the series are
-    rebuilt), numerator zeros on poles, c0 - c1 m = 0 at a pole, powers
+    blocks 50 or more apart (the window slides through the gap), numerator
+    zeros on poles, c0 - c1 m = 0 at a pole, powers
     1..3 on both sides."""
     powers = st.integers(1, 3)
     den = draw(
@@ -310,24 +310,83 @@ def test_partial_fractions_edge_cases_match_rebuild_oracle(f):
     assert reconstruction_check(f, p)["ok"]
 
 
+def ball_zeta3(n):
+    """Ball's well-poised series for zeta(3): n!^2 (t + n/2) (t - n)_n
+    (t + n + 1)_n / (t)_{n+1}^4, with four-fold poles at m = 0..n.  Its sum
+    over t = 1, 2, ... is b_n zeta(3) - a_n, Apery's numbers."""
+    return FactoredRationalFunction(
+        (n, 2),
+        (RisingBlock(-n, n, 1), RisingBlock(n + 1, n, 1)),
+        (RisingBlock(0, n + 1, 4),),
+        Fraction(math.factorial(n) ** 2, 2),
+    )
+
+
+def apery_oracle(n):
+    """Oracle: Apery's binomial sums b_n = sum_k w_k and a_n = sum_k w_k
+    c_{n,k}, with w_k = C(n,k)^2 C(n+k,k)^2 and c_{n,k} = H_n(3) +
+    sum_{m=1..k} (-1)^(m-1) / (2 m^3 C(n,m) C(n+m,m))."""
+    b, a = 0, Fraction(0)
+    for k in range(n + 1):
+        w = (math.comb(n, k) * math.comb(n + k, k)) ** 2
+        c = harmonic_power_sum(n, 3) + sum(
+            Fraction((-1) ** (m - 1), 2 * m**3 * math.comb(n, m) * math.comb(n + m, m))
+            for m in range(1, k + 1)
+        )
+        b, a = b + w, a + w * c
+    return b, a
+
+
+APERY_B = (5, 73, 1445, 33001, 819005, 21460825)
+APERY_A = (6, Fraction(351, 4), Fraction(62531, 36), Fraction(11424695, 288))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_partial_fractions_of_ball_series_give_apery(n):
+    # a control family with every constant known: zeta(s) gets sum_m a_{m,s},
+    # which is 0, 0, b_n, 0 for s = 1..4, and the constant -sum a_{m,s}
+    # H_m(s) is -a_n
+    f = ball_zeta3(n)
+    p = partial_fractions(f)
+    assert {m for m, _ in p.terms} == set(range(n + 1))
+    b, a = apery_oracle(n)
+    assert b == APERY_B[n - 1]
+    if n <= len(APERY_A):
+        assert a == APERY_A[n - 1]
+    ell = [sum(c for (_, j), c in p.terms.items() if j == s) for s in range(1, 5)]
+    assert ell == [0, 0, b, 0]
+
+    def harmonic(m, s):  # harmonic_power_sum takes s >= 2 only
+        if s == 1:
+            return sum((Fraction(1, l) for l in range(1, m + 1)), Fraction(0))
+        return harmonic_power_sum(m, s)
+
+    assert -sum(c * harmonic(m, s) for (m, s), c in p.terms.items()) == -a
+    assert reflection_check(p) == {"symmetric": True, "sign": -1}
+    assert reconstruction_check(f, p)["ok"]
+    if n == 1:  # every a_{m,1} vanishes, so sum_over_k takes it
+        form = sum_over_k(p)
+        assert (form.ell0, form.coefficients) == (-a, {2: 0, 3: b, 4: 0})
+    else:  # order-1 terms are not summed termwise
+        with pytest.raises(DomainError, match="^divergent order 1 "):
+            sum_over_k(p)
+
+
 def test_window_division_is_exact_or_raises():
     # (2 + u)(3 + u) = 6 + 5u + u^2, the window of RisingBlock(2, 2, 1) at
-    # t = u: sliding to m = 1 divides by the outgoing (3 + u) and
-    # multiplies by the incoming (1 + u)
+    # t = u: sliding down to m = -1 divides by the outgoing (2 + u) and
+    # multiplies by the incoming (4 + u)
     block = (RisingBlock(2, 2, 1),)
     series = [6, 5, 1]
-    assert _slide_window(series, block, 0, 1) == 0
-    assert series == [2, 3, 1]  # (1 + u)(2 + u)
-    # and back down: out goes (1 + u), in comes (3 + u)
-    assert _slide_window(series, block, 1, -1) == 0
-    assert series == [6, 5, 1]
-    corrupt = [7, 5, 1]  # 7 is not divisible by 3
+    assert _slide_window(series, block, 0) == 0
+    assert series == [12, 7, 1]  # (3 + u)(4 + u)
+    corrupt = [7, 5, 1]  # 7 is not divisible by 2
     with pytest.raises(InternalCheckError):
-        _slide_window(corrupt, block, 0, 1)
+        _slide_window(corrupt, block, 0)
     # RisingBlock(0, 2, 1) at t = u is u (1 + u), the zero factor counted
     # apart; sliding down to m = -1 (t = u + 1) drops it for (2 + u)
     series = [1, 1, 0]
-    assert _slide_window(series, (RisingBlock(0, 2, 1),), 0, -1) == -1
+    assert _slide_window(series, (RisingBlock(0, 2, 1),), 0) == -1
     assert series == [2, 3, 1]  # (1 + u)(2 + u)
     truncated = [-2, 1]  # (-1 + u)(2 + u) to order 1
     _int_series_div_linear(truncated, -1)
@@ -355,7 +414,7 @@ def test_partial_fractions_scalar_included():
 def test_reconstruction_zudilin_n1(pipeline1):
     report = reconstruction_check(pipeline1.factored, pipeline1.expansion)
     assert report["ok"]
-    assert len(report["points"]) == RECONSTRUCTION_POINTS
+    assert len(report["points"]) == len(RECONSTRUCTION_POINTS)
 
 
 def test_reconstruction_at_explicit_random_rationals(pipeline1):
@@ -613,6 +672,25 @@ def test_direct_sum_matches_per_pole_oracle(pipeline1, pipeline2, monkeypatch):
         value, cutoff = per_pole_direct_sum_oracle(n, 200, differentiated)
         assert direct_sum(f, 200).to_decimal() == value.to_decimal()
         assert used[-1] == cutoff, n
+
+
+def test_direct_sum_cutoff_follows_the_decay(monkeypatch):
+    # R = 1/((t+1)(t+2)) = 1/(t+1) - 1/(t+2), so sum R''(k) = 2/2^3 = 1/4
+    # exactly.  Its tail bound decays like k^-4 (deg den - deg num + 2) and
+    # stops the walk at k = 73,679; an exponent one too small walks about
+    # 6.6 million terms
+    import zetaforms.forms as forms
+
+    terms = forms._second_derivative_at
+
+    def capped(f):
+        for k, term in enumerate(terms(f), 1):
+            assert k <= 10**5, "direct_sum walked past 10^5 terms"
+            yield term
+
+    monkeypatch.setattr(forms, "_second_derivative_at", capped)
+    f = FactoredRationalFunction((1, 0), (), (RisingBlock(1, 2, 1),))
+    assert direct_sum(f, 10).to_decimal() == "0.2500000000"
 
 
 def test_second_derivative_terms_exact_zudilin(pipeline1, pipeline2):
