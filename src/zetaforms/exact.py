@@ -1,5 +1,5 @@
 """Exact rational building blocks: rising factorials, harmonic power sums,
-logarithms of huge rationals and the p/q text of the JSON output
+logarithms of huge rationals and the p/q and decimal text of the JSON output
 (factorials and least common multiples are `math.factorial` and
 `math.lcm`).
 
@@ -50,6 +50,19 @@ def fraction_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def decimal_str(x: Fraction, places: int) -> str:
+    """x with `places` decimals, as the JSON prints an inexact number: the
+    text of float(x), and past the double range, where float() overflows,
+    x itself rounded half to even at `places` decimals."""
+    x = Fraction(x)
+    try:
+        return f"{float(x):.{places}f}"
+    except OverflowError:
+        scaled = round(x * 10**places)
+        whole, part = divmod(abs(scaled), 10**places)
+        return f"{'-' if scaled < 0 else ''}{whole}.{part:0{places}d}"
 
 
 def log2_fraction(x: Fraction) -> float:

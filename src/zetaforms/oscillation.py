@@ -21,8 +21,10 @@ addend); named constants are pinned to one canonical 120-digit rational
 approximation at parse time, and every angle/pi reads 1/pi at that same
 120-digit pin, widened for an addend of more than 87 integer digits so
 that the pin's error stays below 10^-33.  That makes every decision in
-this module a deterministic exact-rational comparison.  Every cosine is
-evaluated at COS_DIGITS.
+this module a deterministic exact-rational comparison.  Every cosine that
+decides or is reported is evaluated at COS_DIGITS; `verify_plan` screens
+the orbit's cosines in floats first and confirms only the few that can be
+its minimum.
 
 "Irrational" always means irrational-at-precision: the best approximation
 of omega/pi with denominator <= D_MAX misses it by RATIONAL_TOL or more.
@@ -59,7 +61,7 @@ from .errors import (
     HypothesisViolation,
     UndecidableAtPrecision,
 )
-from .exact import fraction_str, log10_fraction
+from .exact import decimal_str, fraction_str, log10_fraction
 from .fixedpoint import (
     MAX_COS_WORK_DIGITS,
     FixedReal,
@@ -75,6 +77,7 @@ from .fixedpoint import (
 CANONICAL_DIGITS = 120
 PIN_ERROR_DIGITS = 33  # |addend| * (1/pi pin error) stays below 10^-33
 COS_DIGITS = 60
+SCREEN_BITS = 200  # verify_plan's screen reads angle/pi in units of 2^-200
 D_MAX = 10**6  # largest pi-rational denominator, and the residue-search cap
 RATIONAL_TOL = Fraction(1, 10**30)
 BOUNDARY_GUARD = Fraction(1, 10**25)  # shrink-to-reject margin at box edges
@@ -200,11 +203,14 @@ class AnglePair:
 
 
 class CosEvaluator:
-    """|cos(k omega + phi)| with the pi-multiple reduced exactly mod 1.
+    """|cos(k omega + phi)| at COS_DIGITS, with the pi-multiple reduced
+    exactly mod 1.
 
     When omega = (c/q) pi exactly, the reduced argument depends on k mod q
     only, so results are memoised by that integer; the periodic structure
-    is then exact, not approximate.
+    is then exact, not approximate.  The residue search calls it for every
+    free residue; `verify_plan` only for the (psi, pair) its float screen
+    cannot rule out.
     """
 
     def __init__(self, pair: AnglePair):
@@ -365,7 +371,7 @@ class SubsequencePlan:
                 "center": [fraction_str(c) for c in self.box.center],
                 "eta": fraction_str(self.box.eta),
             },
-            "theta": [f"{float(t):.18f}" for t in self.theta],
+            "theta": [decimal_str(t, 18) for t in self.theta],
             "epsilon": f"{float(self.epsilon):.15f}",
             "lambda_predicted": fraction_str(self.lambda_predicted),
         }
@@ -644,7 +650,7 @@ class PlanVerification:
             "count": self.count,
             "min_abs_cos": f"{float(self.min_abs_cos):.15f}",
             "epsilon": f"{float(self.epsilon):.15f}",
-            "ratio": f"{float(self.ratio):.6f}",
+            "ratio": decimal_str(self.ratio, 6),
             "lambda_predicted": fraction_str(self.lambda_predicted),
             "cosine_ok": self.cosine_ok,
             "lambda_ok": self.lambda_ok,
@@ -652,24 +658,79 @@ class PlanVerification:
         }
 
 
+def _screen_terms(pair: AnglePair) -> tuple[int, int]:
+    """omega/pi and phi/pi, read by `Angle.over_pi`, rounded to the nearest
+    whole multiples of 2^-SCREEN_BITS."""
+    one = 1 << SCREEN_BITS
+    return round(pair.omega.over_pi() * one), round(pair.phi.over_pi() * one)
+
+
+_SCREEN_MASK = (1 << SCREEN_BITS) - 1
+_SCREEN_STEP = math.pi / 2**53
+
+
+def _screened_abs_cos(w: int, b: int, k: int) -> float:
+    """|cos(pi t)| in floats for t = (k w + b) 2^-SCREEN_BITS, (w, b) from
+    `_screen_terms`: |cos(pi t)| has period 1 in t, so t is reduced mod 1
+    in the integers, and its top 53 bits go to math.cos."""
+    top = ((k * w + b) & _SCREEN_MASK) >> (SCREEN_BITS - 53)
+    return abs(math.cos(top * _SCREEN_STEP))
+
+
+def _screen_error(k_max: int) -> float:
+    """delta: a bound, for 1 <= k <= k_max, on the distance from
+    `_screened_abs_cos` to |cos(k omega + phi)| and to its COS_DIGITS value
+    from `CosEvaluator.abs_cos`.
+
+    With t = k omega/pi + phi/pi, each of omega/pi and phi/pi carries the
+    1/pi pin error (below 10^-PIN_ERROR_DIGITS) and the rounding to
+    2^-SCREEN_BITS (at most half a unit), so the screen's t is off by at
+    most (k + 1)(10^-33 + 2^-201); |cos(pi t)| moves by at most pi times
+    that.  The rest is under 2^-40: dropping all but 53 bits of t moves
+    the cosine by below pi 2^-53; the float product, math.cos and the
+    float arithmetic of delta and of 2 delta add a few ulps; the COS_DIGITS
+    value sits within 2 10^-60 of the cosine.  Past k_max = 10^34 the first
+    term exceeds 1, which already bounds the distance between two numbers
+    in [0, 1], so k_max is clipped there before it turns into a float."""
+    k = min(k_max, 10**34)
+    per_step = 10.0**-PIN_ERROR_DIGITS + 2.0**-SCREEN_BITS
+    return math.pi * (k + 1) * per_step + 2.0**-40
+
+
 def verify_plan(
     plan: SubsequencePlan,
     pairs: Sequence[AnglePair],
     count: int,
 ) -> PlanVerification:
-    """Exhaustively check the plan's two promises over psi(1..count):
-    the cosine floor for every pair, and psi(count)/count within 5% of
-    the predicted lambda."""
+    """Check the plan's two promises over psi(1..count): the cosine floor
+    for every pair, and psi(count)/count within 5% of the predicted lambda.
+
+    The least |cos(psi omega_i + phi_i)| is the COS_DIGITS value that
+    `CosEvaluator.abs_cos` gives at some (psi, pair), the same one an
+    exhaustive loop over every (psi, pair) finds, but only a few of them
+    are evaluated.  A float screen keeps one float per psi: the least
+    `_screened_abs_cos` over the pairs, each within delta =
+    `_screen_error(psi(count))` of its COS_DIGITS value.  If the exhaustive
+    minimum v* sits at (psi*, i*) and s is the least screened value, at
+    (psi', j), then psi* screens at most v* + delta <= v(psi', j) + delta
+    <= s + 2 delta.  So the least COS_DIGITS value over psi(1) and the
+    (psi, pair) that screen within 2 delta of s is v* itself.
+    """
     psi = enumerate_psi(plan, count)
     evaluators = [CosEvaluator(p) for p in pairs]
-    min_cos: Optional[FixedReal] = None
-    for k in psi:
-        for ev in evaluators:
-            v = ev.abs_cos(k)
-            if min_cos is None or v.scaled < min_cos.scaled:
-                min_cos = v
+    terms = [_screen_terms(p) for p in pairs]
+    screened = [min(_screened_abs_cos(w, b, k) for w, b in terms) for k in psi]
+    bound = min(screened) + 2 * _screen_error(psi[-1])
+    # psi(1) is confirmed whatever it screens, so that an argument past the
+    # cosine's MAX_COS_WORK_DIGITS budget raises at the least psi
+    least = min(ev.abs_cos(psi[0]).scaled for ev in evaluators)
+    for k, s in zip(psi, screened):
+        if s <= bound:
+            for ev, (w, b) in zip(evaluators, terms):
+                if _screened_abs_cos(w, b, k) <= bound:
+                    least = min(least, ev.abs_cos(k).scaled)
     ratio = Fraction(psi[-1], count)
-    min_frac = min_cos.to_fraction()
+    min_frac = Fraction(least, 10**COS_DIGITS)
     lam = plan.lambda_predicted
     return PlanVerification(
         count=count,

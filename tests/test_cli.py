@@ -276,6 +276,10 @@ RELATION_FILES = {
          EXIT_BUDGET, "budget"),
         (["density", "--theta", "sqrt2", "--box", "0:0." + "5" * 20_000, "--kmax",
           "5"], EXIT_BUDGET, "budget"),
+        # theta = omega/pi past the double range is printed, not a traceback
+        (["subseq", "--omega", "1e310", "--phi", "0", "--count", "3"], EXIT_OK, None),
+        (["subseq", "--omega", "1e400", "--phi", "0", "--count", "3"], EXIT_OK, None),
+        (["subseq", "--omega", "1e3900", "--phi", "0", "--count", "3"], EXIT_OK, None),
     ],
 )
 def test_bad_inputs_end_in_documented_exit_codes(capsys, tmp_path, argv, code, kind):
@@ -291,6 +295,74 @@ def test_bad_inputs_end_in_documented_exit_codes(capsys, tmp_path, argv, code, k
     assert got == code
     if kind is not None:
         assert json.loads(out)["error"]["kind"] == kind
+
+
+def test_subseq_prints_theta_past_the_double_range(capsys, int_str_limit):
+    code, out = run(capsys, "subseq", "--omega", "1e310", "--phi", "0", "--count", "3")
+    assert code == EXIT_OK
+    (theta,) = json.loads(out)["plan"]["theta"]
+    whole, _, places = theta.partition(".")
+    # 10^310/pi = 3.18309886183790671537... 10^309, to 18 decimals
+    assert whole.startswith("318309886183790671537") and len(whole) == 310
+    assert len(places) == 18 and places.isdigit()
+
+
+def test_subseq_prints_ratio_past_the_double_range(capsys, tmp_path):
+    # the relation omega/pi = r0 over denominator 2^1400 makes psi(n), and
+    # psi(count)/count, a multiple of 2^1400, about 10^421
+    from zetaforms.oscillation import parse_angle
+
+    r0 = 2 * round(parse_angle("1").over_pi() * 2**1399) + 1
+    path = tmp_path / "relations.json"
+    path.write_text(json.dumps(
+        {"generators": ["1/3"], "rows": [[f"{r0}/{2**1400}", "0"]]}
+    ))
+    code, out = run(capsys, "subseq", "--omega", "1", "--phi", "0", "--count", "3",
+                    "--relations", str(path))
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["plan"]["relation_denominator"] == 2**1400
+    whole, _, places = doc["verification"]["ratio"].partition(".")
+    assert len(whole) > 400 and len(places) == 6
+    shown = Fraction(int(whole + places), 10**6)
+    assert abs(shown - Fraction(doc["psi"][-1], 3)) <= Fraction(1, 2 * 10**6)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the cosine at psi(1) = 1 needs pi at 4034 digits
+    (["subseq", "--omega", "1e3960", "--phi", "0"],
+     "cos argument needs 4034 working digits, above the cap 4000"),
+    # the plan reads phi/pi before any cosine
+    (["subseq", "--omega", "1", "--phi", "1e3990"],
+     "angle addend of 3991 digits needs 1/pi at 4024 digits, above the cap 4000"),
+])
+def test_cosine_budget_errors_keep_their_documents(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_BUDGET
+    assert json.loads(out) == {
+        "schema_version": 1,
+        "command": "subseq",
+        "error": {"kind": "budget", "message": message},
+    }
+
+
+def test_subseq_irrational_confirms_a_handful_of_cosines(capsys, monkeypatch):
+    # verify_plan screens the 2000 psi in floats and evaluates only the
+    # candidates for the least |cos| at COS_DIGITS
+    from zetaforms import oscillation
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact_cos(*args)
+
+    exact_cos = oscillation.cos_pi_argument
+    monkeypatch.setattr(oscillation, "cos_pi_argument", counted)
+    code, out = run(capsys, "subseq", "--omega", "sqrt2", "--phi", "0", "--count", "2000")
+    assert code == EXIT_OK
+    assert json.loads(out)["verification"]["passed"] is True
+    assert 1 <= len(calls) <= 4
 
 
 def test_usage_errors_exit_2():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zetaforms import oscillation
@@ -23,6 +23,7 @@ from zetaforms.oscillation import (
     Angle,
     AnglePair,
     CosEvaluator,
+    PlanVerification,
     RelationData,
     SubsequencePlan,
     TorusBox,
@@ -466,9 +467,122 @@ def test_verify_plan_rational_case():
 
 def test_verify_plan_adversarial():
     plan = build_plan_general([pair("1", "0")])
-    report = verify_plan(plan, [pair("1", "1/2*pi")], 200)
+    pairs = [pair("1", "1/2*pi")]
+    report = verify_plan(plan, pairs, 200)
     assert not report.cosine_ok
     assert not report.passed
+    assert report == exhaustive_verify_plan(plan, pairs, 200)
+
+
+def exhaustive_verify_plan(plan, pairs, count):
+    """verify_plan by the loop its float screen replaced:
+    `CosEvaluator.abs_cos` at every (psi, pair), the least kept."""
+    psi = enumerate_psi(plan, count)
+    evaluators = [CosEvaluator(p) for p in pairs]
+    min_cos = None
+    for k in psi:
+        for ev in evaluators:
+            v = ev.abs_cos(k)
+            if min_cos is None or v.scaled < min_cos.scaled:
+                min_cos = v
+    ratio = Fraction(psi[-1], count)
+    min_frac = min_cos.to_fraction()
+    lam = plan.lambda_predicted
+    return PlanVerification(
+        count=count,
+        min_abs_cos=min_frac,
+        epsilon=plan.epsilon,
+        ratio=ratio,
+        lambda_predicted=lam,
+        cosine_ok=min_frac >= plan.epsilon - Fraction(1, 10**30),
+        lambda_ok=abs(ratio - lam) <= lam * Fraction(5, 100),
+    )
+
+
+def _ratio_text(p, q):
+    return f"{p}/{q}"
+
+
+# omega families: pi-irrational multiples of sqrt2 or of e, plain
+# rationals and addends up to 1e300, and pi-rational omegas, whose |cos|
+# ties exactly across a residue class.  A two-pair plan draws from two
+# families: without relation data, two omegas of one family are dependent
+# and the plan's box may lie off their orbit.
+small_ratios = st.builds(_ratio_text, st.integers(-50, 50), st.integers(1, 9))
+OMEGA_FAMILIES = (
+    small_ratios.map(lambda c: f"{c}*sqrt2"),
+    small_ratios.map(lambda c: f"{c}*e"),
+    st.one_of(
+        st.builds(_ratio_text, st.integers(1, 10**6), st.integers(1, 1000)),
+        st.builds(lambda m, x: f"{m}e{x}", st.integers(1, 99), st.integers(0, 298)),
+    ),
+    st.builds(lambda c, d: f"{c}/{d}*pi", st.integers(-30, 30), st.integers(1, 12)),
+)
+# phi: plain rationals, pi-rational phases, and phases near a pi/2 offset
+screen_phases = st.one_of(
+    st.builds(_ratio_text, st.integers(-1000, 1000), st.integers(1, 97)),
+    st.builds(lambda c, d: f"{c}/{d}*pi", st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(lambda c, m, x: f"{c}/2*pi+{m}e-{x}",
+              st.sampled_from([-3, -1, 1, 3]), st.integers(-9, 9), st.integers(3, 40)),
+)
+screen_pairs = st.tuples(st.one_of(OMEGA_FAMILIES), screen_phases)
+screen_plans = st.lists(
+    st.sampled_from(range(len(OMEGA_FAMILIES))), min_size=1, max_size=2, unique=True
+).flatmap(lambda families: st.tuples(
+    *(st.tuples(OMEGA_FAMILIES[f], screen_phases) for f in families)
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(screen_plans, st.integers(1, 120))
+@example([("sqrt2", "0")], 120)
+@example([("1/3*pi", "0")], 120)  # every psi ties at |cos| = 1
+@example([("4/5*pi", "2/5"), ("2/3*e", "3/7")], 120)  # ties on the first pair
+@example([("1e300", "0")], 40)
+@example([("1", "1/2*pi+1e-20")], 120)
+@example([("1", "0"), ("sqrt2", "1/4")], 60)
+def test_verify_plan_matches_exhaustive_oracle(texts, count):
+    pairs = [pair(o, p) for o, p in texts]
+    try:
+        plan = build_plan_general(pairs)
+    except (HypothesisViolation, UndecidableAtPrecision):
+        assume(False)
+    assert verify_plan(plan, pairs, count) == exhaustive_verify_plan(plan, pairs, count)
+
+
+@pytest.mark.parametrize("omega", ["sqrt2", "e", "1", "3/7"])
+@pytest.mark.parametrize("offset", ["1e-40", "-1e-40", "1e-20", "-1e-20"])
+def test_verify_plan_mirror_near_ties(omega, offset):
+    # t = psi omega/pi and its mirror -t + offset/pi: at every psi the two
+    # |cos| differ by about the offset, far below a float's resolution,
+    # and the screen's truncation of t errs upward on one and downward on
+    # the other, so the screened order can be the reverse of the exact
+    # one; only the 2 delta band confirms the right pair
+    plan = build_plan_general([pair(omega, "0")])
+    pairs = [pair(omega, "0"), pair(f"-{omega}", offset)]
+    for count in (20, 200):
+        assert verify_plan(plan, pairs, count) == exhaustive_verify_plan(plan, pairs, count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(screen_pairs, st.lists(st.integers(1, 10**15), min_size=1, max_size=6))
+@example(("1e300", "0"), [10**15])
+@example(("sqrt2", "1/2*pi+1e-20"), [1, 10**15 - 1])
+def test_screen_within_its_error_bound(texts, ks):
+    p = pair(*texts)
+    w, b = oscillation._screen_terms(p)
+    ev = CosEvaluator(p)
+    for k in ks:
+        screened = Fraction(oscillation._screened_abs_cos(w, b, k))
+        gap = abs(screened - ev.abs_cos(k).to_fraction())
+        assert gap <= Fraction(oscillation._screen_error(k)), (texts, k)
+
+
+def test_screen_error_bound_is_small_and_saturates():
+    assert oscillation._screen_error(2000) < 2**-39
+    assert oscillation._screen_error(10**15) < 10**-11
+    # past 10^34 steps the bound exceeds 1 and stops growing
+    assert 1 < oscillation._screen_error(10**34) == oscillation._screen_error(10**400)
 
 
 # -- density -------------------------------------------------------------
