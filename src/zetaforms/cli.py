@@ -53,6 +53,7 @@ from .oscillation import (
     AnglePair,
     RelationData,
     build_plan_general,
+    check_psi_count,
     enumerate_psi,
     kw_density,
     parse_angle,
@@ -105,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "write a leading minus as --omega=-1/4")
     p_sub.add_argument("--phi", action="append", required=True,
                        help="phase expression; write a leading minus as --phi=-1/4")
-    p_sub.add_argument("--count", type=_positive_int, default=10)
+    p_sub.add_argument("--count", type=_positive_int, default=10,
+                       help="number of psi values (COUNT <= 10^6)")
     p_sub.add_argument("--relations", default=None,
                        help="JSON file with rational dependencies among omega_i/pi")
     _common_output_flags(p_sub)
@@ -242,6 +244,7 @@ def cmd_form(args, parser) -> dict:
 def cmd_subseq(args, parser) -> dict:
     pairs = _parse_pairs(args.omega, args.phi, parser.error)
     relations = _load_relations(args.relations, parser.error)
+    check_psi_count(args.count)
     plan = build_plan_general(pairs, relations=relations)
     psi = enumerate_psi(plan, args.count)
     verification = verify_plan(plan, pairs, args.count)

@@ -24,10 +24,10 @@ oscillating construction conclusive, and oscillating_report documents it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, HypothesisViolation, UndecidableAtPrecision
+from .fixedpoint import SlottedValue
 from .oscillation import AnglePair, build_plan_general
 
 ZUDILIN_C0 = 227.58019641
@@ -35,22 +35,21 @@ ZUDILIN_C1 = 226.24944266
 ZUDILIN_COEFF_BITS = 513
 
 
-@dataclass(frozen=True)
-class GrowthData:
+class GrowthData(SlottedValue):
     """Decay base 0 < alpha < 1 and coefficient base beta > 1, held in log
     space: beta = e^C1 * 2^513 ~ 10^252 already flirts with the double
     range, and beta^lambda leaves it for modest lambda."""
 
-    log_alpha: float
-    log_beta: float
+    __slots__ = ("log_alpha", "log_beta")
 
-    def __post_init__(self):
-        finite = math.isfinite(self.log_alpha) and math.isfinite(self.log_beta)
-        if not (finite and self.log_alpha < 0 < self.log_beta):
+    def __init__(self, log_alpha: float, log_beta: float):
+        finite = math.isfinite(log_alpha) and math.isfinite(log_beta)
+        if not (finite and log_alpha < 0 < log_beta):
             raise DomainError(
                 "need 0 < alpha < 1 < beta "
-                f"(log alpha = {self.log_alpha}, log beta = {self.log_beta})"
+                f"(log alpha = {log_alpha}, log beta = {log_beta})"
             )
+        self.log_alpha, self.log_beta = log_alpha, log_beta
 
     @classmethod
     def from_alpha_beta(cls, alpha: float, beta: float) -> "GrowthData":
@@ -91,8 +90,7 @@ def zudilin_constants() -> GrowthData:
     return GrowthData.from_constants(ZUDILIN_C0, ZUDILIN_C1, ZUDILIN_COEFF_BITS)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     dim_lower_bound: float
     dim_lower_bound_ceiled: int
     kappa_threshold: float

@@ -22,7 +22,6 @@ feeds in k*omega with k up to ~10^6) lose no accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError
@@ -47,16 +46,35 @@ def _div_nearest(a: int, b: int) -> int:
     return -((-2 * a + b) // (2 * b))
 
 
-@dataclass(frozen=True, order=False)
-class FixedReal:
-    """Immutable fixed-point decimal: value = scaled / 10**digits."""
+class SlottedValue:
+    """Base of the value types that check their fields in __init__: each
+    lists its fields in __slots__ and sets them once.  Instances are
+    treated as immutable, and compare, hash and print by field values."""
 
-    scaled: int
-    digits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.digits < 1:
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._fields()!r}"
+
+
+class FixedReal(SlottedValue):
+    """Fixed-point decimal, treated as immutable: value = scaled / 10**digits."""
+
+    __slots__ = ("scaled", "digits")
+
+    def __init__(self, scaled: int, digits: int):
+        if digits < 1:
             raise DomainError("FixedReal needs at least one digit")
+        self.scaled, self.digits = scaled, digits
 
     # -- views ---------------------------------------------------------
 

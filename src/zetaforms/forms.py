@@ -12,8 +12,9 @@ built once and walked down in m.  From m to m - 1 each block's window of
 factors slides by one: one exact division and one multiplication per block
 and power (a division that leaves a remainder is an internal error).
 partial_fractions walks down the poles and divides the series into exact
-coefficients; direct_sum walks down m = -1, -2, ... (t = 1, 2, ...) and
-reads each R''(k) off them as one exact rational.
+coefficients; direct_sum walks down m = -k0, -k0 - 1, ... (t = k0,
+k0 + 1, ..., past the leading t where R'' is exactly 0) and reads each
+R''(k) off them as one exact rational.
 
 The two numeric routes act as oracles for one another: the exact
 coefficients times the zeta table, against direct_sum, which reads only
@@ -25,40 +26,37 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BudgetError, DomainError, InternalCheckError
 from .exact import fraction_str, log2_fraction, pochhammer
-from .fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
+from .fixedpoint import GUARD_DIGITS, FixedReal, SlottedValue, _div_nearest
 from .zeta import ZetaTable
 
 
-@dataclass(frozen=True)
-class RisingBlock:
+class RisingBlock(SlottedValue):
     """(t + shift)_length ** power, a block of consecutive linear factors."""
 
-    shift: int
-    length: int
-    power: int
+    __slots__ = ("shift", "length", "power")
 
-    def __post_init__(self):
-        for value in (self.shift, self.length, self.power):
+    def __init__(self, shift: int, length: int, power: int):
+        for value in (shift, length, power):
             if not isinstance(value, int):
                 raise DomainError(
                     f"rising blocks take integer parameters (integer poles "
                     f"only), got {value!r}"
                 )
-        if self.length < 1 or self.power < 1:
+        if length < 1 or power < 1:
             raise DomainError("rising block needs positive length and power")
+        self.shift, self.length, self.power = shift, length, power
 
     @property
     def degree(self) -> int:
         return self.length * self.power
 
 
-@dataclass(frozen=True)
-class FactoredRationalFunction:
+class FactoredRationalFunction(NamedTuple):
     """scalar * (c0 + c1 t) * prod(numerator) / prod(denominator)."""
 
     prefactor: tuple[int, int]  # (c0, c1) meaning c0 + c1*t
@@ -129,13 +127,12 @@ def _denominator_cover(f: FactoredRationalFunction) -> dict[int, int]:
     return cover
 
 
-@dataclass
-class PartialFractionExpansion:
+class PartialFractionExpansion(NamedTuple):
     """Exact coefficients a_{j,m} of 1/(t+m)^j; zero coefficients omitted.
 
     Treated as immutable once built (safe to share across tasks)."""
 
-    terms: dict[tuple[int, int], Fraction] = field(default_factory=dict)  # (m, j)
+    terms: dict[tuple[int, int], Fraction]  # (m, j)
 
     def evaluate(self, t: Fraction) -> Fraction:
         t = Fraction(t)
@@ -286,8 +283,7 @@ def second_derivative(p: PartialFractionExpansion) -> PartialFractionExpansion:
     )
 
 
-@dataclass
-class ZetaLinearForm:
+class ZetaLinearForm(NamedTuple):
     """ell0 + sum_s ell_s zeta(s) with exact rational coefficients.
 
     Treated as immutable once built; zero coefficients are kept on purpose
@@ -329,19 +325,24 @@ class ZetaLinearForm:
 def sum_over_k(p: PartialFractionExpansion, n: int = 0) -> ZetaLinearForm:
     """Sum the expansion over t = 1, 2, 3, ... into a zeta linear form.
 
-    Uses sum_{k>=1} (k+m)^(-s) = zeta(s) - H_m(s), so every order must be
-    >= 2 (absolute convergence) and every m >= 0.  The constant
-    -sum a_{m,s} H_m(s) is summed as -sum_s sum_l l^-s A_s(l), with the
-    tails A_s(l) = sum_{m>=l} a_{m,s} kept in one walk down the poles.
+    Uses sum_{k>=1} (k+m)^(-s) = zeta(s) - H_m(s), so every m must be >= 0
+    and every order >= 2 (absolute convergence), or 1 when the order-1
+    coefficients sum to 0: then sum_k sum_m a_{m,1} / (k+m) telescopes to
+    -sum_m a_{m,1} H_m(1), and no zeta(1) coefficient is kept.  The
+    constant -sum a_{m,s} H_m(s) is summed as -sum_s sum_l l^-s A_s(l),
+    with the tails A_s(l) = sum_{m>=l} a_{m,s} kept in one walk down the
+    poles.
     """
     ell: dict[int, Fraction] = {}
     by_pole: dict[int, list[tuple[int, Fraction]]] = {}
+    order_one = sum(a for (_, s), a in p.terms.items() if s == 1)
     for (m, s), a in sorted(p.terms.items()):
         if m < 0:
             raise DomainError(f"pole at positive integer t={-m} hits the sum range")
-        if s <= 1:
+        if s < 1 or (s == 1 and order_one != 0):
             raise DomainError(f"divergent order {s} at pole -{m}")
-        ell[s] = ell.get(s, Fraction(0)) + a
+        if s > 1:
+            ell[s] = ell.get(s, Fraction(0)) + a
         by_pole.setdefault(m, []).append((s, a))
     tails: dict[int, Fraction] = {}
     ell0 = Fraction(0)
@@ -430,19 +431,34 @@ def evaluate_numeric(form: ZetaLinearForm, table: ZetaTable) -> FixedReal:
     return FixedReal(acc, digits).rescale(out_digits)
 
 
+def _numerator_zero_order(f: FactoredRationalFunction, t: int) -> int:
+    """How many numerator factors of f (powers counted) vanish at t."""
+    c0, c1 = f.prefactor
+    order = int(c1 != 0 and c0 + c1 * t == 0)
+    return order + sum(b.power for b in f.numerator if b.shift <= -t < b.shift + b.length)
+
+
 def _second_derivative_at(f: FactoredRationalFunction):
     """Yield (a, b), b > 0, with R''(k) = a / b exactly for k = 1, 2, ..., R = f.
 
     R''(k) = 2 [u^2] R(k + u): the _window_walk series of f at t = k + u
     (m = -k, one slide per k), truncated at u^2, give [u^2] num/den =
-    (d0 (p2 d0 - p1 d1 - p0 d2) + p0 d1^2) / d0^3 in integers."""
+    (d0 (p2 d0 - p1 d1 - p0 d2) + p0 d1^2) / d0^3 in integers.  Where the
+    numerator vanishes to order 3 or more, R''(k) is exactly 0 (no pole
+    sits at a positive integer), so the leading run of such k (k <= 27n
+    for Zudilin's forms) is yielded as (0, 1) and the walk starts past
+    it."""
     cover = _denominator_cover(f)
     if min(cover, default=0) < 0:
         raise DomainError(
             f"pole at positive integer t={-min(cover)} hits the sum range"
         )
+    start = 1
+    while _numerator_zero_order(f, start) >= 3:
+        start += 1
+    yield from itertools.repeat((0, 1), start - 1)
     sn2, sd = 2 * f.scalar.numerator, f.scalar.denominator
-    for _, (p0, p1, p2), (d0, d1, d2) in _window_walk(f, -1, 3):
+    for _, (p0, p1, p2), (d0, d1, d2) in _window_walk(f, -start, 3):
         yield sn2 * (d0 * (p2 * d0 - p1 * d1 - p0 * d2) + p0 * d1 * d1), sd * d0**3
 
 

@@ -50,10 +50,9 @@ Every count is exact on the given rationals, arc ends included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BudgetError,
@@ -65,6 +64,7 @@ from .exact import decimal_str, fraction_str, log10_fraction
 from .fixedpoint import (
     MAX_COS_WORK_DIGITS,
     FixedReal,
+    SlottedValue,
     cos_pi_argument,
     decimal_to_fraction,
     e_fixed,
@@ -82,6 +82,10 @@ D_MAX = 10**6  # largest pi-rational denominator, and the residue-search cap
 RATIONAL_TOL = Fraction(1, 10**30)
 BOUNDARY_GUARD = Fraction(1, 10**25)  # shrink-to-reject margin at box edges
 KW_MAX_WALK = 10**8  # k_max of a walk over two or more axes
+# psi values held in one list: `subseq --count 10^6` takes 2.8-5.9 s and
+# 135 MB peak RSS in a fresh CLI process (one or two angle pairs, 2 vCPUs,
+# Python 3.11); both grow linearly, so 10^7 would take 30-60 s and 1.3 GB
+MAX_PSI_COUNT = 10**6
 
 _CONSTANTS: dict[str, Fraction] = {}
 
@@ -97,8 +101,7 @@ def named_constant(name: str) -> Fraction:
     return _CONSTANTS[name]
 
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(NamedTuple):
     """pi_mult * pi + addend, both exact rationals."""
 
     pi_mult: Fraction = Fraction(0)
@@ -196,8 +199,7 @@ def _parse_term(term: str, original: str) -> Angle:
         raise DomainError(f"cannot parse angle term {term!r} in {original!r}") from None
 
 
-@dataclass(frozen=True)
-class AnglePair:
+class AnglePair(NamedTuple):
     omega: Angle
     phi: Angle
 
@@ -330,24 +332,22 @@ def hypothesis_multi(pairs: Sequence[AnglePair]) -> bool:
 # -- plans ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusBox:
+class TorusBox(SlottedValue):
     """Product of arcs [center_i - eta, center_i + eta] on (R/Z)^s."""
 
-    center: tuple[Fraction, ...]
-    eta: Fraction
+    __slots__ = ("center", "eta")
 
-    def __post_init__(self):
-        if not (0 < self.eta < Fraction(1, 2)):
+    def __init__(self, center: tuple[Fraction, ...], eta: Fraction):
+        if not (0 < eta < Fraction(1, 2)):
             raise DomainError("box half-width must lie in (0, 1/2)")
+        self.center, self.eta = center, eta
 
     @property
     def dimension(self) -> int:
         return len(self.center)
 
 
-@dataclass(frozen=True)
-class SubsequencePlan:
+class SubsequencePlan(NamedTuple):
     """Everything needed to enumerate psi(n) = big_d * psi0(n) * d + a."""
 
     mode: str  # "rational" | "irrational_single" | "general"
@@ -383,8 +383,7 @@ def sqrt2_half_lower() -> Fraction:
     return sqrt_fixed(Fraction(1, 2), 50).to_fraction() - Fraction(2, 10**50)
 
 
-@dataclass(frozen=True)
-class RelationData:
+class RelationData(NamedTuple):
     """Caller-supplied rational dependencies omega_i/pi = r_{i,0} +
     sum_j r_{i,j} theta_j over a generator list theta_1..theta_s.
 
@@ -522,6 +521,8 @@ def build_plan_general(
                 f"relation data has {len(relations.rows)} rows but there are "
                 f"{len(irrational)} pi-irrational pairs"
             )
+        if not relations.generators:
+            raise DomainError("relation data needs at least one generator")
         theta = tuple(Fraction(t) for t in relations.generators)
         rows = []
         for row, original in zip(relations.rows, irrational):
@@ -605,6 +606,15 @@ def _orbit_hits(steps, moduli, lows, widths, limit):
             yield n
 
 
+def check_psi_count(count: int) -> None:
+    """DomainError for a count below 1, BudgetError for one above
+    MAX_PSI_COUNT; cheap enough to run before a plan is built."""
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    if count > MAX_PSI_COUNT:
+        raise BudgetError(f"count {count} exceeds the cap of {MAX_PSI_COUNT} psi values")
+
+
 def enumerate_psi(plan: SubsequencePlan, count: int) -> list[int]:
     """First `count` values of psi, strictly increasing.
 
@@ -616,8 +626,7 @@ def enumerate_psi(plan: SubsequencePlan, count: int) -> list[int]:
     shrink-to-reject guard.  The output is identical at every working
     precision.
     """
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    check_psi_count(count)
     if plan.mode == "rational":
         return [n * plan.d + plan.a for n in range(1, count + 1)]
     if plan.box is None or not plan.theta:
@@ -631,8 +640,7 @@ def enumerate_psi(plan: SubsequencePlan, count: int) -> list[int]:
     return [plan.big_d * n * plan.d + plan.a for n in hits]
 
 
-@dataclass(frozen=True)
-class PlanVerification:
+class PlanVerification(NamedTuple):
     count: int
     min_abs_cos: Fraction
     epsilon: Fraction
@@ -746,8 +754,7 @@ def verify_plan(
 # -- equidistribution counting -------------------------------------------
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     k_max: int
     hits: int
     empirical: float

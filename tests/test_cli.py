@@ -217,6 +217,29 @@ def test_density_two_axes_over_the_walk_cap_exit_4_unwalked(capsys, monkeypatch)
     assert json.loads(out)["error"]["kind"] == "budget"
 
 
+def test_subseq_count_over_the_cap_exit_4_before_the_plan(capsys, monkeypatch):
+    from zetaforms import cli, oscillation
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("built a plan past the count budget")
+
+    monkeypatch.setattr(cli, "build_plan_general", no_plan)
+    code, out = run(capsys, "subseq", "--omega", "sqrt2", "--phi", "0",
+                    "--count", str(oscillation.MAX_PSI_COUNT + 1))
+    assert code == EXIT_BUDGET
+    assert json.loads(out)["error"] == {
+        "kind": "budget",
+        "message": "count 1000001 exceeds the cap of 1000000 psi values",
+    }
+    # the library's enumeration keeps the same cap
+    plan = oscillation.build_plan_general([oscillation.AnglePair(
+        oscillation.parse_angle("1"), oscillation.parse_angle("0"))])
+    with pytest.raises(oscillation.BudgetError, match="exceeds the cap"):
+        oscillation.enumerate_psi(plan, oscillation.MAX_PSI_COUNT + 1)
+    with pytest.raises(oscillation.DomainError, match="count must be >= 1"):
+        oscillation.enumerate_psi(plan, 0)
+
+
 def test_density_malformed_box_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["density", "--theta", "sqrt2", "--box", "nonsense", "--kmax", "10"])
@@ -295,6 +318,20 @@ def test_bad_inputs_end_in_documented_exit_codes(capsys, tmp_path, argv, code, k
     assert got == code
     if kind is not None:
         assert json.loads(out)["error"]["kind"] == kind
+
+
+def test_subseq_relations_need_a_generator(capsys, tmp_path):
+    # r_0 alone matches omega/pi here, and the error names the relation
+    # data, not the plan's missing box
+    from zetaforms.oscillation import parse_angle
+
+    theta = parse_angle("sqrt2").over_pi()
+    path = tmp_path / "relations.json"
+    path.write_text(json.dumps({"generators": [], "rows": [[f"{theta}"]]}))
+    code, out = run(capsys, "subseq", "--omega", "sqrt2", "--phi", "0",
+                    "--relations", str(path))
+    assert code == EXIT_DOMAIN
+    assert json.loads(out)["error"]["message"] == "relation data needs at least one generator"
 
 
 def test_subseq_prints_theta_past_the_double_range(capsys, int_str_limit):

@@ -1,21 +1,26 @@
-"""CLI fuzz: every argv of `subseq`, `density` and `criterion` ends in a
-documented exit code, and every error exit prints a JSON error document.
+"""CLI fuzz: every argv of `subseq`, `density` and `criterion`, and every
+`subseq --relations` file, ends in a documented exit code, and every error
+exit prints a JSON error document.
 
 Runs in process on small sizes: `--count` up to 30, `--kmax` small or past
-the walk budget.  Pi-multiples keep denominators up to 6, since a
-pi-rational omega of denominator d costs one 60-digit cosine per residue
-in 1..d.
+the walk budget, at most two relation generators.  Pi-multiples keep
+denominators up to 6, since a pi-rational omega of denominator d costs one
+60-digit cosine per residue in 1..d.
 """
 
 import contextlib
 import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from zetaforms.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from zetaforms.exact import fraction_str
+from zetaforms.oscillation import parse_angle
 
 ERROR_KINDS = {EXIT_DOMAIN: "domain", EXIT_BUDGET: "budget", EXIT_INTERNAL: "internal"}
 
@@ -159,3 +164,65 @@ def test_density_fuzz(argv):
 @example(["criterion", "--zudilin", "--omega", "1e310", "--phi", "0"])
 def test_criterion_fuzz(argv):
     _check(argv)
+
+
+# --relations files.  A generator or row entry is mostly a literal string:
+# an ordinary or huge one, or omega/pi of sqrt2 or e at the 120-digit pin,
+# which makes rows such as ["0", "3"] against 3*sqrt2 consistent; now and
+# then it is a JSON value of another type.  Rows mostly have the s + 1
+# entries a relation needs, and generators repeat often.
+OMEGA_OVER_PI = [fraction_str(parse_angle(name).over_pi()) for name in ("sqrt2", "e")]
+relation_omegas = st.sampled_from(
+    ["sqrt2", "3*sqrt2", "e", "sqrt2+e", "sqrt2+1/3*pi", "1/4*pi", "1"])
+literals = st.one_of(
+    mantissas,
+    st.sampled_from(OMEGA_OVER_PI),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1e400", "-1e310", "9" * 20_001, "1" + "0" * 4400, "",
+                     "x", "1/0"]),
+)
+entries = mostly(literals, st.one_of(
+    st.integers(), st.floats(), st.none(), st.booleans(),
+    st.lists(st.integers(), max_size=2),
+))
+generator_lists = st.lists(entries, max_size=2)
+
+
+def _rows(generators):
+    width = len(generators) + 1
+    lengths = st.sampled_from([width] * 8 + [max(width - 1, 0), width + 1])
+    return st.lists(lengths.flatmap(
+        lambda n: st.lists(entries, min_size=n, max_size=n)), min_size=1, max_size=3)
+
+
+relation_docs = mostly(
+    generator_lists.flatmap(lambda g: _rows(g).map(
+        lambda rows: {"generators": g, "rows": rows})),
+    st.sampled_from([[], "x", 3, None, {"generators": []}, {"rows": []},
+                     {"generators": "1/2", "rows": []}]),
+)
+relation_runs = st.tuples(
+    st.lists(st.tuples(relation_omegas, st.sampled_from(["0", "1/5", "1/2*pi"])),
+             min_size=1, max_size=2),
+    relation_docs, counts,
+)
+
+
+@FUZZ
+@given(relation_runs)
+@example(([("sqrt2", "0"), ("3*sqrt2", "0")],
+          {"generators": [OMEGA_OVER_PI[0]], "rows": [["0", "1"], ["0", "3"]]}, "5"))
+# no generators, with r_0 alone matching omega/pi: exit 3 that names the
+# relation data, not the plan's missing box
+@example(([("sqrt2", "0")], {"generators": [], "rows": [[OMEGA_OVER_PI[0]]]}, "3"))
+# a repeated generator whose box misses the orbit's diagonal: exit 4 after
+# the orbit scan's 10^6-step budget
+@example(([("sqrt2", "0"), ("sqrt2", "1/2*pi")], {
+    "generators": OMEGA_OVER_PI[:1] * 2, "rows": [["0", "1", "0"], ["0", "0", "1"]]}, "5"))
+def test_relations_fuzz(run):
+    pairs, doc, count = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "relations.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        _check(["subseq", *_pair_flags(pairs), "--count", count,
+                "--relations", str(path)])

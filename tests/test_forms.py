@@ -40,6 +40,7 @@ from zetaforms.forms import (
     _int_series_div_linear,
     _second_derivative_at,
     _slide_window,
+    _window_walk,
 )
 from zetaforms.zeta import ZetaTable
 
@@ -364,12 +365,11 @@ def test_partial_fractions_of_ball_series_give_apery(n):
     assert -sum(c * harmonic(m, s) for (m, s), c in p.terms.items()) == -a
     assert reflection_check(p) == {"symmetric": True, "sign": -1}
     assert reconstruction_check(f, p)["ok"]
-    if n == 1:  # every a_{m,1} vanishes, so sum_over_k takes it
-        form = sum_over_k(p)
-        assert (form.ell0, form.coefficients) == (-a, {2: 0, 3: b, 4: 0})
-    else:  # order-1 terms are not summed termwise
-        with pytest.raises(DomainError, match="^divergent order 1 "):
-            sum_over_k(p)
+    # the order-1 terms sum to 0 (from n = 2 on they are nonzero), so
+    # sum_over_k telescopes them into the constant
+    form = sum_over_k(p)
+    assert (form.ell0, form.coefficients[3]) == (-a, b)
+    assert form.coefficients == {2: 0, 3: b, 4: 0}
 
 
 def test_window_division_is_exact_or_raises():
@@ -467,6 +467,22 @@ def test_sum_over_k_rejects_divergent():
     # a pole at t = 1 is reported as such even when its order is 1
     with pytest.raises(DomainError, match=r"^pole at positive integer t=1 "):
         sum_over_k(PartialFractionExpansion({(-1, 1): Fraction(1)}))
+    # order-1 terms whose coefficients do not sum to 0 diverge: the error
+    # names the first of them, even when a later one would cancel part
+    bad = {(3, 1): Fraction(2), (5, 1): Fraction(-1), (1, 2): Fraction(1)}
+    with pytest.raises(DomainError, match=r"^divergent order 1 at pole -3$"):
+        sum_over_k(PartialFractionExpansion(bad))
+
+
+def test_sum_over_k_telescopes_order_one():
+    # 1/(t+1) - 1/(t+3) summed over t >= 1 is 1/2 + 1/3 = H_3 - H_1, the
+    # constant -sum a_{m,1} H_m(1); an order-2 term keeps its zeta(2)
+    p = PartialFractionExpansion(
+        {(1, 1): Fraction(1), (3, 1): Fraction(-1), (2, 2): Fraction(4)}
+    )
+    form = sum_over_k(p)
+    assert form.coefficients == {2: Fraction(4)}
+    assert form.ell0 == Fraction(5, 6) - 4 * (1 + Fraction(1, 4))
 
 
 def per_term_sum_oracle(p):
@@ -691,6 +707,35 @@ def test_direct_sum_cutoff_follows_the_decay(monkeypatch):
     monkeypatch.setattr(forms, "_second_derivative_at", capped)
     f = FactoredRationalFunction((1, 0), (), (RisingBlock(1, 2, 1),))
     assert direct_sum(f, 10).to_decimal() == "0.2500000000"
+
+
+def full_walk_terms(f, count):
+    """Oracle: the first `count` (a, b) of the [u^2] formula on a
+    _window_walk that starts at k = 1 and skips nothing."""
+    sn2, sd = 2 * f.scalar.numerator, f.scalar.denominator
+    return [
+        (sn2 * (d0 * (p2 * d0 - p1 * d1 - p0 * d2) + p0 * d1 * d1), sd * d0**3)
+        for _, (p0, p1, p2), (d0, d1, d2) in islice(_window_walk(f, -1, 3), count)
+    ]
+
+
+def test_second_derivative_skips_only_exact_zeros():
+    # the leading k where the numerator vanishes to order >= 3 come out as
+    # (0, 1) without a window slide: 27n of them for Zudilin's forms, and 2
+    # for t (t-1)^3 (t-2)^3 (t-3)^2 over (t+1)_5^3, whose order drops to 2
+    # at t = 3
+    cases = [(build_zudilin(n), 27 * n) for n in (1, 2, 3)]
+    cases.append((FactoredRationalFunction(
+        (0, 1), (RisingBlock(-3, 3, 2), RisingBlock(-2, 2, 1)), (RisingBlock(1, 5, 3),)
+    ), 2))
+    for f, skipped in cases:
+        count = skipped + 30
+        full = full_walk_terms(f, count)
+        terms = list(islice(_second_derivative_at(f), count))
+        assert terms[:skipped] == [(0, 1)] * skipped
+        assert all(a == 0 for a, _ in full[:skipped])
+        assert terms[skipped:] == full[skipped:]
+        assert terms[skipped][0] != 0
 
 
 def test_second_derivative_terms_exact_zudilin(pipeline1, pipeline2):
