@@ -24,7 +24,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .criterion import GrowthData, oscillating_report, zudilin_constants
+from .criterion import ZUDILIN_COEFF_BITS, GrowthData, oscillating_report, zudilin_constants
 from .errors import (
     BudgetError,
     DomainError,
@@ -34,18 +34,14 @@ from .errors import (
 from .exact import log10_fraction
 from .fixedpoint import decimal_to_fraction
 from .forms import (
-    build_zudilin,
     check_form_budget,
-    check_zudilin_vanishing,
     common_denominator,
     direct_sum,
     evaluate_numeric,
-    partial_fractions,
     reconstruction_check,
     reflection_check,
     required_digits,
-    second_derivative,
-    sum_over_k,
+    zudilin_pipeline,
     DEFAULT_MAX_N,
     ZUDILIN_ZETA_ARGUMENTS,
 )
@@ -198,11 +194,7 @@ def cmd_form(args, parser) -> dict:
             f"--digits {digits} is below the required budget "
             f"{required_digits(n)} for n={n}"
         )
-    factored = build_zudilin(n)
-    expansion = partial_fractions(factored)
-    differentiated = second_derivative(expansion)
-    form = sum_over_k(differentiated, n)
-    check_zudilin_vanishing(form)
+    factored, expansion, form = zudilin_pipeline(n)
     table = ZetaTable(form.nonzero_arguments(), digits)
     value = evaluate_numeric(form, table)
     ds_digits = min(digits, 200)
@@ -210,13 +202,13 @@ def cmd_form(args, parser) -> dict:
     delta = abs(value.to_fraction() - direct.to_fraction())
     height = form.log2_height()
     checks = {
-        "vanishing_ok": True,  # check_zudilin_vanishing raised otherwise
+        "vanishing_ok": True,  # zudilin_pipeline raised otherwise
         "zero_coefficients": [s for s in sorted(form.coefficients)
                               if s not in ZUDILIN_ZETA_ARGUMENTS],
         "reconstruction": reconstruction_check(factored, expansion),
         "reflection": reflection_check(expansion),
         "log2_height_over_n": round(height / n, 6),
-        "coefficient_bits_reference": 513,
+        "coefficient_bits_reference": ZUDILIN_COEFF_BITS,
     }
     denominator, den_report = common_denominator(form)
     log10_abs = log10_fraction(value.to_fraction())

@@ -302,24 +302,20 @@ class ZetaLinearForm(NamedTuple):
             raise DomainError("the zero form (every coefficient 0) has no height")
         return max(map(log2_fraction, vals))
 
-    def to_json_dict(
-        self, checks: dict | None = None, *,
-        denominator: int | None = None, height: float | None = None,
-    ) -> dict:
-        """The JSON view; a caller that already holds the common denominator
-        or the log2 height passes it in."""
-        doc = {
+    def to_json_dict(self, checks: dict, denominator: int, height: float) -> dict:
+        """The JSON view, with the common denominator and the log2 height
+        the caller already holds."""
+        return {
             "n": self.n,
             "ell0": fraction_str(self.ell0),
             "coeffs": {
                 str(s): fraction_str(self.coefficients[s])
                 for s in sorted(self.coefficients)
             },
-            "denominator": str(denominator or common_denominator(self)[0]),
-            "log2_height": round(self.log2_height() if height is None else height, 6),
+            "denominator": str(denominator),
+            "log2_height": round(height, 6),
+            "checks": checks,
         }
-        doc["checks"] = checks if checks is not None else {}
-        return doc
 
 
 def sum_over_k(p: PartialFractionExpansion, n: int = 0) -> ZetaLinearForm:
@@ -358,8 +354,6 @@ DEFAULT_MAX_N = 2
 
 
 def check_form_budget(n: int, max_n: int = DEFAULT_MAX_N) -> None:
-    if n < 1:
-        raise DomainError(f"index must be >= 1, got {n}")
     if n > max_n:
         raise BudgetError(
             f"n={n} exceeds the configured cap {max_n}; pole count and "
@@ -377,16 +371,24 @@ def check_zudilin_vanishing(form: ZetaLinearForm) -> None:
             )
 
 
-def zudilin_linear_form(n: int, max_n: int = DEFAULT_MAX_N) -> ZetaLinearForm:
-    """The exact n-th linear form in 1, zeta(5), zeta(7), zeta(9), zeta(11).
-
-    Composes build -> partial fractions -> second derivative -> sum, then
-    asserts the vanishing pattern.
-    """
-    check_form_budget(n, max_n)
-    form = sum_over_k(second_derivative(partial_fractions(build_zudilin(n))), n)
+def zudilin_pipeline(
+    n: int,
+) -> tuple[FactoredRationalFunction, PartialFractionExpansion, ZetaLinearForm]:
+    """Zudilin's n-th factored function, its partial fractions and its exact
+    linear form (build -> partial fractions -> second derivative -> sum), with
+    the vanishing pattern asserted.  No index cap is checked here."""
+    factored = build_zudilin(n)
+    expansion = partial_fractions(factored)
+    form = sum_over_k(second_derivative(expansion), n)
     check_zudilin_vanishing(form)
-    return form
+    return factored, expansion, form
+
+
+def zudilin_linear_form(n: int, max_n: int = DEFAULT_MAX_N) -> ZetaLinearForm:
+    """The exact n-th linear form in 1, zeta(5), zeta(7), zeta(9), zeta(11),
+    for an n within the cap max_n."""
+    check_form_budget(n, max_n)
+    return zudilin_pipeline(n)[2]
 
 
 def required_digits(n: int) -> int:

@@ -377,10 +377,10 @@ class SubsequencePlan(NamedTuple):
         }
 
 
-def sqrt2_half_lower() -> Fraction:
-    """sqrt(2)/2 at 50 digits truncated downward (a safe lower bound for
-    the floor)."""
-    return sqrt_fixed(Fraction(1, 2), 50).to_fraction() - Fraction(2, 10**50)
+def _arc_floor(distance: Fraction) -> Fraction:
+    """A lower bound of |cos x| for every x at least distance * pi from
+    pi/2 mod pi: sin(pi distance) at COS_DIGITS, less 10^-40."""
+    return sin_pi_multiple(distance, COS_DIGITS).to_fraction() - Fraction(1, 10**40)
 
 
 class RelationData(NamedTuple):
@@ -470,7 +470,7 @@ def build_plan_general(
             mode="irrational_single",
             box=TorusBox((center,), Fraction(1, 4)),
             theta=(pair.omega.over_pi(),),
-            epsilon=sqrt2_half_lower(),
+            epsilon=_arc_floor(Fraction(1, 4)),
             lambda_predicted=Fraction(2),
         )
 
@@ -545,7 +545,7 @@ def build_plan_general(
     int_rows = [[int(big_d * r) for r in row[1:]] for row in rows]
     phases = [tp.phi.over_pi() for tp in transformed]
     box, margin = _box_search(int_rows, phases)
-    eps_irr = sin_pi_multiple(margin, COS_DIGITS).to_fraction() - Fraction(1, 10**40)
+    eps_irr = _arc_floor(margin)
     epsilon = eps_irr if rational_floor is None else min(eps_irr, rational_floor)
     s = box.dimension
     lam = Fraction(d * big_d) / (2 * box.eta) ** s
@@ -636,7 +636,9 @@ def enumerate_psi(plan: SubsequencePlan, count: int) -> list[int]:
     cap = 10 * int(plan.lambda_predicted + 1) * count + 10**6
     hits = list(islice(_orbit_hits(*_exact_axes(arcs), cap), count))
     if len(hits) < count:
-        raise BudgetError(f"orbit scan exceeded {cap} steps")
+        raise BudgetError(f"orbit scan exceeded {cap} steps with {len(hits)} of {count} "
+                          "hits; the box can miss the orbit when the pi-irrational "
+                          "omega_i/pi or the relation generators are rationally dependent")
     return [plan.big_d * n * plan.d + plan.a for n in hits]
 
 

@@ -1,23 +1,14 @@
 import pytest
 
-from zetaforms.forms import (
-    build_zudilin,
-    check_zudilin_vanishing,
-    partial_fractions,
-    second_derivative,
-    sum_over_k,
-)
+from zetaforms.forms import second_derivative, zudilin_pipeline
 from zetaforms.zeta import ZetaTable
 
 
 class Pipeline:
     def __init__(self, n):
         self.n = n
-        self.factored = build_zudilin(n)
-        self.expansion = partial_fractions(self.factored)
+        self.factored, self.expansion, self.form = zudilin_pipeline(n)
         self.differentiated = second_derivative(self.expansion)
-        self.form = sum_over_k(self.differentiated, n)
-        check_zudilin_vanishing(self.form)
 
 
 @pytest.fixture(scope="session")

@@ -334,6 +334,30 @@ def test_subseq_relations_need_a_generator(capsys, tmp_path):
     assert json.loads(out)["error"]["message"] == "relation data needs at least one generator"
 
 
+def test_orbit_scan_budget_names_the_cause(capsys, tmp_path):
+    # both omegas are sqrt2, so the orbit stays on a diagonal of the torus,
+    # and a box chosen as if the generators were independent misses it
+    from zetaforms.oscillation import parse_angle
+
+    theta = str(parse_angle("sqrt2").over_pi())
+    path = tmp_path / "relations.json"
+    path.write_text(json.dumps({"generators": [theta, theta],
+                                "rows": [["0", "1", "0"], ["0", "0", "1"]]}))
+    runs = [
+        (["--omega", "sqrt2", "--phi", "25/23", "--omega", "sqrt2", "--phi", "224/19",
+          "--count", "1"], 1),
+        (["--omega", "sqrt2", "--phi", "0", "--omega", "sqrt2", "--phi", "1/2*pi",
+          "--count", "5", "--relations", str(path)], 5),
+    ]
+    for flags, count in runs:
+        code, out = run(capsys, "subseq", *flags)
+        assert code == EXIT_BUDGET
+        message = json.loads(out)["error"]["message"]
+        assert message.startswith("orbit scan exceeded ")
+        assert f" steps with 0 of {count} hits; the box can miss the orbit " in message
+        assert message.endswith("relation generators are rationally dependent")
+
+
 def test_subseq_prints_theta_past_the_double_range(capsys, int_str_limit):
     code, out = run(capsys, "subseq", "--omega", "1e310", "--phi", "0", "--count", "3")
     assert code == EXIT_OK
@@ -438,19 +462,19 @@ def test_direct_sum_sees_partial_fractions(capsys, monkeypatch):
     # scale every partial-fraction coefficient by 1 + 10^-10: the form and
     # its value move by 10^-10 relative, the direct sum of the factored
     # function does not, and the two routes part
-    import zetaforms.cli as cli
+    import zetaforms.forms as forms
 
     code, out = run(capsys, "form", "--n", "1")
     assert code == EXIT_OK
     clean = json.loads(out)["numeric"]
-    exact = cli.partial_fractions
+    exact = forms.partial_fractions
 
     def scaled(f):
         p = exact(f)
         factor = 1 + Fraction(1, 10**10)
         return type(p)({key: a * factor for key, a in p.terms.items()})
 
-    monkeypatch.setattr(cli, "partial_fractions", scaled)
+    monkeypatch.setattr(forms, "partial_fractions", scaled)
     code, out = run(capsys, "form", "--n", "1")
     assert code == EXIT_OK
     mutated = json.loads(out)["numeric"]

@@ -34,6 +34,7 @@ from zetaforms.forms import (
     second_derivative,
     sum_over_k,
     zudilin_linear_form,
+    zudilin_pipeline,
 )
 from zetaforms.fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
 from zetaforms.forms import (
@@ -536,15 +537,20 @@ def test_zudilin_form_structure_n2(pipeline2):
         assert form.coefficients[s] == 0
 
 
-def test_zudilin_linear_form_is_the_pipeline_form(pipeline1, pipeline2):
-    for pipe in (pipeline1, pipeline2):
-        assert zudilin_linear_form(pipe.n) == pipe.form
+def test_zudilin_linear_form_is_the_pipeline_form():
+    # the reference: the four stages composed by hand
+    for n in (1, 2):
+        factored = build_zudilin(n)
+        expansion = partial_fractions(factored)
+        form = sum_over_k(second_derivative(expansion), n)
+        assert zudilin_pipeline(n) == (factored, expansion, form)
+        assert zudilin_linear_form(n) == form
 
 
 def test_budget_cap():
     with pytest.raises(BudgetError):
         zudilin_linear_form(3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="index must be >= 1, got 0"):
         zudilin_linear_form(0)
 
 
@@ -799,13 +805,16 @@ def test_zero_form_has_no_height():
     zero = sum_over_k(PartialFractionExpansion({}))
     with pytest.raises(DomainError, match="zero form"):
         zero.log2_height()
-    with pytest.raises(DomainError, match="zero form"):
-        zero.to_json_dict()
 
 
 def test_json_document_shape(pipeline1):
-    doc = pipeline1.form.to_json_dict({"vanishing_ok": True})
+    form = pipeline1.form
+    d, height = common_denominator(form)[0], form.log2_height()
+    doc = form.to_json_dict({"vanishing_ok": True}, d, height)
     assert list(doc) == ["n", "ell0", "coeffs", "denominator", "log2_height", "checks"]
+    assert doc["denominator"] == str(d)
+    assert doc["log2_height"] == round(height, 6)
+    assert doc["checks"] == {"vanishing_ok": True}
     assert doc["coeffs"]["3"] == "0"
     assert doc["coeffs"]["5"].lstrip("-").split("/")[0].isdigit()
     assert fraction_str(Fraction(-3, 7)) == "-3/7"

@@ -7,7 +7,11 @@ src/zetaforms that keeps it.
 
 Likewise every module-level constant (each non-dunder name a module-level
 assignment binds) is read somewhere in src/zetaforms, except the names in
-`UNREAD_CONSTANTS`, each with the file outside src/zetaforms that reads it."""
+`UNREAD_CONSTANTS`, each with the file outside src/zetaforms that reads it.
+
+The stages of Zudilin's forms are composed once, in
+`forms.zudilin_pipeline`: cli.py names none of `PIPELINE_STAGES`, not even
+in an import."""
 
 import ast
 from collections import Counter
@@ -24,6 +28,8 @@ OUTSIDE_CALLERS = {
     "hypothesis_multi": ("bench/tracer.py", "wraps it as the oscillation.hypothesis span"),
     "harmonic_power_sum": ("bench/tracer.py", "wraps it as the exact.harmonic_power_sum span"),
 }
+PIPELINE_STAGES = {"build_zudilin", "partial_fractions", "second_derivative",
+                   "sum_over_k", "check_zudilin_vanishing"}
 UNREAD_CONSTANTS = {
     "EXIT_USAGE": ("tests/test_cli.py", "argparse exits 2 itself on a usage error; "
                    "the tests compare against it"),
@@ -99,3 +105,14 @@ def test_every_constant_is_read():
 def test_outside_callers_still_call():
     for name, (path, _) in {**OUTSIDE_CALLERS, **UNREAD_CONSTANTS}.items():
         assert name in (ROOT / path).read_text(encoding="utf-8"), (name, path)
+
+
+def test_cli_composes_no_pipeline_stage():
+    cli = Path(zetaforms.__file__).parent / "cli.py"
+    tree = ast.parse(cli.read_text(encoding="utf-8"))
+    imported = {
+        name for node in ast.walk(tree) if isinstance(node, ast.alias)
+        for name in (node.name.rpartition(".")[2], node.asname)
+    }
+    named = (set(_references(tree)) | imported) & PIPELINE_STAGES
+    assert named == set(), "cli.py composes the stages itself: " + ", ".join(sorted(named))
