@@ -65,6 +65,10 @@ EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
+# --digits of form: the zeta table costs about digits^2.8, and form --n 1 at
+# the cap runs about a minute on 2 vCPUs
+MAX_FORM_DIGITS = 8000
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -189,6 +193,8 @@ def cmd_form(args, parser) -> dict:
     n = args.n
     check_form_budget(n, args.max_n)
     digits = args.digits or required_digits(n) + 90
+    if digits > MAX_FORM_DIGITS:
+        raise BudgetError(f"--digits {digits} exceeds the cap {MAX_FORM_DIGITS}")
     if digits < required_digits(n):
         raise BudgetError(
             f"--digits {digits} is below the required budget "

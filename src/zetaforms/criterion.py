@@ -62,9 +62,19 @@ class GrowthData(SlottedValue):
     @classmethod
     def from_constants(cls, c0: float, c1: float, bits: int) -> "GrowthData":
         """alpha = e^(c1 - c0), beta = e^c1 * 2^bits."""
+        for name, value in (("c0", c0), ("c1", c1)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not c0 > c1:
             raise DomainError("decay rate must exceed denominator growth rate")
-        return cls(c1 - c0, c1 + bits * math.log(2.0))
+        try:
+            log_beta = c1 + bits * math.log(2.0)
+        except OverflowError:
+            raise DomainError(
+                f"log beta = c1 + bits log 2 is not finite: bits has "
+                f"{bits.bit_length()} binary digits"
+            ) from None
+        return cls(c1 - c0, log_beta)
 
 
 def dimension_bound(g: GrowthData) -> float:

@@ -13,6 +13,7 @@ from zetaforms.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_FORM_DIGITS,
     main,
 )
 from zetaforms.oscillation import KW_MAX_WALK
@@ -444,6 +445,39 @@ def test_budget_exit(capsys):
     code, out = run(capsys, "form", "--n", "7")
     assert code == EXIT_BUDGET
     assert json.loads(out)["error"]["kind"] == "budget"
+
+
+def test_form_digits_cap(capsys, monkeypatch):
+    # checked before the pipeline runs: a digit count past the cap, or a
+    # 400-digit one whose 10**work could never be built, exits 4 at once
+    import zetaforms.cli as cli
+
+    def unreachable(n):
+        raise AssertionError("ran the pipeline past the digits cap")
+
+    monkeypatch.setattr(cli, "zudilin_pipeline", unreachable)
+    for digits in (str(MAX_FORM_DIGITS + 1), "9" * 400):
+        code, out = run(capsys, "form", "--n", "1", "--digits", digits)
+        assert code == EXIT_BUDGET
+        assert json.loads(out)["error"] == {
+            "kind": "budget",
+            "message": f"--digits {digits} exceeds the cap {MAX_FORM_DIGITS}",
+        }
+
+
+def test_criterion_constants_name_the_non_finite_input(capsys):
+    # a nan rate is named, not reported as a decay slower than the growth,
+    # and a --bits past the double range is an error document, not an
+    # OverflowError traceback
+    for flags, message in (
+        (["--c0", "nan", "--c1", "1", "--bits", "513"], "c0 must be finite, got nan"),
+        (["--c0", "2", "--c1", "nan", "--bits", "513"], "c1 must be finite, got nan"),
+        (["--c0", "2", "--c1", "1", "--bits", "1" + "0" * 399],
+         "log beta = c1 + bits log 2 is not finite: bits has 1326 binary digits"),
+    ):
+        code, out = run(capsys, "criterion", *flags)
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"] == {"kind": "domain", "message": message}
 
 
 def test_form_command_full(capsys):

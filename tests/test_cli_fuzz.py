@@ -1,11 +1,12 @@
-"""CLI fuzz: every argv of `subseq`, `density` and `criterion`, and every
-`subseq --relations` file, ends in a documented exit code, and every error
-exit prints a JSON error document.
+"""CLI fuzz: every argv of `form`, `subseq`, `density` and `criterion`, and
+every `subseq --relations` file, ends in a documented exit code, and every
+error exit prints a JSON error document.
 
 Runs in process on small sizes: `--count` up to 30, `--kmax` small or past
-the walk budget, at most two relation generators.  Pi-multiples keep
-denominators up to 6, since a pi-rational omega of denominator d costs one
-60-digit cosine per residue in 1..d.
+the walk budget, at most two relation generators, and `form` past its caps
+or at n = 1 with the default digits.  Pi-multiples keep denominators up to
+6, since a pi-rational omega of denominator d costs one 60-digit cosine per
+residue in 1..d.
 """
 
 import contextlib
@@ -18,7 +19,15 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from zetaforms.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from zetaforms.cli import (
+    EXIT_BUDGET,
+    EXIT_DOMAIN,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_FORM_DIGITS,
+    main,
+)
 from zetaforms.exact import fraction_str
 from zetaforms.oscillation import parse_angle
 
@@ -88,6 +97,7 @@ density_argv = st.integers(1, 2).flatmap(lambda axes: st.builds(
     st.lists(angles, min_size=axes, max_size=axes),
     st.lists(intervals, min_size=axes, max_size=axes), kmaxes, formats,
 ))
+HUGE_BITS = "1" + "0" * 399  # past the double range
 growth_flags = st.one_of(
     st.just(["--zudilin"]),
     st.builds(lambda a, b: ["--alpha", a, "--beta", b],
@@ -96,12 +106,32 @@ growth_flags = st.one_of(
     st.builds(lambda c0, c1, bits: ["--c0", c0, "--c1", c1, "--bits", bits],
               st.sampled_from(["1", "300", "1e308", "nan", "-inf"]),
               st.sampled_from(["1", "300", "1e308", "nan"]),
-              st.sampled_from(["1", "513", "-3", "10000000000"])),
+              st.sampled_from(["1", "513", "-3", "10000000000", HUGE_BITS])),
 )
 criterion_argv = st.builds(
     lambda growth, pairs, fmt: ["criterion", *growth, *_pair_flags(pairs), *fmt],
     growth_flags, st.lists(st.tuples(angles, angles), max_size=2), formats,
 )
+
+
+# form: every draw exits 2, 3 or 4 before any work, or runs n = 1 with the
+# default digits.  An n of 2 or more is past its --max-n, and --digits is
+# below n = 1's budget of 314, past the cap, a huge literal or malformed
+form_index = st.sampled_from([
+    ["--n", "1"], ["--n", "1", "--max-n", "3"], ["--n", "2", "--max-n", "1"],
+    ["--n", "3"], ["--n", "7", "--max-n", "5"], ["--n", "0"], ["--n", "x"],
+    ["--n", "1", "--max-n", "0"],
+])
+form_digits = st.one_of(
+    st.just([]),
+    st.one_of(
+        st.integers(10, 313).map(str),
+        st.integers(MAX_FORM_DIGITS + 1, 10**12).map(str),
+        st.sampled_from(["9" * 400, "1" + "0" * 5000, "9", "-3", "1e5", "x", ""]),
+    ).map(lambda digits: ["--digits", digits]),
+)
+form_argv = st.builds(lambda index, digits, fmt: ["form", *index, *digits, *fmt],
+                      form_index, form_digits, formats)
 
 
 def _run(argv):
@@ -141,6 +171,15 @@ FUZZ = settings(max_examples=40, deadline=None,
 
 
 @FUZZ
+@given(form_argv)
+@example(["form", "--n", "1", "--format", "csv"])
+@example(["form", "--n", "1", "--digits", "9" * 400])
+@example(["form", "--n", "2", "--max-n", "1", "--digits", str(MAX_FORM_DIGITS + 1)])
+def test_form_fuzz(argv):
+    _check(argv)
+
+
+@FUZZ
 @given(subseq_argv)
 @example(["subseq", "--omega", "1e310", "--phi", "0", "--count", "3"])
 @example(["subseq", "--omega", "1e3960", "--phi", "0"])
@@ -162,6 +201,7 @@ def test_density_fuzz(argv):
 @FUZZ
 @given(criterion_argv)
 @example(["criterion", "--zudilin", "--omega", "1e310", "--phi", "0"])
+@example(["criterion", "--c0", "2", "--c1", "1", "--bits", HUGE_BITS])
 def test_criterion_fuzz(argv):
     _check(argv)
 

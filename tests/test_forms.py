@@ -38,9 +38,10 @@ from zetaforms.forms import (
 )
 from zetaforms.fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
 from zetaforms.forms import (
-    _int_series_div_linear,
+    _rounded_term,
     _second_derivative_at,
     _slide_window,
+    _window_product,
     _window_walk,
 )
 from zetaforms.zeta import ZetaTable
@@ -381,19 +382,59 @@ def test_window_division_is_exact_or_raises():
     series = [6, 5, 1]
     assert _slide_window(series, block, 0) == 0
     assert series == [12, 7, 1]  # (3 + u)(4 + u)
-    corrupt = [7, 5, 1]  # 7 is not divisible by 2
-    with pytest.raises(InternalCheckError):
-        _slide_window(corrupt, block, 0)
+    # a corrupted series raises, whichever order carries the fault: 7 is
+    # not divisible by 2, and 6 + 5u + 2u^2 leaves u^2 / (2 + u) at order 2
+    for corrupt in ([7, 5, 1], [6, 5, 2]):
+        with pytest.raises(InternalCheckError, match="not divisible"):
+            _slide_window(corrupt, block, 0)
+    # with two outgoing factors the one division is by their product: a
+    # series missing either factor raises
+    pair = (RisingBlock(2, 2, 1), RisingBlock(5, 1, 2))
+    series, zeros = _window_product(pair, 0, 3)  # (2 + u)(3 + u)(5 + u)^2
+    assert (series, zeros) == ([150, 185, 81], 0)
+    for corrupt in ([150 + 25, 185, 81], [150, 185 + 2, 81], [150, 185, 81 + 5]):
+        with pytest.raises(InternalCheckError, match="not divisible"):
+            _slide_window(corrupt, pair, 0)
+    assert _slide_window(series, pair, 0) == 0
+    assert series == _window_product(pair, -1, 3)[0]  # (3 + u)(4 + u)(6 + u)^2
     # RisingBlock(0, 2, 1) at t = u is u (1 + u), the zero factor counted
     # apart; sliding down to m = -1 (t = u + 1) drops it for (2 + u)
     series = [1, 1, 0]
     assert _slide_window(series, (RisingBlock(0, 2, 1),), 0) == -1
     assert series == [2, 3, 1]  # (1 + u)(2 + u)
-    truncated = [-2, 1]  # (-1 + u)(2 + u) to order 1
-    _int_series_div_linear(truncated, -1)
-    assert truncated == [2, 1]
+    # (-1 + u)(2 + u) to order 1 divides by a negative constant exactly,
+    # and the incoming 0 of RisingBlock(-1, 1, 1) is counted apart
+    blocks = (RisingBlock(-1, 1, 1), RisingBlock(2, 1, 1))
+    truncated = [-2, 1]
+    assert _slide_window(truncated, blocks, 0) == 1
+    assert truncated == [3, 1]  # 1 / 1 times (3 + u)
     with pytest.raises(InternalCheckError):
-        _int_series_div_linear([3, 1], -2)  # divmod would floor to -2
+        # 3 / (-2 + u): divmod floors 3 / -2 to -2 and leaves a remainder
+        _slide_window([3, 1], (RisingBlock(-2, 1, 1),), 0)
+
+
+@st.composite
+def slide_cases(draw):
+    """Blocks whose windows cross zero (negative and zero constants),
+    powers up to 3, a series size of 1, 3 or 10 and a top m."""
+    blocks = draw(st.lists(
+        st.builds(RisingBlock, st.integers(-6, 6), st.integers(1, 5), st.integers(1, 3)),
+        min_size=1, max_size=4,
+    ))
+    return tuple(blocks), draw(st.sampled_from([1, 3, 10])), draw(st.integers(-6, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(slide_cases())
+@example(((RisingBlock(0, 3, 2), RisingBlock(-2, 1, 3)), 10, 2))
+def test_slide_matches_rebuilt_window(case):
+    # every m from the top down past every window: the slid series and the
+    # zero count equal _window_product rebuilt from scratch at that m
+    blocks, size, top = case
+    series, zeros = _window_product(blocks, top, size)
+    for m in range(top, top - 16, -1):
+        zeros += _slide_window(series, blocks, m)
+        assert (series, zeros) == _window_product(blocks, m - 1, size), m
 
 
 def test_partial_fractions_rejects_improper():
@@ -725,11 +766,20 @@ def full_walk_terms(f, count):
     ]
 
 
+def second_derivative_value(f, p, d):
+    """Oracle: 2 scalar [u^2] p/d by exact series division in Fractions,
+    c_k = (p_k - sum_{i=1..k} d_i c_(k-i)) / d_0."""
+    c0 = Fraction(p[0], d[0])
+    c1 = (p[1] - d[1] * c0) / d[0]
+    c2 = (p[2] - d[1] * c1 - d[2] * c0) / d[0]
+    return 2 * f.scalar * c2
+
+
 def test_second_derivative_skips_only_exact_zeros():
     # the leading k where the numerator vanishes to order >= 3 come out as
-    # (0, 1) without a window slide: 27n of them for Zudilin's forms, and 2
-    # for t (t-1)^3 (t-2)^3 (t-3)^2 over (t+1)_5^3, whose order drops to 2
-    # at t = 3
+    # p = 0, d = 1 without a window slide: 27n of them for Zudilin's forms,
+    # and 2 for t (t-1)^3 (t-2)^3 (t-3)^2 over (t+1)_5^3, whose order drops
+    # to 2 at t = 3; past them come the series of the full walk
     cases = [(build_zudilin(n), 27 * n) for n in (1, 2, 3)]
     cases.append((FactoredRationalFunction(
         (0, 1), (RisingBlock(-3, 3, 2), RisingBlock(-2, 2, 1)), (RisingBlock(1, 5, 3),)
@@ -737,18 +787,19 @@ def test_second_derivative_skips_only_exact_zeros():
     for f, skipped in cases:
         count = skipped + 30
         full = full_walk_terms(f, count)
-        terms = list(islice(_second_derivative_at(f), count))
-        assert terms[:skipped] == [(0, 1)] * skipped
+        walk = [(tuple(p), tuple(d)) for _, p, d in islice(_window_walk(f, -1, 3), count)]
+        series = [(tuple(p), d) for p, d in islice(_second_derivative_at(f), count)]
+        assert series[:skipped] == [((0, 0, 0), (1, 0, 0))] * skipped
         assert all(a == 0 for a, _ in full[:skipped])
-        assert terms[skipped:] == full[skipped:]
-        assert terms[skipped][0] != 0
+        assert series[skipped:] == walk[skipped:]
+        assert full[skipped][0] != 0
 
 
 def test_second_derivative_terms_exact_zudilin(pipeline1, pipeline2):
     for pipe in (pipeline1, pipeline2):
-        n = pipe.n
-        terms = [Fraction(a, b) for a, b in islice(
-            _second_derivative_at(pipe.factored), 140 * n
+        n, f = pipe.n, pipe.factored
+        terms = [second_derivative_value(f, p, d) for p, d in islice(
+            _second_derivative_at(f), 140 * n
         )]
         assert terms[: 27 * n] == [0] * (27 * n)  # triple zeros at t = 1..27n
         for k in (1, 27 * n, 27 * n + 1, 35 * n, 140 * n):
@@ -759,12 +810,84 @@ def test_second_derivative_terms_exact_zudilin(pipeline1, pipeline2):
 @settings(max_examples=60, deadline=None)
 @given(edge_case_functions(min_shift=0))
 def test_second_derivative_terms_exact(f):
-    # every pole at t <= 0, so t = 1..10 are regular points
+    # every pole at t <= 0, so t = 1..10 are regular points; each term,
+    # scaled by 1 or 10^30, is rounded to the nearest integer of its value
     assume(f.is_proper)
     d = second_derivative(partial_fractions(f))
     terms = islice(_second_derivative_at(f), 10)
-    for k, (a, b) in enumerate(terms, 1):
-        assert Fraction(a, b) == d.evaluate(k), k
+    sn, sd = f.scalar.numerator, f.scalar.denominator
+    for k, (p, den) in enumerate(terms, 1):
+        value = second_derivative_value(f, p, den)
+        assert value == d.evaluate(k), k
+        for scale in (1, 10**30):
+            want = value * scale
+            assert _rounded_term(p, den, 2 * sn * scale, sd) == _div_nearest(
+                want.numerator, want.denominator
+            ), (k, scale)
+
+
+def recorded_terms(monkeypatch, f, digits):
+    """direct_sum(f, digits) with every term and every exact fallback
+    recorded: (value, terms, fallbacks)."""
+    import zetaforms.forms as forms
+
+    rounded, exact = forms._rounded_term, forms._exact_term
+    terms, fallbacks = [], []
+
+    def recording(*args):
+        terms.append(rounded(*args))
+        return terms[-1]
+
+    def fallback(*args):
+        fallbacks.append(exact(*args))
+        return fallbacks[-1]
+
+    monkeypatch.setattr(forms, "_rounded_term", recording)
+    monkeypatch.setattr(forms, "_exact_term", fallback)
+    return direct_sum(f, digits), terms, fallbacks
+
+
+def test_direct_sum_terms_are_the_nearest_integers(monkeypatch):
+    # every term up to the cutoff is _div_nearest(a scale, b) of the exact
+    # [u^2] rational, and the screen decides every one of them: no term of
+    # n = 1, 2, 3 at 200 digits takes the exact fallback
+    scale = 10 ** (200 + GUARD_DIGITS + 5)
+    for n in (1, 2, 3):
+        f = build_zudilin(n)
+        _, terms, fallbacks = recorded_terms(monkeypatch, f, 200)
+        want = [_div_nearest(a * scale, b) for a, b in full_walk_terms(f, len(terms))]
+        assert terms == want, n
+        assert fallbacks == [], n
+        monkeypatch.undo()
+
+
+def test_rounded_term_falls_back_at_an_exact_tie(monkeypatch):
+    # num [u^2] p/d / den = 2 (1/2) / 2 = 1/2 exactly: the screen's interval
+    # straddles the tie, so the exact route rounds it away from zero
+    import zetaforms.forms as forms
+
+    exact, calls = forms._exact_term, []
+    monkeypatch.setattr(forms, "_exact_term", lambda *args: calls.append(args) or exact(*args))
+    assert _rounded_term((0, 0, 1), (2, 0, 0), 2, 2) == 1
+    assert _rounded_term((0, 0, 1), (2, 0, 0), -2, 2) == -1
+    assert _rounded_term((0, 0, -1), (2, 0, 0), 2, 2) == -1
+    assert len(calls) == 3
+    # 1/2 + 1/2^10 is near the tie, but 16 margin bits decide it
+    assert _rounded_term((0, 0, 2**9 + 1), (2**10, 0, 0), 2, 2) == 1
+    assert len(calls) == 3
+
+
+def test_direct_sum_is_exact_when_every_term_falls_back(monkeypatch):
+    # a margin of -20 bits leaves every screen undecided: every term of
+    # n = 1 takes the exact route, and the sum keeps every digit
+    import zetaforms.forms as forms
+
+    f = build_zudilin(1)
+    screened = direct_sum(f, 200)
+    monkeypatch.setattr(forms, "SCREEN_MARGIN_BITS", -20)
+    value, terms, fallbacks = recorded_terms(monkeypatch, f, 200)
+    assert value.to_decimal() == screened.to_decimal()
+    assert fallbacks == terms and len(terms) > 27
 
 
 def test_second_derivative_terms_reject_positive_pole():
