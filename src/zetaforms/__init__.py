@@ -12,7 +12,7 @@ from .errors import (
     UndecidableAtPrecision,
     ZetaformsError,
 )
-from .exact import harmonic_power_sum, pochhammer
+from .exact import harmonic_power_sum
 from .fixedpoint import FixedReal, e_fixed, pi_fixed, sqrt_fixed
 from .zeta import ZetaTable, bernoulli
 from .forms import (

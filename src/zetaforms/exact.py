@@ -1,7 +1,6 @@
-"""Exact rational building blocks: rising factorials, harmonic power sums,
-logarithms of huge rationals and the p/q and decimal text of the JSON output
-(factorials and least common multiples are `math.factorial` and
-`math.lcm`).
+"""Exact rational building blocks: harmonic power sums, logarithms of huge
+rationals and the p/q and decimal text of the JSON output (factorials and
+least common multiples are `math.factorial` and `math.lcm`).
 
 Rationals are `fractions.Fraction` throughout (always stored reduced, exact,
 unbounded).
@@ -11,22 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 from .errors import DomainError
-
-Rational = Union[int, Fraction]
-
-
-def pochhammer(a: Rational, p: int) -> Fraction:
-    """Rising factorial a (a+1) ... (a+p-1); empty product for p = 0."""
-    if p < 0:
-        raise DomainError(f"pochhammer length must be >= 0, got {p}")
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(p):
-        out *= a + i
-    return out
 
 
 def harmonic_power_sum(m: int, s: int) -> Fraction:

@@ -6,6 +6,10 @@ it exactly into partial fractions, shift orders for the second derivative,
 and sum over positive integer arguments using sum_{k>=1} (k+m)^(-s) =
 zeta(s) - H_m(s).
 
+A block list is read as its linear factors t + c, listed once by
+_linear_factors for the pole cover, the window series, the leading exact
+zeros of R'' and evaluate, which multiplies the integers P + cQ at t = P/Q.
+
 Two walks read the factored function through one helper, _window_walk:
 its numerator and denominator at t = u - m as truncated integer series,
 built once and walked down in m.  From m to m - 1 each block's window of
@@ -30,11 +34,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BudgetError, DomainError, InternalCheckError
-from .exact import fraction_str, log2_fraction, pochhammer
+from .exact import fraction_str, log2_fraction
 from .fixedpoint import GUARD_DIGITS, FixedReal, SlottedValue, _div_nearest
 from .zeta import ZetaTable
 
@@ -83,18 +88,19 @@ class FactoredRationalFunction(NamedTuple):
         return self.numerator_degree < self.denominator_degree
 
     def evaluate(self, t: Fraction) -> Fraction:
-        """Exact value at a rational point away from the poles."""
+        """Exact value at a rational point t = P/Q away from the poles, from
+        the integers P + cQ = Q (t + c) of its linear factors."""
         t = Fraction(t)
+        big_p, big_q = t.as_integer_ratio()
         c0, c1 = self.prefactor
-        num = self.scalar * (c0 + c1 * t)
-        for b in self.numerator:
-            num *= pochhammer(t + b.shift, b.length) ** b.power
-        den = Fraction(1)
-        for b in self.denominator:
-            den *= pochhammer(t + b.shift, b.length) ** b.power
+        top, bottom = _linear_factors(self.numerator), _linear_factors(self.denominator)
+        num = (c0 * big_q + c1 * big_p) * math.prod(big_p + c * big_q for c in top)
+        den = math.prod(big_p + c * big_q for c in bottom)
         if den == 0:
             raise DomainError(f"evaluation at pole t={t}")
-        return num / den
+        excess = len(bottom) - len(top) - 1  # the powers of Q left over
+        return Fraction(self.scalar.numerator * num * big_q ** max(excess, 0),
+                        self.scalar.denominator * den * big_q ** max(-excess, 0))
 
 
 def build_zudilin(n: int) -> FactoredRationalFunction:
@@ -122,13 +128,16 @@ def build_zudilin(n: int) -> FactoredRationalFunction:
     return FactoredRationalFunction((37 * n, 2), numerator, denominator, scalar)
 
 
+def _linear_factors(blocks: tuple[RisingBlock, ...]) -> list[int]:
+    """The constant c of every linear factor t + c of the blocks, block by
+    block, each repeated `power` times."""
+    return [c for b in blocks for c in range(b.shift, b.shift + b.length)
+            for _ in range(b.power)]
+
+
 def _denominator_cover(f: FactoredRationalFunction) -> dict[int, int]:
     """m -> how many denominator factors vanish at t = -m (with powers)."""
-    cover: dict[int, int] = {}
-    for b in f.denominator:
-        for m in range(b.shift, b.shift + b.length):
-            cover[m] = cover.get(m, 0) + b.power
-    return cover
+    return Counter(_linear_factors(f.denominator))
 
 
 class PartialFractionExpansion(NamedTuple):
@@ -164,12 +173,7 @@ def _window_product(
     constants c = shift - m ... shift - m + length - 1.  Returns the
     product of the factors with c != 0 as an integer series truncated to
     `size` terms, and the number of factors with c = 0 (powers counted)."""
-    constants = [
-        c
-        for b in blocks
-        for c in range(b.shift - m, b.shift - m + b.length)
-        for _ in range(b.power)
-    ]
+    constants = [c - m for c in _linear_factors(blocks)]
     return _linear_product(constants, size), constants.count(0)
 
 
@@ -436,13 +440,6 @@ def evaluate_numeric(form: ZetaLinearForm, table: ZetaTable) -> FixedReal:
     return FixedReal(acc, digits).rescale(out_digits)
 
 
-def _numerator_zero_order(f: FactoredRationalFunction, t: int) -> int:
-    """How many numerator factors of f (powers counted) vanish at t."""
-    c0, c1 = f.prefactor
-    order = int(c1 != 0 and c0 + c1 * t == 0)
-    return order + sum(b.power for b in f.numerator if b.shift <= -t < b.shift + b.length)
-
-
 def _second_derivative_at(f: FactoredRationalFunction):
     """Yield (p, d) for k = 1, 2, ...: R(k + u) = scalar * p(u) / d(u) +
     O(u^3) for R = f, with p = (p0, p1, p2), d = (d0, d1, d2) integers and
@@ -462,8 +459,12 @@ def _second_derivative_at(f: FactoredRationalFunction):
         raise DomainError(
             f"pole at positive integer t={-min(cover)} hits the sum range"
         )
+    roots = Counter(-c for c in _linear_factors(f.numerator))
+    c0, c1 = f.prefactor
+    if c1 and c0 % c1 == 0:
+        roots[-c0 // c1] += 1
     start = 1
-    while _numerator_zero_order(f, start) >= 3:
+    while roots[start] >= 3:
         start += 1
     yield from itertools.repeat(((0, 0, 0), (1, 0, 0)), start - 1)
     for _, p, d in _window_walk(f, -start, 3):

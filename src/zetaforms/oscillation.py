@@ -396,6 +396,10 @@ class RelationData(NamedTuple):
 
 
 ETA_GRID = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 32))
+# centers one torus-box search may try over its whole grid (8^s + 16^s +
+# 32^s + 64^s for s generators): 33-79 us each, so 40-80 s at the cap
+# (2 vCPUs, Python 3.11)
+BOX_MAX_CENTERS = 10**6
 
 
 def _box_search(
@@ -410,6 +414,7 @@ def _box_search(
     """
     s = len(int_rows[0])
     weights = [sum(abs(v) for v in row) for row in int_rows]
+    budget = BOX_MAX_CENTERS
     for eta in ETA_GRID:
         grid = 2 * math.ceil(1 / eta)
         margin = eta / 2
@@ -422,6 +427,11 @@ def _box_search(
             return True
 
         for index in range(grid**s):
+            budget -= 1
+            if budget < 0:
+                raise BudgetError(
+                    f"torus box search tried {BOX_MAX_CENTERS} centers without "
+                    f"an admissible one ({s} generators, eta = {eta})")
             center = []
             rest = index
             for _ in range(s):
@@ -633,7 +643,8 @@ def enumerate_psi(plan: SubsequencePlan, count: int) -> list[int]:
         raise DomainError("irrational-mode plan lacks its box or generators")
     half = plan.box.eta - BOUNDARY_GUARD
     arcs = [(t, c - half, 2 * half) for t, c in zip(plan.theta, plan.box.center)]
-    cap = 10 * int(plan.lambda_predicted + 1) * count + 10**6
+    # lambda / (d big_d) = 1 / box measure: the orbit steps per hit
+    cap = 10 * int(plan.lambda_predicted / (plan.d * plan.big_d) + 1) * count + 10**6
     hits = list(islice(_orbit_hits(*_exact_axes(arcs), cap), count))
     if len(hits) < count:
         raise BudgetError(f"orbit scan exceeded {cap} steps with {len(hits)} of {count} "

@@ -359,6 +359,32 @@ def test_orbit_scan_budget_names_the_cause(capsys, tmp_path):
         assert message.endswith("relation generators are rationally dependent")
 
 
+def test_orbit_scan_cap_counts_steps_per_box_measure(capsys):
+    # d = 9973 and a box of measure (2 eta)^2 = 1/4 give lambda = 4 d, but
+    # the orbit steps per hit are 4: the cap is 10 (4 + 1) 100 + 10^6 steps,
+    # where reading it from lambda would walk 40,893,000 of them
+    code, out = run(capsys, "subseq", "--omega", "5976/9973*pi", "--phi", "0",
+                    "--omega", "sqrt2", "--phi", "292/37",
+                    "--omega", "sqrt2", "--phi", "103/34", "--count", "100")
+    assert code == EXIT_BUDGET
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith("orbit scan exceeded 1005000 steps with 0 of 100 hits")
+
+
+def test_box_search_budget_exit_4(capsys, monkeypatch):
+    from zetaforms import oscillation
+
+    monkeypatch.setattr(oscillation, "BOX_MAX_CENTERS", 10)
+    code, out = run(capsys, "subseq", "--omega", "sqrt2", "--phi", "1/3",
+                    "--omega", "e", "--phi", "2/5", "--omega", "1", "--phi", "1/7")
+    assert code == EXIT_BUDGET
+    assert json.loads(out)["error"] == {
+        "kind": "budget",
+        "message": "torus box search tried 10 centers without an admissible "
+                   "one (3 generators, eta = 1/4)",
+    }
+
+
 def test_subseq_prints_theta_past_the_double_range(capsys, int_str_limit):
     code, out = run(capsys, "subseq", "--omega", "1e310", "--phi", "0", "--count", "3")
     assert code == EXIT_OK

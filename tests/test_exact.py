@@ -3,23 +3,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaforms.exact import decimal_str, harmonic_power_sum, log2_fraction, pochhammer
+from zetaforms.exact import decimal_str, harmonic_power_sum, log2_fraction
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=50
 )
-
-
-def test_pochhammer_trivia():
-    assert pochhammer(Fraction(7, 2), 0) == 1
-    assert pochhammer(2, 3) == 24  # 2*3*4
-    assert pochhammer(-3, 5) == 0  # hits the zero factor at -3+3
-
-
-@settings(max_examples=60, deadline=None)
-@given(rationals, st.integers(0, 12), st.integers(0, 12))
-def test_pochhammer_composition(a, p, q):
-    assert pochhammer(a, p + q) == pochhammer(a, p) * pochhammer(a + p, q)
 
 
 def test_harmonic_trivia():

@@ -38,6 +38,7 @@ from zetaforms.forms import (
 )
 from zetaforms.fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
 from zetaforms.forms import (
+    _denominator_cover,
     _rounded_term,
     _second_derivative_at,
     _slide_window,
@@ -123,6 +124,64 @@ def test_pole_spectrum_generic():
     # the numerator zero at t = -2 lowers that pole from order 2 to 1
     f = FactoredRationalFunction((2, 1), (), (RisingBlock(1, 2, 2),))
     assert pole_orders(f) == {1: 2, 2: 1}
+
+
+def test_denominator_cover_counts_every_factor():
+    # (t - 2)^2 (t - 1)^2 t^2 * t (t + 1) * (t + 1)^3, and a numerator that
+    # cancels nothing in the count
+    f = FactoredRationalFunction(
+        (1, 0),
+        (RisingBlock(-9, 4, 3),),
+        (RisingBlock(-2, 3, 2), RisingBlock(0, 2, 1), RisingBlock(1, 1, 3)),
+    )
+    assert _denominator_cover(f) == {-2: 2, -1: 2, 0: 3, 1: 4}
+    for n in (1, 2):
+        counts = {m: cover_count_oracle(n, m) for m in range(40 * n)}
+        by_hand = {m: count for m, count in counts.items() if count}
+        assert _denominator_cover(build_zudilin(n)) == by_hand
+
+
+def factor_product_oracle(f, t):
+    """Independent oracle: the numerator and denominator of f at t, one
+    Fraction factor t + shift + i at a time."""
+    c0, c1 = f.prefactor
+    top, bottom = f.scalar * (c0 + c1 * t), Fraction(1)
+    for b in f.numerator:
+        for i in range(b.length):
+            top *= (t + b.shift + i) ** b.power
+    for b in f.denominator:
+        for i in range(b.length):
+            bottom *= (t + b.shift + i) ** b.power
+    return top, bottom
+
+
+signed_blocks = st.builds(
+    RisingBlock, st.integers(-6, 6), st.integers(1, 4), st.integers(1, 3)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(signed_blocks, max_size=3),
+    st.lists(signed_blocks, max_size=3),
+    st.tuples(st.integers(-5, 5), st.integers(-3, 3)),
+    st.fractions(min_value=-10, max_value=10, max_denominator=20),
+    st.one_of(
+        st.integers(-12, 12).map(Fraction),
+        st.fractions(min_value=-12, max_value=12, max_denominator=9),
+    ),
+)
+@example([RisingBlock(-3, 4, 3)], [RisingBlock(0, 2, 2)], (1, 2), Fraction(3, 7), Fraction(-1))
+@example([RisingBlock(-3, 4, 3)], [], (1, 2), Fraction(3, 7), Fraction(5, 3))
+@example([], [RisingBlock(-6, 4, 2)], (0, 1), Fraction(-1, 2), Fraction(11, 4))
+def test_evaluate_matches_the_factor_product_oracle(num, den, prefactor, scalar, t):
+    f = FactoredRationalFunction(prefactor, tuple(num), tuple(den), scalar)
+    top, bottom = factor_product_oracle(f, t)
+    if bottom == 0:
+        with pytest.raises(DomainError, match=rf"^evaluation at pole t={t}$"):
+            f.evaluate(t)
+    else:
+        assert f.evaluate(t) == top / bottom
 
 
 def test_non_integer_pole_rejected():
@@ -779,10 +838,15 @@ def test_second_derivative_skips_only_exact_zeros():
     # the leading k where the numerator vanishes to order >= 3 come out as
     # p = 0, d = 1 without a window slide: 27n of them for Zudilin's forms,
     # and 2 for t (t-1)^3 (t-2)^3 (t-3)^2 over (t+1)_5^3, whose order drops
-    # to 2 at t = 3; past them come the series of the full walk
+    # to 2 at t = 3, and for (1 - t) (t-1)^2 (t-2)^3, where the prefactor's
+    # root makes the third zero at t = 1; past them come the series of the
+    # full walk
     cases = [(build_zudilin(n), 27 * n) for n in (1, 2, 3)]
     cases.append((FactoredRationalFunction(
         (0, 1), (RisingBlock(-3, 3, 2), RisingBlock(-2, 2, 1)), (RisingBlock(1, 5, 3),)
+    ), 2))
+    cases.append((FactoredRationalFunction(
+        (1, -1), (RisingBlock(-1, 1, 2), RisingBlock(-2, 1, 3)), (RisingBlock(1, 5, 3),)
     ), 2))
     for f, skipped in cases:
         count = skipped + 30

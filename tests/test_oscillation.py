@@ -747,3 +747,17 @@ def test_irrational_density_matches_reciprocal_lambda():
     hi = plan.box.center[0] + plan.box.eta
     report = kw_density(plan.theta, [(lo, hi)], 10**6)
     assert abs(report.empirical - 0.5) <= 0.01
+
+
+def test_box_search_stops_at_its_center_budget(monkeypatch):
+    # three independent pairs find their box at the 49th center of the
+    # eta = 1/4 grid: a budget of 49 keeps that plan, 48 stops the search
+    pairs = [AnglePair(parse_angle(o), parse_angle(p))
+             for o, p in [("sqrt2", "1/3"), ("e", "2/5"), ("1", "1/7")]]
+    plan = build_plan_general(pairs)
+    assert plan.box.eta == Fraction(1, 4)
+    monkeypatch.setattr(oscillation, "BOX_MAX_CENTERS", 49)
+    assert build_plan_general(pairs) == plan
+    monkeypatch.setattr(oscillation, "BOX_MAX_CENTERS", 48)
+    with pytest.raises(BudgetError, match=r"^torus box search tried 48 centers "):
+        build_plan_general(pairs)
