@@ -148,10 +148,24 @@ class PartialFractionExpansion(NamedTuple):
     terms: dict[tuple[int, int], Fraction]  # (m, j)
 
     def evaluate(self, t: Fraction) -> Fraction:
-        t = Fraction(t)
-        return sum(
-            (a / (t + m) ** j for (m, j), a in self.terms.items()), Fraction(0)
-        )
+        """Exact value at a rational t = P/Q.  A pole's terms a/(t+m)^j,
+        j <= mu, become one integer numerator over
+        lcm(denominators of the a) * (P + mQ)^mu: one Fraction per pole,
+        and ZeroDivisionError at a pole."""
+        big_p, big_q = Fraction(t).as_integer_ratio()
+        poles: dict[int, dict[int, Fraction]] = {}
+        for (m, j), a in self.terms.items():
+            poles.setdefault(m, {})[j] = a
+        total = Fraction(0)
+        for m, by_order in poles.items():
+            x, mu = big_p + m * big_q, max(by_order)
+            lcm = math.lcm(*(a.denominator for a in by_order.values()))
+            numerator = sum(
+                a.numerator * (lcm // a.denominator) * big_q**j * x ** (mu - j)
+                for j, a in by_order.items()
+            )
+            total += Fraction(numerator, lcm * x**mu)
+        return total
 
 
 def _linear_product(constants: list[int], size: int) -> list[int]:

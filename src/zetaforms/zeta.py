@@ -1,29 +1,39 @@
 """High-precision Riemann zeta values at integer arguments, two ways.
 
-Primary method: Euler-Maclaurin with exact Bernoulli-number corrections.
-For integer s every term is rational, so the only rounding happens when the
-accumulated value is projected onto the fixed-point grid (one floor per
-term, absorbed by guard digits).  The direct sum runs to the cutoff
-N = max(16, 4 * work), proportional to the working digits `work`.  The j-th
-correction term is about 2 (s)_(2j-1) / ((2 pi)^(2j) N^(s+2j-1)), so
-successive terms shrink by about (j / (pi N))^2 and, with N = 4 * work, the
-tail reaches 10^(-work) on the first try at Bernoulli index 2j ~ 0.46 * work
-(150 at 314 digits, 308 at 657).  That is far below the optimal-truncation
-point 2j ~ 2 pi N, where the terms start to grow again.
+Each route takes all the arguments of a table at once and returns
+{s: FixedReal}; ZetaTable runs each route once and cross-checks every
+entry.  The two routes share no computed value.
 
-Bernoulli numbers come from the integer tangent numbers (Brent & Harvey,
-"Fast computation of Bernoulli, Tangent and Secant numbers", 2013):
-O(k^2) multiply-adds by small integers, and one exact division per B_2k.
+Primary route, zeta_euler_maclaurin: a direct sum to the cutoff
+N = max(16, 4 * work), `work` the working digits, plus the Euler-Maclaurin
+tail power_tail_scaled.  The head runs k once for all s: since
+floor(floor(a / b) / c) = floor(a / (b c)) for positive integers, the
+10**work scaled k^(-s) of the next s is the previous quotient divided by
+k^(s' - s), the same integer a direct division gives.  Each s keeps its
+own cutoff and its own doubling retry.
 
-Verification method: the alternating series eta(s) = sum (-1)^(k-1) k^(-s)
-accelerated by Chebyshev-style weights (the d_k = coefficients derived from
-(3+sqrt 8)^n scheme; Borwein, "An efficient algorithm for the Riemann zeta
-function", 2000), which converges like 5.83^(-n).  It accumulates in scaled
-integers and uses no Bernoulli numbers, so it shares nothing with the
-Euler-Maclaurin route.
+The tail's correction term j is
 
-ZetaTable bundles values at one precision and refuses to exist unless the
-two methods agree entry by entry.
+    B_2j (s)_(2j-1) / ((2j)! N^(s+2j-1))
+        = (-1)^(j-1) T_j C(s+2j-2, s-1) / (4^j (4^j - 1) N^(s+2j-1)),
+
+with T_j the integer tangent numbers (tan x = sum T_j x^(2j-1) / (2j-1)!;
+Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
+numbers", 2013).  So every term is an integer over an integer, rounded
+once onto the 10**work grid, and the stop and BudgetError decisions are
+exact integer comparisons.  Successive terms shrink by about
+(j / (pi N))^2; with N = 4 * work the tail reaches 10^(-work) on the first
+try at tangent index j ~ 0.23 * work (154 at 657 digits), far below the
+optimal-truncation point j ~ pi N where the terms start to grow again.
+The route sizes the tangent cache once, up front, for the index that
+bound predicts (_tail_depth).
+
+Verification route, zeta_alternating: the alternating series
+eta(s) = sum (-1)^(k-1) k^(-s) accelerated by Chebyshev-style weights (the
+d_k = ((3+sqrt8)^n + (3-sqrt8)^n) / 2 scheme; Borwein, "An efficient
+algorithm for the Riemann zeta function", 2000), which converges like
+5.83^(-n).  The integer weights, and each weight times 10**work, are formed
+once per k for all s.  It uses no Bernoulli or tangent number.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from fractions import Fraction
 from .errors import BudgetError, DomainError, InternalCheckError
 from .fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
 
-_BERNOULLI_EVEN: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
+_TANGENT: list[int] = [0]  # T_0 (unused), T_1, T_2, ...
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -52,27 +62,39 @@ def _tangent_numbers(n: int) -> list[int]:
     return t
 
 
+def _fill_tangents(n: int) -> None:
+    """Make the cache hold T_1 .. T_n (a refill recomputes all of them)."""
+    if n >= len(_TANGENT):
+        _TANGENT[:] = _tangent_numbers(n)
+
+
+def tangent_number(k: int) -> int:
+    """The tangent number T_k (k >= 1), from the shared cache.
+
+    A refill the caller did not size up front at least doubles the cache,
+    so a caller stepping up through the indices pays O(k^2) integer steps
+    in all.
+    """
+    if k >= len(_TANGENT):
+        _fill_tangents(max(k, 2 * (len(_TANGENT) - 1)))
+    return _TANGENT[k]
+
+
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2), exact.
 
-    Even indices come from tangent numbers,
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  A refill of the cache at
-    least doubles it, so a caller stepping up through the indices pays
-    O(n^2) integer steps in all.
+    Even indices are a view of the tangent numbers,
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
     """
     if n < 0:
         raise DomainError("Bernoulli index must be >= 0")
     if n % 2:
         return Fraction(-1, 2) if n == 1 else Fraction(0)
     k = n // 2
-    cached = len(_BERNOULLI_EVEN) - 1
-    if k > cached:
-        top = max(k, 2 * cached)
-        t = _tangent_numbers(top)
-        for i in range(cached + 1, top + 1):
-            sign = 1 if i % 2 else -1
-            _BERNOULLI_EVEN.append(Fraction(sign * 2 * i * t[i], 4**i * (4**i - 1)))
-    return _BERNOULLI_EVEN[k]
+    if k == 0:
+        return Fraction(1)
+    sign = 1 if k % 2 else -1
+    return Fraction(sign * 2 * k * tangent_number(k), 4**k * (4**k - 1))
 
 
 def power_tail_scaled(start: int, s: int, work: int) -> int:
@@ -80,74 +102,121 @@ def power_tail_scaled(start: int, s: int, work: int) -> int:
 
     Euler-Maclaurin with the correction depth chosen from the standard
     remainder bound (|remainder| <= |first omitted term|, doubled for
-    safety).  Successive terms shrink by about (j / (pi start))^2: from
-    start = 4 * work (the cutoff of zeta_euler_maclaurin) the bound drops
-    below 10**(-work) at Bernoulli index about 0.46 * work.  Raises
-    BudgetError if no depth reaches 10**(-work) before the asymptotic terms
-    start growing (start too small for `work`); callers retry with a larger
-    `start`.
+    safety).  Term j is the exact rational
+    (-1)^(j-1) T_j C(s+2j-2, s-1) / (4^j (4^j - 1) start^(s+2j-1)), rounded
+    once onto the grid; each is built once, first as the previous step's
+    remainder bound, then added.  Raises BudgetError if no depth reaches
+    10**(-work) before the asymptotic terms start growing (start too small
+    for `work`); callers retry with a larger `start`.
     """
     if start < 1 or s < 2:
         raise DomainError("power tail needs start >= 1 and s >= 2")
     scale = 10**work
-    n = start
     # integral + half-term
-    total = _div_nearest(scale, (s - 1) * n ** (s - 1))
-    total += _div_nearest(scale, 2 * n**s)
-    # term j is B_2j / (2j)! * (s)_{2j-1} / n^(s+2j-1); each is built once,
-    # first as the previous step's remainder bound, then added
-    poch = s  # (s)_{2j-1} built incrementally
-    j = 1
-    term = bernoulli(2) / 2 * poch / n ** (s + 1)
+    total = _div_nearest(scale, (s - 1) * start ** (s - 1))
+    total += _div_nearest(scale, 2 * start**s)
+    # term j is sign * size / (quarter * power): size = T_j C(s+2j-2, s-1),
+    # quarter = 4^j (4^j - 1), power = start^(s+2j-1)
+    square = start * start
+    j, sign, power = 1, 1, start ** (s + 1)
+    size, quarter = tangent_number(1) * s, 12  # T_1 C(s, s-1), 4 (4 - 1)
+    top, bottom = scale * size, quarter * power
     while True:
-        total += _div_nearest(scale * term.numerator, term.denominator)
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        total += _div_nearest(sign * top, bottom)
         j += 1
-        following = bernoulli(2 * j) / math.factorial(2 * j) * poch
-        following /= n ** (s + 2 * j - 1)
-        if 2 * abs(following) * scale < 1:
+        following = tangent_number(j) * math.comb(s + 2 * j - 2, s - 1)
+        following_quarter = 4**j * (4**j - 1)
+        power *= square
+        following_top, following_bottom = scale * following, following_quarter * power
+        if 2 * following_top < following_bottom:
             return total
-        if j > 2 and abs(following) > abs(term):
+        # |following term| > |term|, the common factor start^(s+2j-3) dropped
+        if j > 2 and following * quarter > size * following_quarter * square:
             raise BudgetError(
                 f"Euler-Maclaurin tail for s={s} does not reach 10^-{work} "
                 f"at cutoff {start}; increase the cutoff"
             )
-        term = following
+        sign, size, quarter = -sign, following, following_quarter
+        top, bottom = following_top, following_bottom
 
 
-def zeta_euler_maclaurin(s: int, digits: int) -> FixedReal:
-    """zeta(s) by direct summation to a cutoff plus Euler-Maclaurin tail."""
-    if s < 2:
+def _tail_depth(s: int, start: int, work: int) -> int:
+    """The tangent index at which power_tail_scaled(start, s, work) stops,
+    or one past it: the first j whose term bound, from
+    |B_2j| = 2 (2j)! zeta(2j) / (2 pi)^(2j) < 4 (2j)! / (2 pi)^(2j), is
+    below 10^(-work) / 2, or the j where that bound starts to grow."""
+    log_limit = -work * math.log(10)
+    log_step = 2 * math.log(2 * math.pi * start)
+    # log of twice the bound on term 1: 8 s / ((2 pi)^2 start^(s+1))
+    log_term = math.log(8 * s) - 2 * math.log(2 * math.pi) - (s + 1) * math.log(start)
+    j = 1
+    while log_term >= log_limit:
+        growth = math.log((s + 2 * j - 1) * (s + 2 * j)) - log_step
+        if growth >= 0:
+            break
+        log_term += growth
+        j += 1
+    return j
+
+
+def _check_arguments(s_values, digits: int) -> list[int]:
+    """The distinct arguments in ascending order, each >= 2."""
+    s_values = sorted(set(s_values))
+    if s_values and s_values[0] < 2:
         raise DomainError("zeta engine handles integer s >= 2 only")
     if digits < 10:
         raise DomainError("ask for at least 10 digits")
+    return s_values
+
+
+def zeta_euler_maclaurin(s_values, digits: int) -> dict[int, FixedReal]:
+    """{s: zeta(s)} by one shared direct sum to the cutoffs plus an
+    Euler-Maclaurin tail per s."""
+    s_values = _check_arguments(s_values, digits)
+    if not s_values:
+        return {}
     work = digits + GUARD_DIGITS + 8
     scale = 10**work
-    cutoff = max(16, 4 * work)  # the tail converges on the first try
-    while True:
-        try:
-            tail = power_tail_scaled(cutoff, s, work)
-            break
-        except BudgetError:
-            cutoff *= 2
-            if cutoff > 10**7:
-                raise
-    total = sum(scale // k**s for k in range(1, cutoff)) + tail
-    return FixedReal(_div_nearest(total, 10 ** (work - digits)), digits)
+    first_cutoff = max(16, 4 * work)  # the tail converges on the first try
+    # the smallest s needs the deepest tail: size the cache for it once
+    _fill_tangents(_tail_depth(s_values[0], first_cutoff, work))
+    cutoffs, totals = {}, {}
+    for s in s_values:
+        cutoff = first_cutoff
+        while True:
+            try:
+                totals[s] = power_tail_scaled(cutoff, s, work)
+                break
+            except BudgetError:
+                cutoff *= 2
+                if cutoff > 10**7:
+                    raise
+        cutoffs[s] = cutoff
+    steps = [(s, s - previous) for previous, s in zip([0, *s_values], s_values)]
+    for k in range(1, max(cutoffs.values())):
+        quotient = scale
+        for s, step in steps:
+            quotient //= k**step  # = scale // k**s
+            if k < cutoffs[s]:
+                totals[s] += quotient
+    return {
+        s: FixedReal(_div_nearest(total, 10 ** (work - digits)), digits)
+        for s, total in totals.items()
+    }
 
 
-def zeta_alternating(s: int, digits: int) -> FixedReal:
-    """zeta(s) from the accelerated alternating series (verification route).
+def zeta_alternating(s_values, digits: int) -> dict[int, FixedReal]:
+    """{s: zeta(s)} from the accelerated alternating series (verification
+    route).
 
     eta(s) is evaluated with the integer acceleration weights built from the
     recurrence d_k = 6 d_{k-1} - d_{k-2} (values of ((3+sqrt8)^n+(3-sqrt8)^n)/2),
     giving error ~ (3+sqrt8)^(-n); then zeta = eta / (1 - 2^(1-s)).  The
-    weights b and c are integers, so the sum is kept as a 10**work scaled
+    weights b and c are integers, so each sum is kept as a 10**work scaled
     integer (one rounding per term, below 10**(-work) after the division
     by d) and rounded once more at the end.
     """
-    if s < 2:
-        raise DomainError("zeta engine handles integer s >= 2 only")
+    s_values = _check_arguments(s_values, digits)
     work = digits + GUARD_DIGITS + 5
     scale = 10**work
     n = int(work / math.log10(3 + math.sqrt(8))) + 6
@@ -155,23 +224,30 @@ def zeta_alternating(s: int, digits: int) -> FixedReal:
     d_prev, d = 1, 3
     for _ in range(n - 1):
         d_prev, d = d, 6 * d - d_prev
-    b, c, acc = -1, -d, 0
+    b, c = -1, -d
+    acc = dict.fromkeys(s_values, 0)
     for k in range(n):
         c = b - c
-        acc += _div_nearest(c * scale, (k + 1) ** s)
+        scaled_c = c * scale
+        for s in s_values:
+            acc[s] += _div_nearest(scaled_c, (k + 1) ** s)
         b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))  # exact
     # zeta = (acc / d) / (1 - 2^(1-s)), in units of 10**(-digits)
-    half = 2 ** (s - 1)
-    return FixedReal(
-        _div_nearest(acc * half, d * (half - 1) * 10 ** (work - digits)), digits
-    )
+    out = {}
+    for s in s_values:
+        half = 2 ** (s - 1)
+        out[s] = FixedReal(
+            _div_nearest(acc[s] * half, d * (half - 1) * 10 ** (work - digits)),
+            digits,
+        )
+    return out
 
 
 class ZetaTable:
     """Zeta values at one working precision, self-verified on construction.
 
-    Every entry is computed by both internal methods; construction fails
-    with InternalCheckError unless they agree to 10**(-digits+5).
+    Every entry is computed by both routes; construction fails with
+    InternalCheckError unless they agree to 10**(-digits+5).
     """
 
     VERIFY_MARGIN = 5
@@ -180,16 +256,16 @@ class ZetaTable:
         if digits < 10:
             raise DomainError("table precision must be >= 10 digits")
         self.digits = digits
-        self._values: dict[int, FixedReal] = {}
+        s_values = sorted(set(s_values))
+        em = zeta_euler_maclaurin(s_values, digits)
+        alt = zeta_alternating(s_values, digits)
         allowed = 10**self.VERIFY_MARGIN  # in units of 10**(-digits)
-        for s in sorted(set(s_values)):
-            em = zeta_euler_maclaurin(s, digits)
-            alt = zeta_alternating(s, digits)
-            if abs(em.scaled - alt.scaled) > allowed:
+        for s in s_values:
+            if abs(em[s].scaled - alt[s].scaled) > allowed:
                 raise InternalCheckError(
                     f"zeta({s}) methods disagree at {digits} digits"
                 )
-            self._values[s] = em
+        self._values: dict[int, FixedReal] = em
 
     def __getitem__(self, s: int) -> FixedReal:
         if s not in self._values:

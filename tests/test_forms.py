@@ -184,6 +184,40 @@ def test_evaluate_matches_the_factor_product_oracle(num, den, prefactor, scalar,
         assert f.evaluate(t) == top / bottom
 
 
+def termwise_expansion_oracle(p, t):
+    """Independent oracle: the expansion at t, one Fraction a/(t+m)^j per
+    term (ZeroDivisionError at a pole)."""
+    t = Fraction(t)
+    return sum((a / (t + m) ** j for (m, j), a in p.terms.items()), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-6, 6), st.integers(1, 4)),
+        st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool),
+        max_size=12,
+    ),
+    st.one_of(
+        st.integers(-8, 8).map(Fraction),
+        st.fractions(min_value=-8, max_value=8, max_denominator=12),
+    ),
+)
+@example({(2, 1): Fraction(3, 4), (2, 3): Fraction(-5, 6), (-1, 2): Fraction(7)},
+         Fraction(-5, 3))
+@example({(2, 1): Fraction(3, 4), (-1, 2): Fraction(7)}, Fraction(1))
+@example({}, Fraction(1, 2))
+def test_expansion_evaluate_matches_the_termwise_oracle(terms, t):
+    p = PartialFractionExpansion(terms)
+    if any(t + m == 0 for m, _ in terms):
+        with pytest.raises(ZeroDivisionError):
+            p.evaluate(t)
+        with pytest.raises(ZeroDivisionError):
+            termwise_expansion_oracle(p, t)
+    else:
+        assert p.evaluate(t) == termwise_expansion_oracle(p, t)
+
+
 def test_non_integer_pole_rejected():
     with pytest.raises(DomainError):
         RisingBlock(Fraction(1, 2), 2, 1)

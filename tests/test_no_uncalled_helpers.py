@@ -27,6 +27,8 @@ OUTSIDE_CALLERS = {
     "zudilin_linear_form": ("bench/child.py", "calls it for the exact_ladder workload"),
     "hypothesis_multi": ("bench/tracer.py", "wraps it as the oscillation.hypothesis span"),
     "harmonic_power_sum": ("bench/tracer.py", "wraps it as the exact.harmonic_power_sum span"),
+    "bernoulli": ("bench/tracer.py", "wraps it for the zeta.bernoulli counters; the "
+                  "tail reads tangent numbers, and bernoulli stays public as their view"),
 }
 PIPELINE_STAGES = {"build_zudilin", "partial_fractions", "second_derivative",
                    "sum_over_k", "check_zudilin_vanishing"}

@@ -6,14 +6,17 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zetaforms import zeta
-from zetaforms.errors import DomainError
+from zetaforms.errors import BudgetError, DomainError, InternalCheckError
 from zetaforms.exact import harmonic_power_sum
-from zetaforms.fixedpoint import pi_fixed
+from zetaforms.fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest, pi_fixed
 from zetaforms.zeta import (
     ZetaTable,
     bernoulli,
+    power_tail_scaled,
     zeta_alternating,
     zeta_euler_maclaurin,
 )
@@ -61,66 +64,179 @@ def test_both_routes_match_mpmath(s, digits):
     with mp.workdps(digits + 20):
         want = Fraction(mp.nstr(mp.zeta(s), digits + 15, strip_zeros=False))
     for route in (zeta_euler_maclaurin, zeta_alternating):
-        got = route(s, digits).to_fraction()
+        got = route([s], digits)[s].to_fraction()
         assert abs(got - want) < Fraction(1, 10 ** (digits - 7)), route.__name__
 
 
+def fraction_tail_oracle(start, s, work):
+    """Oracle: sum_{k >= start} k^(-s) scaled by 10**work, one Fraction
+    Bernoulli term B_2j (s)_(2j-1) / ((2j)! start^(s+2j-1)) at a time, with
+    the same stop rule and BudgetError as power_tail_scaled."""
+    scale = 10**work
+    total = _div_nearest(scale, (s - 1) * start ** (s - 1))
+    total += _div_nearest(scale, 2 * start**s)
+    poch = s  # (s)_{2j-1}
+    j = 1
+    term = bernoulli(2) / 2 * poch / start ** (s + 1)
+    while True:
+        total += _div_nearest(scale * term.numerator, term.denominator)
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        j += 1
+        following = bernoulli(2 * j) / math.factorial(2 * j) * poch
+        following /= start ** (s + 2 * j - 1)
+        if 2 * abs(following) * scale < 1:
+            return total
+        if j > 2 and abs(following) > abs(term):
+            raise BudgetError(f"tail for s={s} does not converge at {start}")
+        term = following
+
+
+def per_s_euler_maclaurin_oracle(s, digits):
+    """Oracle: zeta(s) alone, its own head sum scale // k**s and the
+    Fraction tail, the cutoff doubled on BudgetError."""
+    work = digits + GUARD_DIGITS + 8
+    scale = 10**work
+    cutoff = max(16, 4 * work)
+    while True:
+        try:
+            tail = fraction_tail_oracle(cutoff, s, work)
+            break
+        except BudgetError:
+            cutoff *= 2
+    total = sum(scale // k**s for k in range(1, cutoff)) + tail
+    return FixedReal(_div_nearest(total, 10 ** (work - digits)), digits)
+
+
+def per_s_alternating_oracle(s, digits):
+    """Oracle: zeta(s) alone from the accelerated alternating series, the
+    weights rebuilt for this s."""
+    work = digits + GUARD_DIGITS + 5
+    scale = 10**work
+    n = int(work / math.log10(3 + math.sqrt(8))) + 6
+    d_prev, d = 1, 3
+    for _ in range(n - 1):
+        d_prev, d = d, 6 * d - d_prev
+    b, c, acc = -1, -d, 0
+    for k in range(n):
+        c = b - c
+        acc += _div_nearest(c * scale, (k + 1) ** s)
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    half = 2 ** (s - 1)
+    return FixedReal(
+        _div_nearest(acc * half, d * (half - 1) * 10 ** (work - digits)), digits
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 14), st.integers(20, 400), st.integers(1, 3200))
+@example(2, 20, 1)  # far too small to converge
+@example(14, 400, 3)
+@example(2, 400, 100)  # shrinks to about 10^-270, then grows
+@example(11, 400, 1600)  # the table's cutoff
+def test_integer_tail_matches_the_fraction_oracle(s, work, start):
+    try:
+        want = fraction_tail_oracle(start, s, work)
+    except BudgetError:
+        with pytest.raises(BudgetError):
+            power_tail_scaled(start, s, work)
+    else:
+        assert power_tail_scaled(start, s, work) == want
+
+
+@pytest.mark.parametrize(
+    "digits, s_values", [(30, range(2, 13)), (404, (5, 7, 9, 11)), (657, (5, 7, 9, 11))]
+)
+def test_batched_routes_equal_the_per_s_oracles(digits, s_values):
+    em = zeta_euler_maclaurin(s_values, digits)
+    alt = zeta_alternating(s_values, digits)
+    assert sorted(em) == sorted(alt) == list(s_values)
+    for s in s_values:
+        assert em[s].scaled == per_s_euler_maclaurin_oracle(s, digits).scaled, s
+        assert alt[s].scaled == per_s_alternating_oracle(s, digits).scaled, s
+
+
 def test_table_tail_converges_first_try(monkeypatch):
-    # counts work instead of timing it: one tail per s, few Bernoulli numbers
-    monkeypatch.setattr(zeta, "_BERNOULLI_EVEN", [Fraction(1)])
-    tails, indices = [], []
-    power_tail_scaled, bernoulli_number = zeta.power_tail_scaled, zeta.bernoulli
+    # counts work instead of timing it: one tail per s, and one fill of the
+    # tangent cache, up front, to about the deepest index the tails use
+    monkeypatch.setattr(zeta, "_TANGENT", [0])
+    tails, indices, fills = [], [], []
+    tail, tangent, fill = zeta.power_tail_scaled, zeta.tangent_number, zeta._tangent_numbers
 
     def counting_tail(start, s, work):
         tails.append(s)
-        return power_tail_scaled(start, s, work)
+        return tail(start, s, work)
 
-    def counting_bernoulli(n):
-        indices.append(n)
-        return bernoulli_number(n)
+    def counting_tangent(k):
+        indices.append(k)
+        return tangent(k)
+
+    def counting_fill(n):
+        fills.append(n)
+        return fill(n)
 
     monkeypatch.setattr(zeta, "power_tail_scaled", counting_tail)
-    monkeypatch.setattr(zeta, "bernoulli", counting_bernoulli)
+    monkeypatch.setattr(zeta, "tangent_number", counting_tangent)
+    monkeypatch.setattr(zeta, "_tangent_numbers", counting_fill)
     ZetaTable((5, 7, 9, 11), 657)
     assert tails == [5, 7, 9, 11]
-    assert max(indices) <= 400
+    assert 2 * max(indices) <= 400  # the Bernoulli index 2j
+    assert len(fills) == 1 and max(indices) <= fills[0] <= max(indices) + 1
 
 
 def test_power_tail_builds_each_term_once(monkeypatch):
     # each correction term serves first as the remainder bound, then as
-    # the term: one request per Bernoulli index
+    # the term: one request per tangent index
     indices = []
-    bernoulli_number = zeta.bernoulli
+    tangent = zeta.tangent_number
 
-    def counting_bernoulli(n):
-        indices.append(n)
-        return bernoulli_number(n)
+    def counting_tangent(k):
+        indices.append(k)
+        return tangent(k)
 
-    monkeypatch.setattr(zeta, "bernoulli", counting_bernoulli)
+    monkeypatch.setattr(zeta, "tangent_number", counting_tangent)
     for s, work in ((2, 40), (5, 300), (11, 675)):
         indices.clear()
         zeta.power_tail_scaled(4 * work, s, work)
         assert len(indices) > 5
-        assert indices == list(range(2, 2 * len(indices) + 1, 2)), (s, work)
+        assert indices == list(range(1, len(indices) + 1)), (s, work)
+
+
+@pytest.mark.parametrize("route", ["zeta_euler_maclaurin", "zeta_alternating"])
+@pytest.mark.parametrize("shift, fails", [(10**ZetaTable.VERIFY_MARGIN, False), (10**6, True)])
+def test_table_refuses_routes_that_disagree(monkeypatch, route, shift, fails):
+    # one route's zeta(7) moved by `shift` units of the last digit
+    original = getattr(zeta, route)
+
+    def shifted(s_values, digits):
+        values = original(s_values, digits)
+        values[7] = FixedReal(values[7].scaled + shift, digits)
+        return values
+
+    monkeypatch.setattr(zeta, route, shifted)
+    if fails:
+        with pytest.raises(InternalCheckError, match=r"^zeta\(7\) methods disagree at 60 digits$"):
+            ZetaTable((5, 7, 9), 60)
+    else:
+        assert 7 in ZetaTable((5, 7, 9), 60)
 
 
 def test_zeta2_matches_pi_squared_over_6_independent_pi():
     # independent pi oracle: mpmath
     with mp.workdps(50):
         pi_sq_over_6 = Fraction(mp.nstr(mp.pi**2 / 6, 45, strip_zeros=False))
-    got = zeta_euler_maclaurin(2, 30).to_fraction()
+    got = zeta_euler_maclaurin([2], 30)[2].to_fraction()
     assert abs(got - pi_sq_over_6) < Fraction(1, 10**29)
 
 
 def test_zeta5_prefix_and_dual_method():
-    em = zeta_euler_maclaurin(5, 100)
-    alt = zeta_alternating(5, 100)
+    em = zeta_euler_maclaurin([5], 100)[5]
+    alt = zeta_alternating([5], 100)[5]
     assert em.to_decimal().startswith("1.0369277551")
     assert abs(em.to_fraction() - alt.to_fraction()) < Fraction(1, 10**95)
 
 
 def test_zeta12_closed_form_from_pi():
-    got = zeta_euler_maclaurin(12, 50).to_fraction()
+    got = zeta_euler_maclaurin([12], 50)[12].to_fraction()
     pi12 = pi_fixed(70).to_fraction() ** 12
     assert abs(got - EVEN_CLOSED_FORMS[12] * pi12) < Fraction(1, 10**49)
 
@@ -133,15 +249,13 @@ def test_even_closed_forms_at_200_digits(table200):
 
 
 def test_two_precisions_agree_on_common_prefix():
-    lo = zeta_euler_maclaurin(7, 60)
-    hi = zeta_euler_maclaurin(7, 120)
+    lo = zeta_euler_maclaurin([7], 60)[7]
+    hi = zeta_euler_maclaurin([7], 120)[7]
     assert abs(lo.to_fraction() - hi.to_fraction()) < Fraction(2, 10**60)
 
 
 def test_telescoping_against_numeric_tail():
     # harmonic_power_sum(m, s) + sum_{k>m} k^-s == zeta(s)
-    from zetaforms.zeta import power_tail_scaled
-
     rng = random.Random(4134)
     digits = 40
     work = digits + 10
@@ -149,7 +263,7 @@ def test_telescoping_against_numeric_tail():
         m = rng.randint(0, 50)
         s = rng.randint(2, 12)
         partial = harmonic_power_sum(m, s)
-        zeta = zeta_euler_maclaurin(s, digits).to_fraction()
+        zeta = zeta_euler_maclaurin([s], digits)[s].to_fraction()
         split = max(m + 1, 64)
         tail_scaled = sum(10**work // k**s for k in range(m + 1, split))
         tail_scaled += power_tail_scaled(split, s, work)
@@ -165,10 +279,13 @@ def test_table_verifies_and_guards(table200):
     with pytest.raises(DomainError):
         ZetaTable([1], 50)
     with pytest.raises(DomainError):
-        zeta_euler_maclaurin(5, 5)
+        zeta_euler_maclaurin([5], 5)
+    for route in (zeta_euler_maclaurin, zeta_alternating):
+        with pytest.raises(DomainError):
+            route([1, 5], 50)
 
 
 def test_alternating_handles_s2():
-    got = zeta_alternating(2, 60).to_fraction()
-    want = zeta_euler_maclaurin(2, 60).to_fraction()
+    got = zeta_alternating([2], 60)[2].to_fraction()
+    want = zeta_euler_maclaurin([2], 60)[2].to_fraction()
     assert abs(got - want) < Fraction(1, 10**55)
