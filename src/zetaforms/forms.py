@@ -7,34 +7,24 @@ and sum over positive integer arguments using sum_{k>=1} (k+m)^(-s) =
 zeta(s) - H_m(s).
 
 A block list is read as its linear factors t + c, listed once by
-_linear_factors for the pole cover, the window series, the leading exact
-zeros of R'' and evaluate, which multiplies the integers P + cQ at t = P/Q.
+_linear_factors for the pole cover, the zeros at a pole, the window series,
+the leading exact zeros of R'' and evaluate (the integers P + cQ at t = P/Q);
+partial_fractions also reads each block whole, as an interval of constants.
 
-Two walks read the factored function through one helper, _window_walk:
-its numerator and denominator at t = u - m as truncated integer series,
-built once and walked down in m.  From m to m - 1 each block's window of
-factors slides by one, and each series takes one exact division by the
-product of its outgoing factors and one multiplication by the product of
-its incoming ones (a division that leaves a remainder is an internal
-error).  partial_fractions walks down the poles and divides the series
-into exact coefficients; direct_sum walks down m = -k0, -k0 - 1, ...
-(t = k0, k0 + 1, ..., past the leading t where R'' is exactly 0) and
-rounds each R''(k) from short quotients of the series with a proved error
-bound, forming the exact rational only where that bound straddles a
-rounding boundary (Ziv's strategy), so each term is still the exact
-nearest integer.
-
-The two numeric routes act as oracles for one another: the exact
-coefficients times the zeta table, against direct_sum, which reads only
-the factored function and derives its cutoff (decay and hump) from it, so
-it checks partial_fractions, sum_over_k and the zeta table at once.
+The two numeric routes share no series code and act as oracles for one
+another: the exact coefficients (partial_fractions, an integer recurrence
+per pole on power sums of the factors) times the zeta table, and
+direct_sum, which reads only the factored function (_window_walk slides
+its integer series up t = 1, 2, ...) and derives its cutoff from it, so it
+checks partial_fractions, sum_over_k and the zeta table at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+import operator
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -168,133 +158,70 @@ class PartialFractionExpansion(NamedTuple):
         return total
 
 
-def _linear_product(constants: list[int], size: int) -> list[int]:
-    """prod (c + u) over the nonzero constants c, as an integer series
-    truncated to `size` terms."""
-    series = [1] + [0] * (size - 1)
-    for c in constants:
-        if c:
-            for k in range(size - 1, 0, -1):
-                series[k] = c * series[k] + series[k - 1]
-            series[0] *= c
-    return series
-
-
-def _window_product(
-    blocks: tuple[RisingBlock, ...], m: int, size: int
-) -> tuple[list[int], int]:
-    """The blocks' factors at t = u - m: prod (c + u)^power over the window
-    constants c = shift - m ... shift - m + length - 1.  Returns the
-    product of the factors with c != 0 as an integer series truncated to
-    `size` terms, and the number of factors with c = 0 (powers counted)."""
-    constants = [c - m for c in _linear_factors(blocks)]
-    return _linear_product(constants, size), constants.count(0)
-
-
-def _slide_window(series: list[int], blocks: tuple[RisingBlock, ...], m: int) -> int:
-    """Move a _window_product from m down to m - 1 in place: each
-    block's window of constants lo = shift - m ... lo + length - 1 loses lo
-    and gains lo + length, power times each.  The series is divided
-    exactly by the product of the outgoing factors, one order at a time (a
-    remainder means it never had those factors), and multiplied by the
-    product of the incoming ones; both products come from the small
-    constants (_linear_product).  Returns the change in the zero-factor
-    count."""
-    size = len(series)
-    outgoing = [b.shift - m for b in blocks for _ in range(b.power)]
-    incoming = [b.shift - m + b.length for b in blocks for _ in range(b.power)]
-    divisor = _linear_product(outgoing, size)
-    multiplier = _linear_product(incoming, size)
-    lead = divisor[0]
-    for k in range(size):
-        acc = series[k]
-        for i in range(1, k + 1):
-            acc -= divisor[i] * series[k - i]
-        series[k], rem = divmod(acc, lead)
-        if rem:
-            raise InternalCheckError(
-                f"series not divisible by the outgoing factors at order {k}"
-            )
-    for k in range(size - 1, -1, -1):
-        acc = 0
-        for i in range(k + 1):
-            acc += multiplier[i] * series[k - i]
-        series[k] = acc
-    return incoming.count(0) - outgoing.count(0)
-
-
-def _window_walk(f: FactoredRationalFunction, top: int, size: int):
-    """Yield (m, num, den) for m = top, top - 1, ... without end: f at
-    t = u - m as integer series truncated to `size` terms, num the whole
-    numerator (scalar aside: prefactor, and the factors vanishing there as
-    a power of u) and den the denominator factors with nonzero constant.
-    Built once at m = top, each series slides at every step by one exact
-    division and one multiplication (_slide_window); the yielded den list
-    changes on the next step."""
-    c0, c1 = f.prefactor
-    num_series, zeros = _window_product(f.numerator, top, size)
-    den_series, _ = _window_product(f.denominator, top, size)
-    for m in itertools.count(top, -1):
-        shifted = ([0] * zeros + num_series)[:size]
-        p0 = c0 - c1 * m
-        yield m, [p0 * a + c1 * b for a, b in zip(shifted, [0] + shifted)], den_series
-        zeros += _slide_window(num_series, f.numerator, m)
-        _slide_window(den_series, f.denominator, m)
+def _nonzero_product(lo: int, hi: int) -> int:
+    """The product of the nonzero integers lo..hi, as two falling factorials."""
+    pos, neg = max(hi - max(lo, 1) + 1, 0), max(min(hi, -1) - lo + 1, 0)  # their counts
+    return (-1) ** neg * math.perm(max(hi, 0), pos) * math.perm(max(-lo, 0), neg)
 
 
 def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
-    """Exact partial-fraction expansion of a proper factored function.
+    """Exact partial fractions of a proper factored function from the log-
+    derivative of each pole's local factor (Ball-Rivoal 2001, Zudilin 2004).
+    w(c), the numerator factors t + c minus the denominator ones, is read per
+    block as a signed interval (lo, hi, +-power).  At the pole t = -m, with
+    cover mu and z numerator zeros, t = u - m gives
+    R = scalar (p0 + c1 u) u^(z - mu) L_m exp(sum_k (-1)^(k-1) P_k u^k / k),
+    p0 = c0 - c1 m, L_m = prod_{c != m} (c - m)^w(c) (_nonzero_product per
+    block), P_k = sum_{c != m} w(c) / (c - m)^k.  Q_k = Lambda^k P_k, with
+    Lambda = lcm(1..X) and X the largest |c - m|, and B_i = i! Lambda^i
+    [u^i] exp(...) are integers: B_0 = 1, and for i = mu - j - z >= 0
 
-    Per pole t = -m with denominator cover mu: substitute t = u - m, so
-    every linear factor (t + c) becomes (c - m) + u; the mu vanishing
-    denominator factors contribute u^mu and the rest give integer series
-    num and den truncated at order mu - 1.  Exact series division of
-    scalar * num by den gives a_{j,m} as the coefficient of u^(mu - j).
+        B_i = sum_{k=1..i} (-1)^(k-1) (i-1)!/(i-k)! Q_k B_(i-k),
+        a_{j,m} = scalar L_m (p0 B_i + c1 i Lambda B_(i-1)) / (i! Lambda^i),
 
-    The series come from one _window_walk down from the largest pole to
-    the smallest, truncated at max mu terms; an m between two poles that is
-    no pole costs one slide and is skipped.  The terms are returned sorted
-    by (m, j).
-
-    The scalar sn/sd is folded into the division: local[k] = (sn num[k] -
-    sd sum_{i=1..k} den[i] local[k-i]) / (sd den[0]), with the sum kept as
-    an integer over the lcm of the denominators found so far, so each
-    coefficient is built as one Fraction.
-    """
+    one Fraction scalar L_m per pole times a small one per term, zero terms
+    omitted, sorted by (m, j).  One sweep over x = -X..X keeps the sums
+    S_k(x) = sum_{0 != y <= x} (Lambda / y)^k, adding +-w S_k at x = hi - m
+    and lo - 1 - m to pole m's vector of Q_k."""
     if not f.is_proper:
-        raise DomainError(
-            "partial fractions of a non-proper function would have a "
-            f"polynomial part (degrees {f.numerator_degree} >= "
-            f"{f.denominator_degree})"
-        )
+        raise DomainError("partial fractions of a non-proper function would have a "
+                          f"polynomial part (degrees {f.numerator_degree} >= "
+                          f"{f.denominator_degree})")
+    cover, zeros = _denominator_cover(f), Counter(_linear_factors(f.numerator))
+    tops = {m: mu - zeros[m] for m, mu in sorted(cover.items()) if mu > zeros[m]}
     out: dict[tuple[int, int], Fraction] = {}
-    sn, sd = f.scalar.numerator, f.scalar.denominator
-    cover = _denominator_cover(f)
-    walk = _window_walk(f, max(cover), max(cover.values()))
-    for m, num, den_series in itertools.islice(walk, max(cover) - min(cover) + 1):
-        mu = cover.get(m)
-        if mu is None:
-            continue  # between two poles
-        den0 = sd * den_series[0]
-        scale = 1  # lcm of the denominators of local[0 .. k-1]
-        scaled: list[int] = []  # local[i] * scale
-        local: list[Fraction] = []
-        for k in range(mu):
-            acc = sn * num[k] * scale - sd * sum(
-                den_series[i] * scaled[k - i] for i in range(1, k + 1)
-            )
-            x = Fraction(acc, scale * den0)
-            grow = x.denominator // math.gcd(scale, x.denominator)
-            if grow > 1:
-                scale *= grow
-                scaled = [v * grow for v in scaled]
-            scaled.append(x.numerator * (scale // x.denominator))
-            local.append(x)
-        for j in range(1, mu + 1):
-            a = local[mu - j]
-            if a != 0:
-                out[(m, j)] = a
-    return PartialFractionExpansion(dict(sorted(out.items())))
+    if not tops or not f.scalar:
+        return PartialFractionExpansion(out)
+    spans = [(b.shift, b.shift + b.length - 1, b.power) for b in f.numerator]
+    spans += [(b.shift, b.shift + b.length - 1, -b.power) for b in f.denominator]
+    reach = max(max(hi for _, hi, _ in spans) - min(tops),
+                max(tops) - min(lo for lo, _, _ in spans))
+    lam, size = math.lcm(*range(1, reach + 1)), max(tops.values())
+    power_sums, ends = {m: [0] * (top - 1) for m, top in tops.items()}, defaultdict(list)
+    for (m, q), (lo, hi, w) in itertools.product(power_sums.items(), spans):
+        ends[hi - m].append((q, w))  # x -> (pole m's vector of Q_k, +-w)
+        ends[lo - 1 - m].append((q, -w))
+    sums = [0] * (size - 1)
+    for x in range(-reach, reach + 1):
+        if x:
+            powers = itertools.accumulate([lam // x] * (size - 1), operator.mul)
+            sums = [s + p for s, p in zip(sums, powers)]
+        for q, w in ends.get(x, ()):
+            q[:] = [a + w * s for a, s in zip(q, sums)]
+    c0, c1 = f.prefactor
+    for m, top in tops.items():
+        q, b = power_sums[m], [1]
+        for i in range(1, top):
+            b.append(sum((-1) ** (k - 1) * math.perm(i - 1, k - 1) * q[k - 1] * b[i - k]
+                         for k in range(1, i + 1)))
+        parts = [_nonzero_product(lo - m, hi - m) ** abs(w) for lo, hi, w in spans]
+        scale = Fraction(f.scalar.numerator * math.prod(parts[:len(f.numerator)]),
+                         f.scalar.denominator * math.prod(parts[len(f.numerator):]))
+        for i in range(top - 1, -1, -1):
+            t = (c0 - c1 * m) * b[i] + (c1 * i * lam * b[i - 1] if i else 0)
+            if t:
+                out[(m, top - i)] = scale * Fraction(t, math.factorial(i) * lam**i)
+    return PartialFractionExpansion(out)
 
 
 def second_derivative(p: PartialFractionExpansion) -> PartialFractionExpansion:
@@ -452,6 +379,79 @@ def evaluate_numeric(form: ZetaLinearForm, table: ZetaTable) -> FixedReal:
     if out_digits < 1:
         raise BudgetError("precision budget exhausted by coefficient size")
     return FixedReal(acc, digits).rescale(out_digits)
+
+
+def _linear_product(constants: list[int], size: int) -> list[int]:
+    """prod (c + u) over the nonzero constants c, as an integer series
+    truncated to `size` terms."""
+    series = [1] + [0] * (size - 1)
+    for c in constants:
+        if c:
+            for k in range(size - 1, 0, -1):
+                series[k] = c * series[k] + series[k - 1]
+            series[0] *= c
+    return series
+
+
+def _window_product(
+    blocks: tuple[RisingBlock, ...], m: int, size: int
+) -> tuple[list[int], int]:
+    """The blocks' factors at t = u - m: prod (c + u)^power over the window
+    constants c = shift - m ... shift - m + length - 1.  Returns the
+    product of the factors with c != 0 as an integer series truncated to
+    `size` terms, and the number of factors with c = 0 (powers counted)."""
+    constants = [c - m for c in _linear_factors(blocks)]
+    return _linear_product(constants, size), constants.count(0)
+
+
+def _slide_window(series: list[int], blocks: tuple[RisingBlock, ...], m: int) -> int:
+    """Move a _window_product from m down to m - 1 in place: each
+    block's window of constants lo = shift - m ... lo + length - 1 loses lo
+    and gains lo + length, power times each.  The series is divided
+    exactly by the product of the outgoing factors, one order at a time (a
+    remainder means it never had those factors), and multiplied by the
+    product of the incoming ones; both products come from the small
+    constants (_linear_product).  Returns the change in the zero-factor
+    count."""
+    size = len(series)
+    outgoing = [b.shift - m for b in blocks for _ in range(b.power)]
+    incoming = [b.shift - m + b.length for b in blocks for _ in range(b.power)]
+    divisor = _linear_product(outgoing, size)
+    multiplier = _linear_product(incoming, size)
+    lead = divisor[0]
+    for k in range(size):
+        acc = series[k]
+        for i in range(1, k + 1):
+            acc -= divisor[i] * series[k - i]
+        series[k], rem = divmod(acc, lead)
+        if rem:
+            raise InternalCheckError(
+                f"series not divisible by the outgoing factors at order {k}"
+            )
+    for k in range(size - 1, -1, -1):
+        acc = 0
+        for i in range(k + 1):
+            acc += multiplier[i] * series[k - i]
+        series[k] = acc
+    return incoming.count(0) - outgoing.count(0)
+
+
+def _window_walk(f: FactoredRationalFunction, top: int, size: int):
+    """Yield (m, num, den) for m = top, top - 1, ... without end, the walk up
+    t = -top, 1 - top, ... that direct_sum alone reads: f at t = u - m as
+    integer series of `size` terms, num the whole numerator (scalar aside,
+    its zero factors as a power of u) and den the denominator factors with
+    nonzero constant, each slid per step by one exact division and one
+    multiplication (_slide_window); the yielded den list changes next step."""
+    c0, c1 = f.prefactor
+    num_series, zeros = _window_product(f.numerator, top, size)
+    den_series, _ = _window_product(f.denominator, top, size)
+    for m in itertools.count(top, -1):
+        shifted = ([0] * zeros + num_series)[:size]
+        p0 = c0 - c1 * m
+        yield m, [p0 * a + c1 * b for a, b in zip(shifted, [0] + shifted)], den_series
+        zeros += _slide_window(num_series, f.numerator, m)
+        _slide_window(den_series, f.denominator, m)
 
 
 def _second_derivative_at(f: FactoredRationalFunction):

@@ -22,6 +22,19 @@ def pipeline2():
 
 
 @pytest.fixture(scope="session")
+def pipelines(pipeline1, pipeline2):
+    """n -> the Pipeline of index n, each built once per session."""
+    built = {1: pipeline1, 2: pipeline2}
+
+    def pipeline(n):
+        if n not in built:
+            built[n] = Pipeline(n)
+        return built[n]
+
+    return pipeline
+
+
+@pytest.fixture(scope="session")
 def table400():
     return ZetaTable([5, 7, 9, 11], 400)
 

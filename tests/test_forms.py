@@ -343,13 +343,12 @@ def per_pole_rebuild_oracle(f):
     return out
 
 
-def test_partial_fractions_matches_rebuild_oracle_zudilin(pipeline1, pipeline2):
+def test_partial_fractions_matches_rebuild_oracle_zudilin(pipelines):
     # same dict, same key order; even n puts the prefactor zero 37n + 2t
-    # on the pole m = 37n/2
-    cases = [(pipe.factored, pipe.expansion) for pipe in (pipeline1, pipeline2)]
-    cases += [(f, partial_fractions(f)) for f in map(build_zudilin, (3, 4))]
-    for f, p in cases:
-        assert list(p.terms.items()) == list(per_pole_rebuild_oracle(f).items())
+    # on the pole m = 37n/2; n = 5 is the largest n of the bench's exact ladder
+    for pipe in map(pipelines, range(1, 6)):
+        want = per_pole_rebuild_oracle(pipe.factored)
+        assert list(pipe.expansion.terms.items()) == list(want.items()), pipe.n
 
 
 @st.composite
@@ -397,6 +396,25 @@ def edge_case_functions(draw, min_shift=-8):
         (RisingBlock(-4, 2, 1),),
         (RisingBlock(-5, 3, 2), RisingBlock(60, 2, 3)),
         Fraction(-7, 3),
+    )
+)
+# scalar 0: no term at all, not zero-valued ones
+@example(FactoredRationalFunction((1, 2), (), (RisingBlock(0, 3, 2),), Fraction(0)))
+# numerator zeros z = mu at t = -2 and z > mu at t = -3: no term there
+@example(
+    FactoredRationalFunction(
+        (1, 0),
+        (RisingBlock(2, 2, 2), RisingBlock(3, 1, 1)),
+        (RisingBlock(1, 3, 2),),
+        Fraction(5, 2),
+    )
+)
+# the prefactor root 6 + 2t = 0 on the double pole t = -3
+@example(FactoredRationalFunction((6, 2), (), (RisingBlock(2, 3, 2),), Fraction(-3, 4)))
+# triple poles at t = 2, 3, 4 (m < 0) only
+@example(
+    FactoredRationalFunction(
+        (1, 1), (RisingBlock(-1, 2, 1),), (RisingBlock(-4, 3, 3),), Fraction(2, 3)
     )
 )
 def test_partial_fractions_edge_cases_match_rebuild_oracle(f):
@@ -1012,6 +1030,37 @@ def test_common_denominator():
     assert common_denominator(integral)[0] == 1
     mixed = ZetaLinearForm(0, Fraction(1, 6), {5: Fraction(1, 4)})
     assert common_denominator(mixed)[0] == 12
+
+
+def _prime_order(x, p):
+    """The exponent of the prime p in the integer x != 0."""
+    order = 0
+    while x % p == 0:
+        x, order = x // p, order + 1
+    return order
+
+
+# n -> a prime p at which ord_p(D_n) reaches the bound 10 ord_p(d_35n);
+# at n = 2 no prime does
+BOUND_REACHED_AT = {1: 19, 3: 59, 4: 79, 5: 97}
+
+
+def test_zudilin_denominator_within_the_arithmetic_bound(pipelines):
+    # D_n divides d_35n^10, with d_N = lcm(1..N): no prime factor of D_n
+    # exceeds 35n, and the exponent 10 is reached (ord_p(d_N) = floor(log_p N))
+    for n in range(1, 6):
+        d, _ = common_denominator(pipelines(n).form)
+        big_n = 35 * n
+        d_big_n = math.lcm(*range(1, big_n + 1))
+        assert d_big_n**10 % d == 0, n
+        rest = d
+        for p in range(2, big_n + 1):
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1, n
+        if n in BOUND_REACHED_AT:
+            p = BOUND_REACHED_AT[n]
+            assert _prime_order(d, p) == 10 * _prime_order(d_big_n, p) == 10, n
 
 
 def test_common_denominator_clears_zudilin(pipeline1):
