@@ -391,7 +391,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ZetaformsError as exc:
         _emit(_error_doc("domain", exc, args), None)
         return EXIT_DOMAIN
-    _emit(render(doc, args.format), args.output)
+    text = render(doc, args.format)
+    try:
+        _emit(text, args.output)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        if args.output is None:
+            raise
+        parser.error(f"cannot write --output {args.output}: {exc}")
     return EXIT_OK
 
 

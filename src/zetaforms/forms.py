@@ -7,16 +7,16 @@ and sum over positive integer arguments using sum_{k>=1} (k+m)^(-s) =
 zeta(s) - H_m(s).
 
 A block list is read as its linear factors t + c, listed once by
-_linear_factors for the pole cover, the zeros at a pole, the window series,
-the leading exact zeros of R'' and evaluate (the integers P + cQ at t = P/Q);
+_linear_factors for the pole cover, the zeros at a pole, direct_sum's
+series, the leading exact zeros of R'' and evaluate (P + cQ at t = P/Q);
 partial_fractions also reads each block whole, as an interval of constants.
 
 The two numeric routes share no series code and act as oracles for one
 another: the exact coefficients (partial_fractions, an integer recurrence
 per pole on power sums of the factors) times the zeta table, and
-direct_sum, which reads only the factored function (_window_walk slides
-its integer series up t = 1, 2, ...) and derives its cutoff from it, so it
-checks partial_fractions, sum_over_k and the zeta table at once.
+direct_sum, which reads only the factored function (_second_derivative_at
+slides its integer series up t = 1, 2, ...) and derives its cutoff from
+it, so it checks partial_fractions, sum_over_k and the zeta table at once.
 """
 
 from __future__ import annotations
@@ -381,77 +381,33 @@ def evaluate_numeric(form: ZetaLinearForm, table: ZetaTable) -> FixedReal:
     return FixedReal(acc, digits).rescale(out_digits)
 
 
-def _linear_product(constants: list[int], size: int) -> list[int]:
-    """prod (c + u) over the nonzero constants c, as an integer series
-    truncated to `size` terms."""
-    series = [1] + [0] * (size - 1)
+def _three_terms(constants) -> tuple[tuple[int, int, int], int]:
+    """prod (c + u) over the nonzero constants c, as the integers of its
+    terms up to u^2, and the number of zero c."""
+    a0, a1, a2, zeros = 1, 0, 0, 0
     for c in constants:
         if c:
-            for k in range(size - 1, 0, -1):
-                series[k] = c * series[k] + series[k - 1]
-            series[0] *= c
-    return series
+            a0, a1, a2 = c * a0, c * a1 + a0, c * a2 + a1
+        else:
+            zeros += 1
+    return (a0, a1, a2), zeros
 
 
-def _window_product(
-    blocks: tuple[RisingBlock, ...], m: int, size: int
-) -> tuple[list[int], int]:
-    """The blocks' factors at t = u - m: prod (c + u)^power over the window
-    constants c = shift - m ... shift - m + length - 1.  Returns the
-    product of the factors with c != 0 as an integer series truncated to
-    `size` terms, and the number of factors with c = 0 (powers counted)."""
-    constants = [c - m for c in _linear_factors(blocks)]
-    return _linear_product(constants, size), constants.count(0)
-
-
-def _slide_window(series: list[int], blocks: tuple[RisingBlock, ...], m: int) -> int:
-    """Move a _window_product from m down to m - 1 in place: each
-    block's window of constants lo = shift - m ... lo + length - 1 loses lo
-    and gains lo + length, power times each.  The series is divided
-    exactly by the product of the outgoing factors, one order at a time (a
-    remainder means it never had those factors), and multiplied by the
-    product of the incoming ones; both products come from the small
-    constants (_linear_product).  Returns the change in the zero-factor
-    count."""
-    size = len(series)
-    outgoing = [b.shift - m for b in blocks for _ in range(b.power)]
-    incoming = [b.shift - m + b.length for b in blocks for _ in range(b.power)]
-    divisor = _linear_product(outgoing, size)
-    multiplier = _linear_product(incoming, size)
-    lead = divisor[0]
-    for k in range(size):
-        acc = series[k]
-        for i in range(1, k + 1):
-            acc -= divisor[i] * series[k - i]
-        series[k], rem = divmod(acc, lead)
+def _slide(series, outgoing: list[int], incoming: list[int]) -> tuple[int, int, int]:
+    """series / prod (c + u) over the outgoing c * prod (c + u) over the
+    incoming c, to u^2, zero c left out (_three_terms).  The division is
+    exact order by order; a remainder means the series lacks those factors."""
+    (a0, a1, a2), ((b0, b1, b2), _) = series, _three_terms(outgoing)
+    q0, r0 = divmod(a0, b0)
+    q1, r1 = divmod(a1 - b1 * q0, b0)
+    q2, r2 = divmod(a2 - b1 * q1 - b2 * q0, b0)
+    for order, rem in enumerate((r0, r1, r2)):
         if rem:
             raise InternalCheckError(
-                f"series not divisible by the outgoing factors at order {k}"
+                f"series not divisible by the outgoing factors at order {order}"
             )
-    for k in range(size - 1, -1, -1):
-        acc = 0
-        for i in range(k + 1):
-            acc += multiplier[i] * series[k - i]
-        series[k] = acc
-    return incoming.count(0) - outgoing.count(0)
-
-
-def _window_walk(f: FactoredRationalFunction, top: int, size: int):
-    """Yield (m, num, den) for m = top, top - 1, ... without end, the walk up
-    t = -top, 1 - top, ... that direct_sum alone reads: f at t = u - m as
-    integer series of `size` terms, num the whole numerator (scalar aside,
-    its zero factors as a power of u) and den the denominator factors with
-    nonzero constant, each slid per step by one exact division and one
-    multiplication (_slide_window); the yielded den list changes next step."""
-    c0, c1 = f.prefactor
-    num_series, zeros = _window_product(f.numerator, top, size)
-    den_series, _ = _window_product(f.denominator, top, size)
-    for m in itertools.count(top, -1):
-        shifted = ([0] * zeros + num_series)[:size]
-        p0 = c0 - c1 * m
-        yield m, [p0 * a + c1 * b for a, b in zip(shifted, [0] + shifted)], den_series
-        zeros += _slide_window(num_series, f.numerator, m)
-        _slide_window(den_series, f.denominator, m)
+    (m0, m1, m2), _ = _three_terms(incoming)
+    return q0 * m0, q0 * m1 + q1 * m0, q0 * m2 + q1 * m1 + q2 * m0
 
 
 def _second_derivative_at(f: FactoredRationalFunction):
@@ -460,20 +416,20 @@ def _second_derivative_at(f: FactoredRationalFunction):
     d0 > 0, so R''(k) = 2 [u^2] R(k + u) = 2 scalar (d0 (p2 d0 - p1 d1 -
     p0 d2) + p0 d1^2) / d0^3.
 
-    p and d are the _window_walk series of f at t = k + u (m = -k, one
-    slide per k), truncated at u^2.  Where the numerator vanishes to order
-    3 or more, R''(k) is exactly 0 (no pole sits at a positive integer),
-    so the leading run of such k (k <= 27n for Zudilin's forms) is yielded
-    as p = 0, d = 1 and the walk starts past it.  The slide is most of
-    direct_sum's cost: for Zudilin's n = 1, 16 factors out and 16 in per k,
-    about 35-40 us against 20 us for _rounded_term, on series of 800 to
-    2,700 bits (2 vCPUs, Python 3.11)."""
+    d is the denominator's _three_terms at t = k + u (every constant >= 1)
+    and p the prefactor times the numerator's, its zero factors a power of
+    u.  From k to k + 1 a block (t + shift)_length^power loses t + shift and
+    gains t + shift + length, power times: one _slide per side.  Where the
+    numerator vanishes to order 3 or more, R''(k) is exactly 0 (no pole
+    sits at a positive integer), so the leading run of such k (k <= 27n for
+    Zudilin's forms) is yielded as p = 0, d = 1 and the walk starts past it.
+    A step at n = 1 (16 factors out, 16 in) takes 30-50 us, against 25-30 us
+    for _rounded_term, on series of 800 to 2,700 bits (2 vCPUs, Python 3.11)."""
     cover = _denominator_cover(f)
     if min(cover, default=0) < 0:
-        raise DomainError(
-            f"pole at positive integer t={-min(cover)} hits the sum range"
-        )
-    roots = Counter(-c for c in _linear_factors(f.numerator))
+        raise DomainError(f"pole at positive integer t={-min(cover)} hits the sum range")
+    factors = _linear_factors(f.numerator)
+    roots = Counter(-c for c in factors)
     c0, c1 = f.prefactor
     if c1 and c0 % c1 == 0:
         roots[-c0 // c1] += 1
@@ -481,8 +437,21 @@ def _second_derivative_at(f: FactoredRationalFunction):
     while roots[start] >= 3:
         start += 1
     yield from itertools.repeat(((0, 0, 0), (1, 0, 0)), start - 1)
-    for _, p, d in _window_walk(f, -start, 3):
-        yield p, tuple(d)
+    top, zeros = _three_terms([c + start for c in factors])
+    bottom, _ = _three_terms([c + start for c in _linear_factors(f.denominator)])
+
+    def ends(blocks, k):  # the constants leaving and entering from k to k + 1
+        return ([b.shift + k for b in blocks for _ in range(b.power)],
+                [b.shift + b.length + k for b in blocks for _ in range(b.power)])
+
+    for k in itertools.count(start):
+        x0, x1, x2 = ((0,) * zeros + top)[:3]
+        p0 = c0 + c1 * k
+        yield (p0 * x0, p0 * x1 + c1 * x0, p0 * x2 + c1 * x1), bottom
+        outgoing, incoming = ends(f.numerator, k)
+        top = _slide(top, outgoing, incoming)
+        zeros += incoming.count(0) - outgoing.count(0)
+        bottom = _slide(bottom, *ends(f.denominator, k))
 
 
 # fractional bits of the screened quotients past the bit length of the
@@ -544,10 +513,9 @@ def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     past the hump, k >= 4 x the largest pole, times a 10^4 safety factor.
 
     At 200 digits, for Zudilin's forms (2 vCPUs, Python 3.11, in process):
-    n = 1 (1,459 terms) takes 0.09-0.14 s, n = 2 0.02-0.03 s and n = 3
-    0.04-0.06 s, against 0.17-0.26, 0.05-0.08 and 0.13-0.22 s when every
-    term was formed as an exact rational with d0^3 and the window slid one
-    factor at a time.  No term of n = 1, 2 or 3 needs the exact fallback.
+    n = 1 (1,459 terms) takes 0.09-0.11 s, n = 2 0.016-0.024 s, n = 3
+    0.034-0.053 s and n = 6 0.19-0.20 s.  No term of n = 1, 2 or 3 needs
+    the exact fallback.
     """
     if not f.is_proper:
         raise DomainError("the direct sum needs a proper function")

@@ -589,6 +589,20 @@ def test_output_file_and_text_format(capsys, tmp_path):
     assert "kappa_threshold = 438.2213463890" in out
 
 
+@pytest.mark.parametrize("where", ["missing/out.json", "."])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, where):
+    # a missing directory, or a directory itself: exit 2 naming the path,
+    # nothing on stdout and no file made
+    target = tmp_path / where
+    with pytest.raises(SystemExit) as exc:
+        main(["criterion", "--zudilin", "--output", str(target)])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write --output {target}: " in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -39,11 +39,11 @@ from zetaforms.forms import (
 from zetaforms.fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
 from zetaforms.forms import (
     _denominator_cover,
+    _linear_factors,
     _rounded_term,
     _second_derivative_at,
-    _slide_window,
-    _window_product,
-    _window_walk,
+    _slide,
+    _three_terms,
 )
 from zetaforms.zeta import ZetaTable
 
@@ -354,7 +354,7 @@ def test_partial_fractions_matches_rebuild_oracle_zudilin(pipelines):
 @st.composite
 def edge_case_functions(draw, min_shift=-8):
     """Poles at m < 0 (negative shifts, unless min_shift >= 0), denominator
-    blocks 50 or more apart (the window slides through the gap), numerator
+    blocks 50 or more apart (a long gap between poles), numerator
     zeros on poles, c0 - c1 m = 0 at a pole, powers
     1..3 on both sides."""
     powers = st.integers(1, 3)
@@ -485,67 +485,94 @@ def test_partial_fractions_of_ball_series_give_apery(n):
     assert form.coefficients == {2: 0, 3: b, 4: 0}
 
 
-def test_window_division_is_exact_or_raises():
-    # (2 + u)(3 + u) = 6 + 5u + u^2, the window of RisingBlock(2, 2, 1) at
-    # t = u: sliding down to m = -1 divides by the outgoing (2 + u) and
+@pytest.mark.parametrize("n", range(3, 7))
+def test_direct_sum_of_ball_series_matches_exact_route(n):
+    # a numerator zero on the walk that leaves it: (t - n)_n vanishes at
+    # t = 1..n, one factor each, so the zero count drops from 1 to 0 on the
+    # slide from n to n + 1.  n = 1 and 2 are left out: the terms fall only
+    # like k^-(2n + 5), so n = 2 walks 29,411 terms and n = 1 far more
+    f = ball_zeta3(n)
+    form = sum_over_k(second_derivative(partial_fractions(f)))
+    exact = evaluate_numeric(form, ZetaTable(form.nonzero_arguments(), 70))
+    direct = direct_sum(f, 30)
+    assert abs(direct.to_fraction() - exact.to_fraction()) < Fraction(1, 10**30)
+
+
+def test_slide_division_is_exact_or_raises():
+    # (2 + u)(3 + u) = 6 + 5u + u^2, the factors of RisingBlock(2, 2, 1) at
+    # t = u: sliding to t = u + 1 divides by the outgoing (2 + u) and
     # multiplies by the incoming (4 + u)
-    block = (RisingBlock(2, 2, 1),)
-    series = [6, 5, 1]
-    assert _slide_window(series, block, 0) == 0
-    assert series == [12, 7, 1]  # (3 + u)(4 + u)
+    assert _slide((6, 5, 1), [2], [4]) == (12, 7, 1)  # (3 + u)(4 + u)
     # a corrupted series raises, whichever order carries the fault: 7 is
-    # not divisible by 2, and 6 + 5u + 2u^2 leaves u^2 / (2 + u) at order 2
-    for corrupt in ([7, 5, 1], [6, 5, 2]):
-        with pytest.raises(InternalCheckError, match="not divisible"):
-            _slide_window(corrupt, block, 0)
+    # not divisible by 2, 6 + 6u leaves u / (2 + u) at order 1, and
+    # 6 + 5u + 2u^2 leaves u^2 / (2 + u) at order 2
+    for order, corrupt in enumerate([(7, 5, 1), (6, 6, 1), (6, 5, 2)]):
+        with pytest.raises(InternalCheckError, match=f"not divisible .* order {order}"):
+            _slide(corrupt, [2], [4])
     # with two outgoing factors the one division is by their product: a
     # series missing either factor raises
-    pair = (RisingBlock(2, 2, 1), RisingBlock(5, 1, 2))
-    series, zeros = _window_product(pair, 0, 3)  # (2 + u)(3 + u)(5 + u)^2
-    assert (series, zeros) == ([150, 185, 81], 0)
-    for corrupt in ([150 + 25, 185, 81], [150, 185 + 2, 81], [150, 185, 81 + 5]):
+    series, zeros = _three_terms([2, 3, 5, 5])  # (2 + u)(3 + u)(5 + u)^2
+    assert (series, zeros) == ((150, 185, 81), 0)
+    for corrupt in ((150 + 25, 185, 81), (150, 185 + 2, 81), (150, 185, 81 + 5)):
         with pytest.raises(InternalCheckError, match="not divisible"):
-            _slide_window(corrupt, pair, 0)
-    assert _slide_window(series, pair, 0) == 0
-    assert series == _window_product(pair, -1, 3)[0]  # (3 + u)(4 + u)(6 + u)^2
+            _slide(corrupt, [2, 5, 5], [4, 6, 6])
+    # (3 + u)(4 + u)(6 + u)^2
+    assert _slide(series, [2, 5, 5], [4, 6, 6]) == _three_terms([3, 4, 6, 6])[0]
     # RisingBlock(0, 2, 1) at t = u is u (1 + u), the zero factor counted
-    # apart; sliding down to m = -1 (t = u + 1) drops it for (2 + u)
-    series = [1, 1, 0]
-    assert _slide_window(series, (RisingBlock(0, 2, 1),), 0) == -1
-    assert series == [2, 3, 1]  # (1 + u)(2 + u)
-    # (-1 + u)(2 + u) to order 1 divides by a negative constant exactly,
-    # and the incoming 0 of RisingBlock(-1, 1, 1) is counted apart
-    blocks = (RisingBlock(-1, 1, 1), RisingBlock(2, 1, 1))
-    truncated = [-2, 1]
-    assert _slide_window(truncated, blocks, 0) == 1
-    assert truncated == [3, 1]  # 1 / 1 times (3 + u)
-    with pytest.raises(InternalCheckError):
+    # apart; sliding to t = u + 1 drops it for (2 + u)
+    assert _three_terms([0, 1]) == ((1, 1, 0), 1)
+    assert _slide((1, 1, 0), [0], [2]) == (2, 3, 1)  # (1 + u)(2 + u)
+    # (-1 + u)(2 + u) divides by a negative constant exactly, and the
+    # incoming 0 of RisingBlock(-1, 1, 1) is counted apart
+    assert _three_terms([-1, 2]) == ((-2, 1, 1), 0)
+    assert _three_terms([0, 3]) == ((3, 1, 0), 1)
+    assert _slide((-2, 1, 1), [-1, 2], [0, 3]) == (3, 1, 0)  # 1 times (3 + u)
+    with pytest.raises(InternalCheckError, match="order 0"):
         # 3 / (-2 + u): divmod floors 3 / -2 to -2 and leaves a remainder
-        _slide_window([3, 1], (RisingBlock(-2, 1, 1),), 0)
+        _slide((3, 1, 0), [-2], [-1])
+
+
+def rebuilt_series(f, k):
+    """Oracle: (p, d) of f at t = k + u from _three_terms rebuilt at that k,
+    no slide: d the denominator's series, p the prefactor (c0 + c1 k) +
+    c1 u times the numerator's, shifted up by its zero factors."""
+    c0, c1 = f.prefactor
+    top, zeros = _three_terms([c + k for c in _linear_factors(f.numerator)])
+    x0, x1, x2 = ((0,) * zeros + top)[:3]
+    p0 = c0 + c1 * k
+    bottom, _ = _three_terms([c + k for c in _linear_factors(f.denominator)])
+    return (p0 * x0, p0 * x1 + c1 * x0, p0 * x2 + c1 * x1), bottom
 
 
 @st.composite
-def slide_cases(draw):
-    """Blocks whose windows cross zero (negative and zero constants),
-    powers up to 3, a series size of 1, 3 or 10 and a top m."""
-    blocks = draw(st.lists(
-        st.builds(RisingBlock, st.integers(-6, 6), st.integers(1, 5), st.integers(1, 3)),
-        min_size=1, max_size=4,
-    ))
-    return tuple(blocks), draw(st.sampled_from([1, 3, 10])), draw(st.integers(-6, 8))
+def walk_functions(draw):
+    """Numerator blocks with negative and zero constants on the walk
+    (zeros that arrive and leave), powers up to 3, denominator blocks with
+    every pole at t <= 0 and any prefactor but the zero one."""
+    def blocks(low):
+        return st.lists(
+            st.builds(RisingBlock, st.integers(low, 6), st.integers(1, 5), st.integers(1, 3)),
+            min_size=1, max_size=4,
+        )
+    prefactor = draw(st.tuples(st.integers(-6, 6), st.integers(-2, 2)).filter(any))
+    return FactoredRationalFunction(prefactor, tuple(draw(blocks(-12))),
+                                    tuple(draw(blocks(0))))
 
 
 @settings(max_examples=80, deadline=None)
-@given(slide_cases())
-@example(((RisingBlock(0, 3, 2), RisingBlock(-2, 1, 3)), 10, 2))
-def test_slide_matches_rebuilt_window(case):
-    # every m from the top down past every window: the slid series and the
-    # zero count equal _window_product rebuilt from scratch at that m
-    blocks, size, top = case
-    series, zeros = _window_product(blocks, top, size)
-    for m in range(top, top - 16, -1):
-        zeros += _slide_window(series, blocks, m)
-        assert (series, zeros) == _window_product(blocks, m - 1, size), m
+@given(walk_functions())
+@example(FactoredRationalFunction(
+    (1, 1), (RisingBlock(-3, 3, 2), RisingBlock(-2, 1, 3)), (RisingBlock(0, 2, 1),)
+))
+def test_walk_matches_rebuilt_series(f):
+    # every k from 1 past every numerator zero: the slid series equal
+    # _three_terms rebuilt from scratch at that k, except the leading run
+    # where the numerator vanishes to order 3 or more (p = 0 there)
+    walk = list(islice(_second_derivative_at(f), 24))
+    rebuilt = [rebuilt_series(f, k) for k in range(1, 25)]
+    skipped = next(k for k, (p, _) in enumerate(rebuilt) if p != (0, 0, 0))
+    assert walk[:skipped] == [((0, 0, 0), (1, 0, 0))] * skipped
+    assert walk[skipped:] == rebuilt[skipped:]
 
 
 def test_partial_fractions_rejects_improper():
@@ -868,12 +895,13 @@ def test_direct_sum_cutoff_follows_the_decay(monkeypatch):
 
 
 def full_walk_terms(f, count):
-    """Oracle: the first `count` (a, b) of the [u^2] formula on a
-    _window_walk that starts at k = 1 and skips nothing."""
+    """Oracle: the first `count` (a, b) of the [u^2] formula on the series
+    rebuilt at every k = 1, 2, ... (rebuilt_series), skipping nothing."""
     sn2, sd = 2 * f.scalar.numerator, f.scalar.denominator
     return [
         (sn2 * (d0 * (p2 * d0 - p1 * d1 - p0 * d2) + p0 * d1 * d1), sd * d0**3)
-        for _, (p0, p1, p2), (d0, d1, d2) in islice(_window_walk(f, -1, 3), count)
+        for (p0, p1, p2), (d0, d1, d2) in map(rebuilt_series, [f] * count,
+                                              range(1, count + 1))
     ]
 
 
@@ -888,11 +916,11 @@ def second_derivative_value(f, p, d):
 
 def test_second_derivative_skips_only_exact_zeros():
     # the leading k where the numerator vanishes to order >= 3 come out as
-    # p = 0, d = 1 without a window slide: 27n of them for Zudilin's forms,
+    # p = 0, d = 1 without a slide: 27n of them for Zudilin's forms,
     # and 2 for t (t-1)^3 (t-2)^3 (t-3)^2 over (t+1)_5^3, whose order drops
     # to 2 at t = 3, and for (1 - t) (t-1)^2 (t-2)^3, where the prefactor's
-    # root makes the third zero at t = 1; past them come the series of the
-    # full walk
+    # root makes the third zero at t = 1; past them come the series rebuilt
+    # at each k
     cases = [(build_zudilin(n), 27 * n) for n in (1, 2, 3)]
     cases.append((FactoredRationalFunction(
         (0, 1), (RisingBlock(-3, 3, 2), RisingBlock(-2, 2, 1)), (RisingBlock(1, 5, 3),)
@@ -903,8 +931,8 @@ def test_second_derivative_skips_only_exact_zeros():
     for f, skipped in cases:
         count = skipped + 30
         full = full_walk_terms(f, count)
-        walk = [(tuple(p), tuple(d)) for _, p, d in islice(_window_walk(f, -1, 3), count)]
-        series = [(tuple(p), d) for p, d in islice(_second_derivative_at(f), count)]
+        walk = [rebuilt_series(f, k) for k in range(1, count + 1)]
+        series = list(islice(_second_derivative_at(f), count))
         assert series[:skipped] == [((0, 0, 0), (1, 0, 0))] * skipped
         assert all(a == 0 for a, _ in full[:skipped])
         assert series[skipped:] == walk[skipped:]

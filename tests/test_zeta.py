@@ -278,6 +278,8 @@ def test_table_verifies_and_guards(table200):
         table200[13]
     with pytest.raises(DomainError):
         ZetaTable([1], 50)
+    with pytest.raises(DomainError, match="at least 10 digits"):
+        ZetaTable([5], 9)
     with pytest.raises(DomainError):
         zeta_euler_maclaurin([5], 5)
     for route in (zeta_euler_maclaurin, zeta_alternating):
