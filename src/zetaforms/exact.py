@@ -18,8 +18,9 @@ def harmonic_power_sum(m: int, s: int) -> Fraction:
     """Partial sum 1 + 1/2^s + ... + 1/m^s; zero for m = 0.
 
     This is the exact tail correction in sum_{k>=1} (k+m)^(-s)
-    = zeta(s) - harmonic_power_sum(m, s).  `forms.sum_over_k` forms these
-    sums for all its terms in one walk; this one-term sum is its oracle.
+    = zeta(s) - harmonic_power_sum(m, s).  `forms.sum_over_k` never forms
+    it: it walks its terms' tails down the poles as integers over
+    lcm(1..max m)^s, one order at a time; this one-term sum is its oracle.
     """
     if m < 0:
         raise DomainError(f"harmonic_power_sum needs m >= 0, got {m}")

@@ -26,7 +26,7 @@ import math
 import operator
 from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetError, DomainError, InternalCheckError
 from .exact import fraction_str, log2_fraction
@@ -158,10 +158,23 @@ class PartialFractionExpansion(NamedTuple):
         return total
 
 
-def _nonzero_product(lo: int, hi: int) -> int:
-    """The product of the nonzero integers lo..hi, as two falling factorials."""
-    pos, neg = max(hi - max(lo, 1) + 1, 0), max(min(hi, -1) - lo + 1, 0)  # their counts
-    return (-1) ** neg * math.perm(max(hi, 0), pos) * math.perm(max(-lo, 0), neg)
+def _pole_scales(scalar: Fraction, spans, poles) -> Iterator[Fraction]:
+    """scalar * L_m, L_m = prod_{c != m} (c - m)^w(c) over the signed spans
+    (lo, hi, w), at each m of the increasing poles: multiplied out at the
+    first, then slid one m at a time (gaps too), each span gaining lo - m and
+    losing hi + 1 - m, |w| times, zeros left out: one small Fraction a step."""
+    m, ratio = poles[0], [1, 1]  # the numerator and denominator sides
+    for lo, hi, w in spans:
+        ratio[w < 0] *= math.prod(filter(None, range(lo - m, hi + 1 - m))) ** abs(w)
+    scale = scalar * Fraction(*ratio)
+    for pole in poles:
+        while m < pole:
+            m, ratio = m + 1, [1, 1]
+            for lo, hi, w in spans:
+                ratio[w < 0] *= (lo - m or 1) ** abs(w)
+                ratio[w > 0] *= (hi + 1 - m or 1) ** abs(w)
+            scale *= Fraction(*ratio)
+        yield scale
 
 
 def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
@@ -171,18 +184,18 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
     block as a signed interval (lo, hi, +-power).  At the pole t = -m, with
     cover mu and z numerator zeros, t = u - m gives
     R = scalar (p0 + c1 u) u^(z - mu) L_m exp(sum_k (-1)^(k-1) P_k u^k / k),
-    p0 = c0 - c1 m, L_m = prod_{c != m} (c - m)^w(c) (_nonzero_product per
-    block), P_k = sum_{c != m} w(c) / (c - m)^k.  Q_k = Lambda^k P_k, with
-    Lambda = lcm(1..X) and X the largest |c - m|, and B_i = i! Lambda^i
-    [u^i] exp(...) are integers: B_0 = 1, and for i = mu - j - z >= 0
+    p0 = c0 - c1 m, L_m = prod_{c != m} (c - m)^w(c), P_k = sum_{c != m}
+    w(c) / (c - m)^k.  Q_k = Lambda^k P_k, with Lambda = lcm(1..X) and X the
+    largest |c - m|, and B_i = i! Lambda^i [u^i] exp(...) are integers:
+    B_0 = 1, and for i = mu - j - z >= 0
 
         B_i = sum_{k=1..i} (-1)^(k-1) (i-1)!/(i-k)! Q_k B_(i-k),
         a_{j,m} = scalar L_m (p0 B_i + c1 i Lambda B_(i-1)) / (i! Lambda^i),
 
-    one Fraction scalar L_m per pole times a small one per term, zero terms
-    omitted, sorted by (m, j).  One sweep over x = -X..X keeps the sums
-    S_k(x) = sum_{0 != y <= x} (Lambda / y)^k, adding +-w S_k at x = hi - m
-    and lo - 1 - m to pole m's vector of Q_k."""
+    one Fraction scalar L_m per pole, slid from pole to pole (_pole_scales),
+    times the integer over i! Lambda^i, zero terms omitted, sorted by (m, j).
+    One sweep over x = -X..X keeps S_k(x) = sum_{0 != y <= x} (Lambda/y)^k,
+    adding +-w S_k at x = hi - m and lo - 1 - m to pole m's vector of Q_k."""
     if not f.is_proper:
         raise DomainError("partial fractions of a non-proper function would have a "
                           f"polynomial part (degrees {f.numerator_degree} >= "
@@ -209,18 +222,16 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
         for q, w in ends.get(x, ()):
             q[:] = [a + w * s for a, s in zip(q, sums)]
     c0, c1 = f.prefactor
-    for m, top in tops.items():
+    dens = [math.factorial(i) * lam**i for i in range(size)]
+    weights = [[(-1) ** k * math.perm(i - 1, k) for k in range(i)] for i in range(size)]
+    for (m, top), scale in zip(tops.items(), _pole_scales(f.scalar, spans, list(tops))):
         q, b = power_sums[m], [1]
         for i in range(1, top):
-            b.append(sum((-1) ** (k - 1) * math.perm(i - 1, k - 1) * q[k - 1] * b[i - k]
-                         for k in range(1, i + 1)))
-        parts = [_nonzero_product(lo - m, hi - m) ** abs(w) for lo, hi, w in spans]
-        scale = Fraction(f.scalar.numerator * math.prod(parts[:len(f.numerator)]),
-                         f.scalar.denominator * math.prod(parts[len(f.numerator):]))
+            b.append(sum(v * x * y for v, x, y in zip(weights[i], q, reversed(b))))
         for i in range(top - 1, -1, -1):
             t = (c0 - c1 * m) * b[i] + (c1 * i * lam * b[i - 1] if i else 0)
             if t:
-                out[(m, top - i)] = scale * Fraction(t, math.factorial(i) * lam**i)
+                out[(m, top - i)] = scale * Fraction(t, dens[i])
     return PartialFractionExpansion(out)
 
 
@@ -275,26 +286,29 @@ def sum_over_k(p: PartialFractionExpansion, n: int = 0) -> ZetaLinearForm:
     -sum_m a_{m,1} H_m(1), and no zeta(1) coefficient is kept.  The
     constant -sum a_{m,s} H_m(s) is summed as -sum_s sum_l l^-s A_s(l),
     with the tails A_s(l) = sum_{m>=l} a_{m,s} kept in one walk down the
-    poles.
+    poles.  Each order s is one integer sum over d_s, the lcm of its terms'
+    denominators; ell0 adds sum_l A_s(l) (M/l)^s / (d_s M^s), M = lcm(1..max m).
     """
-    ell: dict[int, Fraction] = {}
-    by_pole: dict[int, list[tuple[int, Fraction]]] = {}
-    order_one = sum(a for (_, s), a in p.terms.items() if s == 1)
-    for (m, s), a in sorted(p.terms.items()):
+    terms = sorted(p.terms.items())
+    den: dict[int, int] = {}  # s -> d_s
+    for (_, s), a in terms:
+        den[s] = math.lcm(den.get(s, 1), a.denominator)
+    order_one = sum(a for (_, s), a in terms if s == 1)
+    tails, walked, by_pole = Counter(), Counter(), defaultdict(list)
+    for (m, s), a in terms:
         if m < 0:
             raise DomainError(f"pole at positive integer t={-m} hits the sum range")
         if s < 1 or (s == 1 and order_one != 0):
             raise DomainError(f"divergent order {s} at pole -{m}")
-        if s > 1:
-            ell[s] = ell.get(s, Fraction(0)) + a
-        by_pole.setdefault(m, []).append((s, a))
-    tails: dict[int, Fraction] = {}
-    ell0 = Fraction(0)
-    for l in range(max(by_pole, default=0), 0, -1):
+        by_pole[m].append((s, a))
+    big_m = math.lcm(*range(1, max(by_pole, default=0) + 1))
+    for l in range(max(by_pole, default=0), -1, -1):  # at l = 0, A_s(0) = ell_s
         for s, a in by_pole.get(l, ()):
-            tails[s] = tails.get(s, Fraction(0)) + a
-        ell0 -= sum(tail / l**s for s, tail in tails.items())
-    return ZetaLinearForm(n, ell0, ell)
+            tails[s] += a.numerator * (den[s] // a.denominator)
+        for s, tail in tails.items() if l else ():
+            walked[s] += tail * (big_m // l) ** s
+    ell0 = -sum((Fraction(x, den[s] * big_m**s) for s, x in walked.items()), Fraction(0))
+    return ZetaLinearForm(n, ell0, {s: Fraction(tails[s], den[s]) for s in den if s > 1})
 
 
 ZUDILIN_ZETA_ARGUMENTS = (5, 7, 9, 11)

@@ -7,6 +7,7 @@ reconstruction by exact evaluation at sample points.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -424,6 +425,73 @@ def test_partial_fractions_edge_cases_match_rebuild_oracle(f):
     assert reconstruction_check(f, p)["ok"]
 
 
+def nonzero_product(lo, hi):
+    """Oracle: the product of the nonzero integers lo..hi, as two falling
+    factorials."""
+    pos, neg = max(hi - max(lo, 1) + 1, 0), max(min(hi, -1) - lo + 1, 0)  # their counts
+    return (-1) ** neg * math.perm(max(hi, 0), pos) * math.perm(max(-lo, 0), neg)
+
+
+def pole_scale_oracle(f, m):
+    """Oracle: scalar * prod_{c != m} (c - m)^w(c) rebuilt at m, block by
+    block, each block's factors one nonzero_product."""
+    def part(blocks):
+        return math.prod(nonzero_product(b.shift - m, b.shift + b.length - 1 - m) ** b.power
+                         for b in blocks)
+    return f.scalar * Fraction(part(f.numerator), part(f.denominator))
+
+
+def slid_scales(f):
+    """(m, scale) for each pole at which partial_fractions slides its scale."""
+    import zetaforms.forms as forms
+
+    slide, seen = forms._pole_scales, []
+
+    def recording(scalar, spans, poles):
+        for m, scale in zip(poles, slide(scalar, spans, poles)):
+            seen.append((m, scale))
+            yield scale
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forms, "_pole_scales", recording)
+        terms = forms.partial_fractions(f).terms
+    assert {m for m, _ in terms} <= {m for m, _ in seen}
+    return seen
+
+
+def test_slid_scales_match_oracle_zudilin(pipelines):
+    # the poles 2n..35n, each slid from the one before
+    for pipe in map(pipelines, range(1, 6)):
+        seen = slid_scales(pipe.factored)
+        assert [m for m, _ in seen] == list(range(2 * pipe.n, 35 * pipe.n + 1))
+        assert seen == [(m, pole_scale_oracle(pipe.factored, m)) for m, _ in seen]
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_case_functions())
+@example(
+    # poles -5..-3 and 60, 61: a gap of 62, poles at m < 0
+    FactoredRationalFunction(
+        (-5, 1),
+        (RisingBlock(-4, 2, 1),),
+        (RisingBlock(-5, 3, 2), RisingBlock(60, 2, 3)),
+        Fraction(-7, 3),
+    )
+)
+# the numerator's (t + 2)^2 cancels the double pole t = -2: poles 1 and 3
+@example(FactoredRationalFunction((1, 0), (RisingBlock(2, 1, 2),), (RisingBlock(1, 3, 2),),
+                                  Fraction(5, 2)))
+# scalar 0: no pole is slid
+@example(FactoredRationalFunction((1, 2), (), (RisingBlock(0, 3, 2),), Fraction(0)))
+def test_slid_scales_match_oracle(f):
+    assume(f.is_proper)
+    seen = slid_scales(f)
+    assert seen == [(m, pole_scale_oracle(f, m)) for m, _ in seen]
+    zeros = Counter(_linear_factors(f.numerator))
+    poles = [m for m, mu in sorted(_denominator_cover(f).items()) if mu > zeros[m]]
+    assert [m for m, _ in seen] == (poles if f.scalar else [])
+
+
 def ball_zeta3(n):
     """Ball's well-poised series for zeta(3): n!^2 (t + n/2) (t - n)_n
     (t + n + 1)_n / (t)_{n+1}^4, with four-fold poles at m = 0..n.  Its sum
@@ -483,6 +551,10 @@ def test_partial_fractions_of_ball_series_give_apery(n):
     form = sum_over_k(p)
     assert (form.ell0, form.coefficients[3]) == (-a, b)
     assert form.coefficients == {2: 0, 3: b, 4: 0}
+    assert predicted_zero_orders(f, p, 0) == {2, 4}
+    for summed in (p, second_derivative(p)):
+        got = sum_over_k(summed)
+        assert (got.ell0, list(got.coefficients.items())) == fraction_sum_oracle(summed)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -675,6 +747,85 @@ def per_term_sum_oracle(p):
     return ell0, list(ell.items())
 
 
+def fraction_sum_oracle(p):
+    """Oracle: sum_over_k one normalised Fraction at a time, (ell0, the
+    (s, ell_s) in key order): each term checked in sorted (m, s) order and
+    added to its ell_s, then the tails A_s(l) walked down the poles,
+    ell0 -= A_s(l) / l^s for every l and s."""
+    ell, by_pole = {}, {}
+    order_one = sum(a for (_, s), a in p.terms.items() if s == 1)
+    for (m, s), a in sorted(p.terms.items()):
+        if m < 0:
+            raise DomainError(f"pole at positive integer t={-m} hits the sum range")
+        if s < 1 or (s == 1 and order_one != 0):
+            raise DomainError(f"divergent order {s} at pole -{m}")
+        if s > 1:
+            ell[s] = ell.get(s, Fraction(0)) + a
+        by_pole.setdefault(m, []).append((s, a))
+    tails, ell0 = {}, Fraction(0)
+    for l in range(max(by_pole, default=0), 0, -1):
+        for s, a in by_pole.get(l, ()):
+            tails[s] = tails.get(s, Fraction(0)) + a
+        ell0 -= sum(tail / l**s for s, tail in tails.items())
+    return ell0, list(ell.items())
+
+
+def test_sum_over_k_matches_fraction_oracle_zudilin(pipelines):
+    for pipe in map(pipelines, range(1, 6)):
+        form = sum_over_k(pipe.differentiated, pipe.n)
+        assert (form.ell0, list(form.coefficients.items())) == fraction_sum_oracle(
+            pipe.differentiated
+        ), pipe.n
+
+
+# denominators that share some primes and not others, up to 2^40
+MIXED_DENOMINATORS = (1, 2, 3, 4, 9, 12, 25, 49, 1331, 2**20 * 3, 10**9 + 7, 6**15, 2**40)
+
+
+@st.composite
+def mixed_expansions(draw):
+    """Terms at m = 0..30 of orders 1..9 over MIXED_DENOMINATORS, the
+    order-1 terms balanced to sum 0 or not, and at times a term at a
+    negative pole or of order 0 added."""
+    value = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool),
+                      st.sampled_from(MIXED_DENOMINATORS))
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 30), st.integers(1, 9)), value,
+                                 max_size=25))
+    ones = [key for key in terms if key[1] == 1]
+    if ones and draw(st.booleans()):  # telescoping: the order-1 terms sum to 0
+        terms[ones[0]] = -sum(terms[key] for key in ones[1:])
+    fault = draw(st.sampled_from([None, None, "pole", "order 0"]))
+    if fault == "pole":
+        terms[(draw(st.integers(-5, -1)), draw(st.integers(0, 9)))] = draw(value)
+    elif fault == "order 0":
+        terms[(draw(st.integers(0, 30)), 0)] = draw(value)
+    return PartialFractionExpansion(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_expansions())
+# the first bad term in sorted order raises: a pole at t = 2 before the
+# unbalanced order 1, order 0 at m = 0 before it, the order 1 at m = 3
+@example(PartialFractionExpansion({(3, 1): Fraction(2, 3), (5, 1): Fraction(-1, 9),
+                                   (-2, 4): Fraction(1, 4), (7, 0): Fraction(5)}))
+@example(PartialFractionExpansion({(0, 0): Fraction(1, 6), (2, 1): Fraction(1, 4)}))
+@example(PartialFractionExpansion({(3, 1): Fraction(2, 3), (5, 1): Fraction(-1, 9),
+                                   (1, 2): Fraction(7, 12), (4, 0): Fraction(5)}))
+# telescoping order 1 next to orders 2 and 9 with coprime denominators
+@example(PartialFractionExpansion({(1, 1): Fraction(1, 3), (30, 1): Fraction(-1, 3),
+                                   (0, 2): Fraction(5, 2**40), (17, 9): Fraction(-3, 1331)}))
+def test_sum_over_k_matches_fraction_oracle(p):
+    try:
+        want = fraction_sum_oracle(p)
+    except DomainError as error:
+        with pytest.raises(DomainError) as raised:
+            sum_over_k(p)
+        assert str(raised.value) == str(error)
+    else:
+        form = sum_over_k(p)
+        assert (form.ell0, list(form.coefficients.items())) == want
+
+
 def test_sum_over_k_matches_per_term_oracle_zudilin(pipeline1, pipeline2):
     for pipe in (pipeline1, pipeline2):
         form = sum_over_k(pipe.differentiated, pipe.n)
@@ -699,6 +850,30 @@ def test_sum_over_k_matches_per_term_oracle(terms):
     p = PartialFractionExpansion(terms)
     form = sum_over_k(p)
     assert (form.ell0, list(form.coefficients.items())) == per_term_sum_oracle(p)
+
+
+def predicted_zero_orders(f, summed, shift):
+    """The orders s whose zeta(s) coefficient must vanish when `summed`, the
+    expansion of f differentiated `shift` times, is summed over t, as keys
+    of the form (order 1 is telescoped, never a key).  Reflection sign -1
+    (+1) pairs a_{s,m} with -a_{s,T-m} for every even (odd) s, so those
+    orders sum to 0; a degree gap of at least 2 makes the residues of f,
+    the order 1 + shift, sum to 0."""
+    sign = reflection_check(summed)["sign"]
+    orders = {s for _, s in summed.terms} - {1}
+    zero = {s for s in orders if sign is not None and (-1) ** s == -sign}
+    if f.denominator_degree - f.numerator_degree >= 2:
+        zero.add(1 + shift)
+    return zero & orders
+
+
+def test_vanishing_pattern_is_derived(pipelines):
+    # the zeros are predicted from the reflection sign and the degrees, not
+    # listed, and kept as zero-valued keys
+    for pipe in map(pipelines, range(1, 6)):
+        zero = predicted_zero_orders(pipe.factored, pipe.differentiated, 2)
+        assert zero == {3, 4, 6, 8, 10, 12}, pipe.n
+        assert {s for s, c in pipe.form.coefficients.items() if c == 0} == zero, pipe.n
 
 
 def test_zudilin_form_structure(pipeline1):
