@@ -371,18 +371,50 @@ def test_orbit_scan_cap_counts_steps_per_box_measure(capsys):
     assert message.startswith("orbit scan exceeded 1005000 steps with 0 of 100 hits")
 
 
-def test_box_search_budget_exit_4(capsys, monkeypatch):
+def test_box_search_budget_exit_4(capsys, monkeypatch, tmp_path):
+    # omega/pi = theta_1 +- theta_2: both rows read both generators, so the
+    # search walks the eta = 1/4 grid point by point until its budget ends
     from zetaforms import oscillation
 
+    theta = [oscillation.parse_angle(name).over_pi() for name in ("sqrt2", "e")]
+    path = tmp_path / "relations.json"
+    path.write_text(json.dumps({
+        "generators": [f"{t.numerator}/{t.denominator}" for t in theta],
+        "rows": [["0", "1", "1"], ["0", "1", "-1"]],
+    }))
     monkeypatch.setattr(oscillation, "BOX_MAX_CENTERS", 10)
-    code, out = run(capsys, "subseq", "--omega", "sqrt2", "--phi", "1/3",
-                    "--omega", "e", "--phi", "2/5", "--omega", "1", "--phi", "1/7")
+    code, out = run(capsys, "subseq", "--omega", "sqrt2+e", "--phi", "1/3",
+                    "--omega", "sqrt2-e", "--phi", "2/5", "--relations", str(path))
     assert code == EXIT_BUDGET
     assert json.loads(out)["error"] == {
         "kind": "budget",
         "message": "torus box search tried 10 centers without an admissible "
-                   "one (3 generators, eta = 1/4)",
+                   "one (2 generators, eta = 1/4)",
     }
+
+
+INDEPENDENT = ["sqrt2", "e", "1", "3*sqrt2+1", "2*e", "5/4*sqrt2", "7/3*e", "2/3*sqrt2"]
+
+
+@pytest.mark.parametrize("pairs, center", [
+    ([(omega, "-3/8*pi") for omega in INDEPENDENT[:7]], ["3/8"] * 7),
+    ([(omega, "-3/8*pi") for omega in INDEPENDENT], ["3/8"] * 8),
+    (list(zip(["sqrt2", "e", "1", "1/2*sqrt2", "3", "2/3*e", "5/7"],
+              ["1/3", "2/5", "1/7", "0", "3/7", "1/4*pi", "5/9"])),
+     ["0", "3/4", "0", "0", "3/4", "3/4", "3/4"]),
+], ids=["7_pairs", "8_pairs", "7_pairs_past_the_grid_budget"])
+def test_independent_pairs_get_their_box(capsys, pairs, center):
+    # every axis keeps its own admissible values, so the box is the first
+    # product point; a walk of the whole grid reached the last case's box
+    # at its 1,794,097th centre, past the 10^6-centre budget
+    argv = ["subseq"]
+    for omega, phi in pairs:
+        argv += ["--omega", omega, f"--phi={phi}"]
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    plan = json.loads(out)["plan"]
+    assert plan["mode"] == "general"
+    assert plan["box"] == {"center": center, "eta": "1/4"}
 
 
 def test_subseq_prints_theta_past_the_double_range(capsys, int_str_limit):

@@ -870,7 +870,7 @@ def predicted_zero_orders(f, summed, shift):
 def test_vanishing_pattern_is_derived(pipelines):
     # the zeros are predicted from the reflection sign and the degrees, not
     # listed, and kept as zero-valued keys
-    for pipe in map(pipelines, range(1, 6)):
+    for pipe in map(pipelines, range(1, 10)):
         zero = predicted_zero_orders(pipe.factored, pipe.differentiated, 2)
         assert zero == {3, 4, 6, 8, 10, 12}, pipe.n
         assert {s for s, c in pipe.form.coefficients.items() if c == 0} == zero, pipe.n
@@ -1243,27 +1243,45 @@ def _prime_order(x, p):
     return order
 
 
-# n -> a prime p at which ord_p(D_n) reaches the bound 10 ord_p(d_35n);
-# at n = 2 no prime does
-BOUND_REACHED_AT = {1: 19, 3: 59, 4: 79, 5: 97}
+# n -> the first prime p at which ord_p(D_n) reaches the bound
+# 10 ord_p(d_35n); at n = 2 none does
+BOUND_REACHED_AT = {1: 19, 3: 59, 4: 79, 5: 97, 6: 113, 7: 131, 8: 149, 9: 167}
 
 
 def test_zudilin_denominator_within_the_arithmetic_bound(pipelines):
     # D_n divides d_35n^10, with d_N = lcm(1..N): no prime factor of D_n
     # exceeds 35n, and the exponent 10 is reached (ord_p(d_N) = floor(log_p N))
-    for n in range(1, 6):
+    for n in range(1, 10):
         d, _ = common_denominator(pipelines(n).form)
         big_n = 35 * n
         d_big_n = math.lcm(*range(1, big_n + 1))
         assert d_big_n**10 % d == 0, n
-        rest = d
+        rest, reached = d, []
         for p in range(2, big_n + 1):
+            # only a prime p divides rest: its smaller factors are divided out
+            if rest % p == 0 and _prime_order(d, p) == 10 * _prime_order(d_big_n, p):
+                reached.append(p)
             while rest % p == 0:
                 rest //= p
         assert rest == 1, n
-        if n in BOUND_REACHED_AT:
-            p = BOUND_REACHED_AT[n]
-            assert _prime_order(d, p) == 10 * _prime_order(d_big_n, p) == 10, n
+        assert reached[:1] == ([BOUND_REACHED_AT[n]] if n in BOUND_REACHED_AT else []), n
+
+
+# ROADMAP's exact ladder: n -> (ln D_n / n, ln max|l| / n) to 2 decimals,
+# l over the nonzero coefficients l0, l5, l7, l9, l11
+LADDER = {
+    1: (205.69, 321.81), 2: (199.71, 328.97), 3: (212.12, 331.97),
+    4: (215.55, 333.66), 5: (215.82, 334.76), 6: (216.28, 335.54),
+    7: (213.70, 336.12), 8: (216.37, 336.57), 9: (213.76, 336.93),
+}
+
+
+def test_exact_ladder_growth_rates(pipelines):
+    for n, (log_d, log_height) in LADDER.items():
+        form = pipelines(n).form
+        d, _ = common_denominator(form)
+        assert math.log(d) / n == pytest.approx(log_d, abs=0.005), n
+        assert form.log2_height() * math.log(2) / n == pytest.approx(log_height, abs=0.005), n
 
 
 def test_common_denominator_clears_zudilin(pipeline1):

@@ -19,6 +19,7 @@ from zetaforms.fixedpoint import cos_pi_argument
 from zetaforms.oscillation import (
     BOUNDARY_GUARD,
     COS_DIGITS,
+    ETA_GRID,
     KW_MAX_WALK,
     Angle,
     AnglePair,
@@ -27,6 +28,7 @@ from zetaforms.oscillation import (
     RelationData,
     SubsequencePlan,
     TorusBox,
+    _distance_to_integers,
     build_plan_general,
     detect_pi_rational,
     enumerate_psi,
@@ -749,15 +751,139 @@ def test_irrational_density_matches_reciprocal_lambda():
     assert abs(report.empirical - 0.5) <= 0.01
 
 
+# -- torus box search ------------------------------------------------------
+
+
+def grid_box_oracle(int_rows, phases):
+    """The product-grid walk `_box_search` replaced, its budget lifted:
+    every centre of the grid, decoded from its index (axis 0 fastest), is
+    tested against every row."""
+    s = len(int_rows[0])
+    weights = [sum(abs(v) for v in row) for row in int_rows]
+    for eta in ETA_GRID:
+        grid = 2 * math.ceil(1 / eta)
+        margin = eta / 2
+
+        def admissible(center):
+            for row, w, phase in zip(int_rows, weights, phases):
+                val = sum(v * z for v, z in zip(row, center)) + phase - Fraction(1, 2)
+                if _distance_to_integers(val) <= eta * w + margin:
+                    return False
+            return True
+
+        for index in range(grid**s):
+            center = []
+            rest = index
+            for _ in range(s):
+                center.append(Fraction(rest % grid, grid))
+                rest //= grid
+            if admissible(center):
+                return TorusBox(tuple(center), eta), margin
+    raise BudgetError(
+        "no admissible torus box found down to eta = 1/32; the relation "
+        "coefficients are too steep for the default grid"
+    )
+
+
+def box_outcome(search, int_rows, phases):
+    try:
+        return search(int_rows, phases)
+    except BudgetError as exc:
+        return str(exc)
+
+
+@st.composite
+def box_rows(draw):
+    """Integer rows over s = 1..3 axes, each reading one axis, two axes or
+    none, coefficients -3..3, with phases p/q.  All-zero rows come only with
+    s <= 2: one that fails at every eta sends the oracle over the whole
+    grid, 299,520 centres (6-17 s) at s = 3."""
+    s = draw(st.integers(1, 3))
+    nonzero = st.integers(-3, 3).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [0] * s
+        axes = draw(st.sampled_from({1: [1, 0], 2: [1, 2, 0], 3: [1, 2]}[s]))
+        for j in draw(st.lists(st.integers(0, s - 1), min_size=axes,
+                               max_size=axes, unique=True)):
+            row[j] = draw(nonzero)
+        rows.append(row)
+    phases = [Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))) for _ in rows]
+    return rows, phases
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_rows())
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)]))
+@example(([[1, 0], [0, 1]], [Fraction(-3, 8)] * 2))
+@example(([[2, -1, 3]], [Fraction(1, 4)]))
+@example(([[1, 1], [0, 1]], [Fraction(1, 3), Fraction(2, 5)]))
+@example(([[0, 0], [1, 0]], [Fraction(0), Fraction(1, 3)]))
+@example(([[1, 0], [0, 0]], [Fraction(1, 3), Fraction(1, 2)]))
+@example(([[0, 0, 0], [0, 2, -1]], [Fraction(1, 4), Fraction(1, 3)]))
+def test_box_search_matches_the_grid_oracle(case):
+    # the same first admissible centre and margin, or the same "no
+    # admissible torus box" error once both have walked every eta
+    int_rows, phases = case
+    assert box_outcome(oscillation._box_search, int_rows, phases) == box_outcome(
+        grid_box_oracle, int_rows, phases)
+
+
+def test_a_failing_all_zero_row_empties_every_axis_list(monkeypatch):
+    # a row reading no axis is tested in every axis's list: one that fails
+    # leaves no product point, so the search ends without spending its budget
+    monkeypatch.setattr(oscillation, "BOX_MAX_CENTERS", 0)
+    for s in (3, 4):
+        with pytest.raises(BudgetError, match="^no admissible torus box"):
+            oscillation._box_search([[1] + [0] * (s - 1), [0] * s], [Fraction(0), Fraction(1, 2)])
+
+
+def two_generator_relations_case():
+    # omega/pi = theta_1 + theta_2 and theta_1 - theta_2: both rows read both
+    # axes, so no per-axis list prunes and every grid point is a product point
+    theta = (parse_angle("sqrt2").over_pi(), parse_angle("e").over_pi())
+    zero, one = Fraction(0), Fraction(1)
+    relations = RelationData(theta, ((zero, one, one), (zero, one, -one)))
+    return [pair("sqrt2+e", "1/3"), pair("sqrt2-e", "2/5")], relations
+
+
 def test_box_search_stops_at_its_center_budget(monkeypatch):
-    # three independent pairs find their box at the 49th center of the
-    # eta = 1/4 grid: a budget of 49 keeps that plan, 48 stops the search
-    pairs = [AnglePair(parse_angle(o), parse_angle(p))
-             for o, p in [("sqrt2", "1/3"), ("e", "2/5"), ("1", "1/7")]]
+    # the two-generator relations case finds its box at the 65th product
+    # point, the first of the eta = 1/8 grid: a budget of 65 keeps that
+    # plan, 64 stops the search
+    pairs, relations = two_generator_relations_case()
+    plan = build_plan_general(pairs, relations)
+    assert plan.box == TorusBox((Fraction(0), Fraction(0)), Fraction(1, 8))
+    monkeypatch.setattr(oscillation, "BOX_MAX_CENTERS", 65)
+    assert build_plan_general(pairs, relations) == plan
+    monkeypatch.setattr(oscillation, "BOX_MAX_CENTERS", 64)
+    with pytest.raises(BudgetError, match=r"^torus box search tried 64 centers .*"
+                                          r"\(2 generators, eta = 1/8\)$"):
+        build_plan_general(pairs, relations)
+
+
+def test_independent_pairs_take_the_first_product_point(monkeypatch):
+    # without relations every row reads one axis: the first product point is
+    # the box, or the lists leave none and the search moves to the next eta
+    pairs = [pair("sqrt2", "1/3"), pair("e", "2/5"), pair("1", "1/7")]
     plan = build_plan_general(pairs)
     assert plan.box.eta == Fraction(1, 4)
-    monkeypatch.setattr(oscillation, "BOX_MAX_CENTERS", 49)
+    monkeypatch.setattr(oscillation, "BOX_MAX_CENTERS", 1)
     assert build_plan_general(pairs) == plan
-    monkeypatch.setattr(oscillation, "BOX_MAX_CENTERS", 48)
-    with pytest.raises(BudgetError, match=r"^torus box search tried 48 centers "):
+    monkeypatch.setattr(oscillation, "BOX_MAX_CENTERS", 0)
+    with pytest.raises(BudgetError, match=r"^torus box search tried 0 centers "):
         build_plan_general(pairs)
+
+
+INDEPENDENT_OMEGAS = ("sqrt2", "e", "1", "3*sqrt2+1", "2*e", "5/4*sqrt2", "7/3*e",
+                      "2/3*sqrt2")
+
+
+def test_five_independent_pairs_match_the_grid_oracle():
+    # the grid walk reaches this box at its 14,044th centre (3 on every axis)
+    pairs = [pair(omega, "-3/8*pi") for omega in INDEPENDENT_OMEGAS[:5]]
+    plan = build_plan_general(pairs)
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    box, margin = grid_box_oracle(identity, [Fraction(-3, 8)] * 5)
+    assert plan.box == box and plan.epsilon == oscillation._arc_floor(margin)
+    assert box == TorusBox((Fraction(3, 8),) * 5, Fraction(1, 4))
