@@ -136,6 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cri.add_argument("--phi", action="append", default=None,
                        help="as for subseq; write a leading minus as --phi=-1/4")
     _common_output_flags(p_cri)
+    for command_parser in sub.choices.values():  # usage errors name their command
+        command_parser.set_defaults(parser=command_parser)
     return parser
 
 
@@ -381,7 +383,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = _COMMANDS[args.command](args, parser)
+        doc = _COMMANDS[args.command](args, args.parser)
     except InternalCheckError as exc:
         _emit(_error_doc("internal", exc, args), None)
         return EXIT_INTERNAL
@@ -397,7 +399,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:  # a missing directory, a directory, no permission
         if args.output is None:
             raise
-        parser.error(f"cannot write --output {args.output}: {exc}")
+        args.parser.error(f"cannot write --output {args.output}: {exc}")
     return EXIT_OK
 
 

@@ -395,11 +395,12 @@ def evaluate_numeric(form: ZetaLinearForm, table: ZetaTable) -> FixedReal:
     return FixedReal(acc, digits).rescale(out_digits)
 
 
-def _three_terms(constants) -> tuple[tuple[int, int, int], int]:
-    """prod (c + u) over the nonzero constants c, as the integers of its
-    terms up to u^2, and the number of zero c."""
+def _three_terms(constants, shift: int) -> tuple[tuple[int, int, int], int]:
+    """prod (c + shift + u) over the constants c with c + shift != 0, as the
+    integers of its terms up to u^2, and the number of c with c + shift = 0."""
     a0, a1, a2, zeros = 1, 0, 0, 0
     for c in constants:
+        c += shift
         if c:
             a0, a1, a2 = c * a0, c * a1 + a0, c * a2 + a1
         else:
@@ -407,11 +408,12 @@ def _three_terms(constants) -> tuple[tuple[int, int, int], int]:
     return (a0, a1, a2), zeros
 
 
-def _slide(series, outgoing: list[int], incoming: list[int]) -> tuple[int, int, int]:
-    """series / prod (c + u) over the outgoing c * prod (c + u) over the
-    incoming c, to u^2, zero c left out (_three_terms).  The division is
-    exact order by order; a remainder means the series lacks those factors."""
-    (a0, a1, a2), ((b0, b1, b2), _) = series, _three_terms(outgoing)
+def _slide(series, outgoing: list[int], incoming: list[int], shift: int) -> tuple[int, int, int]:
+    """series / prod (c + shift + u) over the outgoing c * prod (c + shift +
+    u) over the incoming c, to u^2, zero factors left out (_three_terms).
+    The division is exact order by order; a remainder means the series
+    lacks those factors."""
+    (a0, a1, a2), ((b0, b1, b2), _) = series, _three_terms(outgoing, shift)
     q0, r0 = divmod(a0, b0)
     q1, r1 = divmod(a1 - b1 * q0, b0)
     q2, r2 = divmod(a2 - b1 * q1 - b2 * q0, b0)
@@ -420,7 +422,7 @@ def _slide(series, outgoing: list[int], incoming: list[int]) -> tuple[int, int, 
             raise InternalCheckError(
                 f"series not divisible by the outgoing factors at order {order}"
             )
-    (m0, m1, m2), _ = _three_terms(incoming)
+    (m0, m1, m2), _ = _three_terms(incoming, shift)
     return q0 * m0, q0 * m1 + q1 * m0, q0 * m2 + q1 * m1 + q2 * m0
 
 
@@ -433,12 +435,14 @@ def _second_derivative_at(f: FactoredRationalFunction):
     d is the denominator's _three_terms at t = k + u (every constant >= 1)
     and p the prefactor times the numerator's, its zero factors a power of
     u.  From k to k + 1 a block (t + shift)_length^power loses t + shift and
-    gains t + shift + length, power times: one _slide per side.  Where the
-    numerator vanishes to order 3 or more, R''(k) is exactly 0 (no pole
-    sits at a positive integer), so the leading run of such k (k <= 27n for
-    Zudilin's forms) is yielded as p = 0, d = 1 and the walk starts past it.
-    A step at n = 1 (16 factors out, 16 in) takes 30-50 us, against 25-30 us
-    for _rounded_term, on series of 800 to 2,700 bits (2 vCPUs, Python 3.11)."""
+    gains t + shift + length, power times: each side's leaving and entering
+    constants are listed once, less k, and each step's _slide adds k to
+    them.  Where the numerator vanishes to order 3 or more, R''(k) is
+    exactly 0 (no pole sits at a positive integer), so the leading run of
+    such k (k <= 27n for Zudilin's forms) is yielded as p = 0, d = 1 and the
+    walk starts past it.  A step takes about 20 us at n = 1 (16 factors
+    out, 16 in, on series of 800 to 2,700 bits) and 38 us at n = 3, against
+    about 10 us for _rounded_term at n = 1 (2 vCPUs, Python 3.11)."""
     cover = _denominator_cover(f)
     if min(cover, default=0) < 0:
         raise DomainError(f"pole at positive integer t={-min(cover)} hits the sum range")
@@ -451,26 +455,23 @@ def _second_derivative_at(f: FactoredRationalFunction):
     while roots[start] >= 3:
         start += 1
     yield from itertools.repeat(((0, 0, 0), (1, 0, 0)), start - 1)
-    top, zeros = _three_terms([c + start for c in factors])
-    bottom, _ = _three_terms([c + start for c in _linear_factors(f.denominator)])
-
-    def ends(blocks, k):  # the constants leaving and entering from k to k + 1
-        return ([b.shift + k for b in blocks for _ in range(b.power)],
-                [b.shift + b.length + k for b in blocks for _ in range(b.power)])
-
+    top, zeros = _three_terms(factors, start)
+    bottom, _ = _three_terms(_linear_factors(f.denominator), start)
+    top_out, top_in, bottom_out, bottom_in = (
+        [b.shift + b.length * entering for b in blocks for _ in range(b.power)]
+        for blocks in (f.numerator, f.denominator) for entering in (0, 1)
+    )
     for k in itertools.count(start):
         x0, x1, x2 = ((0,) * zeros + top)[:3]
         p0 = c0 + c1 * k
         yield (p0 * x0, p0 * x1 + c1 * x0, p0 * x2 + c1 * x1), bottom
-        outgoing, incoming = ends(f.numerator, k)
-        top = _slide(top, outgoing, incoming)
-        zeros += incoming.count(0) - outgoing.count(0)
-        bottom = _slide(bottom, *ends(f.denominator, k))
+        top = _slide(top, top_out, top_in, k)
+        zeros += top_in.count(-k) - top_out.count(-k)
+        bottom = _slide(bottom, bottom_out, bottom_in, k)
 
 
-# fractional bits of the screened quotients past the bit length of the
-# scale they are multiplied by: the screen's error stays near 2^-16 of a
-# unit of the rounded term
+# fractional bits of the screened quotients of p past the bit length of
+# num: the screen's error stays near 2^-16 of a unit of the rounded term
 SCREEN_MARGIN_BITS = 16
 
 
@@ -479,24 +480,47 @@ def _rounded_term(p, d, num: int, den: int) -> int:
     d(u) with p = (p0, p1, p2) and d = (d0, d1, d2), d0 > 0.
 
     [u^2] p/d = x2 - x1 y1 - x0 y2 + x0 y1^2 with x_i = p_i / d0 and
-    y_i = d_i / d0.  They are read as floor quotients at F = bitlen(num) +
-    SCREEN_MARGIN_BITS fractional bits, each less than one unit 2^-F below
-    its value, so the sum s comes with an integer error bound E (three
-    floors and the products' cross terms).  The exact rational, with its
-    d0^3, is formed only when num (s - E) and num (s + E) round apart
-    (Ziv's strategy): the term is always the exact nearest integer, while
-    the quotients keep F bits instead of the thousands of bits of d0."""
+    y_i = d_i / d0.  The x_i are read at F = bitlen(num) +
+    SCREEN_MARGIN_BITS fractional bits, q_i = floor(p_i 2^F / d0) =
+    X_i - t_i with X_i = x_i 2^F and 0 <= t_i < 1.  The y_i only ever
+    multiply q0 and q1, so they are read at g = max(bitlen q0, bitlen q1)
+    + 2 bits, e_i = floor(d_i 2^g / d0) = Y_i - f_i with Y_i = y_i 2^g,
+    0 <= f_i < 1: in the tail, where q0 and q1 have a few dozen bits, g
+    is that small while F is about bitlen(num).  In units of 2^-F, with
+    a_i = |q_i|, b_i = |e_i|,
+
+        T = X2 - (X1 Y1 + X0 Y2) / 2^g + X0 Y1^2 / 2^2g,
+        s = q2 - ((q1 e1 + q0 e2) >> g) + ((q0 e1^2) >> 2g).
+
+    Three floors separate them: t2, and the two shifts of s, each below
+    one unit.  The cross terms X1 Y1 - q1 e1 = q1 f1 + t1 e1 + t1 f1 and
+    X0 Y2 - q0 e2 = q0 f2 + t0 e2 + t0 f2 are below a0 + a1 + b1 + b2 + 2
+    together, and X0 Y1^2 - q0 e1^2 = q0 (2 e1 f1 + f1^2) + t0 (e1 + f1)^2
+    is at most a0 (2 b1 + 1) + (b1 + 1)^2.  So |T - s| < 3 + (a0 + a1 +
+    b1 + b2 + 2) / 2^g + (a0 (2 b1 + 1) + (b1 + 1)^2) / 2^2g, and taking
+    the two fractions by shifts loses less than one unit each:
+
+        E = 6 + ((a0 + a1 + b1 + b2 + 2) >> g)
+              + ((a0 (2 b1 + 1) + (b1 + 1)^2) >> 2g)
+
+    bounds |T - s| with a unit to spare.  Since g >= 2 and a0, a1 <
+    2^(g - 2), the q-parts of the two fractions stay below 1/2 + b1 /
+    2^(g + 1), so E is about 6 + |y1| (3/2 + |y1|) + |y2| units, whatever
+    the size of d0.  The exact rational, with its d0^3, is formed only
+    when num (s - E) and num (s + E) round apart (Ziv's strategy): the
+    term is always the exact nearest integer."""
     frac = num.bit_length() + SCREEN_MARGIN_BITS
     d0, d1, d2 = d
     q0, q1, q2 = ((x << frac) // d0 for x in p)
-    e1, e2 = (d1 << frac) // d0, (d2 << frac) // d0
+    g = max(q0.bit_length(), q1.bit_length()) + 2
+    e1, e2 = (d1 << g) // d0, (d2 << g) // d0
     q0e1 = q0 * e1
-    s = q2 - ((q1 * e1 + q0 * e2) >> frac) + ((q0e1 * e1) >> (2 * frac))
+    s = q2 - ((q1 * e1 + q0 * e2) >> g) + ((q0e1 * e1) >> (2 * g))
     a0, a1, b1, b2 = abs(q0), abs(q1), abs(e1), abs(e2)
     error = (
-        5
-        + ((a0 + a1 + b1 + b2 + 2) >> frac)
-        + (((b1 + 1) ** 2 + 2 * abs(q0e1) + a0) >> (2 * frac))
+        6
+        + ((a0 + a1 + b1 + b2 + 2) >> g)
+        + ((2 * abs(q0e1) + a0 + (b1 + 1) ** 2) >> (2 * g))
     )
     unit = den << frac
     low = _div_nearest(num * s - abs(num) * error, unit)
@@ -526,10 +550,10 @@ def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     decay = deg den - deg num + 2 and C is measured from the computed terms
     past the hump, k >= 4 x the largest pole, times a 10^4 safety factor.
 
-    At 200 digits, for Zudilin's forms (2 vCPUs, Python 3.11, in process):
-    n = 1 (1,459 terms) takes 0.09-0.11 s, n = 2 0.016-0.024 s, n = 3
-    0.034-0.053 s and n = 6 0.19-0.20 s.  No term of n = 1, 2 or 3 needs
-    the exact fallback.
+    At 200 digits, for Zudilin's forms (2 vCPUs, Python 3.11, in process,
+    best of 5): n = 1 (1,459 terms) takes 0.048 s, n = 2 0.010 s, n = 3
+    0.017 s and n = 6 0.066 s; n = 13 0.36 s and n = 25 1.5 s (one run
+    each).  No term of n = 1..6 needs the exact fallback.
     """
     if not f.is_proper:
         raise DomainError("the direct sum needs a proper function")
@@ -544,10 +568,11 @@ def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     for k, (p, d) in zip(range(1, limit + 1), _second_derivative_at(f)):
         term = _rounded_term(p, d, num, den)
         acc += term
-        power = k ** (decay - 1)
-        c_run = max(c_run, abs(term) * power * k)
-        if k >= k_min and 2 * c_run * 10**4 < (decay - 1) * power * guard:
-            break
+        if term or k >= k_min:  # a zero term before k_min leaves c_run as it is
+            power = k ** (decay - 1)
+            c_run = max(c_run, abs(term) * power * k)
+            if k >= k_min and 2 * c_run * 10**4 < (decay - 1) * power * guard:
+                break
     else:
         raise BudgetError(f"direct sum cutoff budget exceeded at k={limit}")
     return FixedReal(_div_nearest(acc, guard), digits)

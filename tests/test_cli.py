@@ -538,6 +538,21 @@ def test_criterion_constants_name_the_non_finite_input(capsys):
         assert json.loads(out)["error"] == {"kind": "domain", "message": message}
 
 
+def test_usage_errors_come_from_the_command_parser(capsys):
+    # criterion with no complete source exits 2 with criterion's own usage,
+    # not the top-level list of commands; subseq's usage errors name
+    # subseq the same way
+    for argv in (["criterion", "--c0", "1", "--c1", "1"],
+                 ["subseq", "--omega", "1", "--phi", "zz"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: zetaforms {argv[0]} ")
+        assert f"\nzetaforms {argv[0]}: error: " in captured.err
+
+
 def test_form_command_full(capsys):
     code, out = run(capsys, "form", "--n", "1", "--digits", "320")
     assert code == EXIT_OK

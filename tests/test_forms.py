@@ -574,34 +574,38 @@ def test_slide_division_is_exact_or_raises():
     # (2 + u)(3 + u) = 6 + 5u + u^2, the factors of RisingBlock(2, 2, 1) at
     # t = u: sliding to t = u + 1 divides by the outgoing (2 + u) and
     # multiplies by the incoming (4 + u)
-    assert _slide((6, 5, 1), [2], [4]) == (12, 7, 1)  # (3 + u)(4 + u)
+    assert _slide((6, 5, 1), [2], [4], 0) == (12, 7, 1)  # (3 + u)(4 + u)
+    # the walk lists the constants once and each step adds its shift: the
+    # next step leaves 2 + 1 and enters 4 + 1
+    assert _slide((12, 7, 1), [2], [4], 1) == (20, 9, 1)  # (4 + u)(5 + u)
     # a corrupted series raises, whichever order carries the fault: 7 is
     # not divisible by 2, 6 + 6u leaves u / (2 + u) at order 1, and
     # 6 + 5u + 2u^2 leaves u^2 / (2 + u) at order 2
     for order, corrupt in enumerate([(7, 5, 1), (6, 6, 1), (6, 5, 2)]):
         with pytest.raises(InternalCheckError, match=f"not divisible .* order {order}"):
-            _slide(corrupt, [2], [4])
+            _slide(corrupt, [2], [4], 0)
     # with two outgoing factors the one division is by their product: a
     # series missing either factor raises
-    series, zeros = _three_terms([2, 3, 5, 5])  # (2 + u)(3 + u)(5 + u)^2
+    series, zeros = _three_terms([2, 3, 5, 5], 0)  # (2 + u)(3 + u)(5 + u)^2
     assert (series, zeros) == ((150, 185, 81), 0)
     for corrupt in ((150 + 25, 185, 81), (150, 185 + 2, 81), (150, 185, 81 + 5)):
         with pytest.raises(InternalCheckError, match="not divisible"):
-            _slide(corrupt, [2, 5, 5], [4, 6, 6])
+            _slide(corrupt, [2, 5, 5], [4, 6, 6], 0)
     # (3 + u)(4 + u)(6 + u)^2
-    assert _slide(series, [2, 5, 5], [4, 6, 6]) == _three_terms([3, 4, 6, 6])[0]
+    assert _slide(series, [2, 5, 5], [4, 6, 6], 0) == _three_terms([3, 4, 6, 6], 0)[0]
     # RisingBlock(0, 2, 1) at t = u is u (1 + u), the zero factor counted
     # apart; sliding to t = u + 1 drops it for (2 + u)
-    assert _three_terms([0, 1]) == ((1, 1, 0), 1)
-    assert _slide((1, 1, 0), [0], [2]) == (2, 3, 1)  # (1 + u)(2 + u)
+    assert _three_terms([0, 1], 0) == ((1, 1, 0), 1)
+    assert _slide((1, 1, 0), [0], [2], 0) == (2, 3, 1)  # (1 + u)(2 + u)
     # (-1 + u)(2 + u) divides by a negative constant exactly, and the
     # incoming 0 of RisingBlock(-1, 1, 1) is counted apart
-    assert _three_terms([-1, 2]) == ((-2, 1, 1), 0)
-    assert _three_terms([0, 3]) == ((3, 1, 0), 1)
-    assert _slide((-2, 1, 1), [-1, 2], [0, 3]) == (3, 1, 0)  # 1 times (3 + u)
+    assert _three_terms([-1, 2], 0) == ((-2, 1, 1), 0)
+    assert _three_terms([0, 3], 0) == ((3, 1, 0), 1)
+    assert _three_terms([-1, 2], 1) == ((3, 1, 0), 1)  # the shift makes the zero
+    assert _slide((-2, 1, 1), [-1, 2], [0, 3], 0) == (3, 1, 0)  # 1 times (3 + u)
     with pytest.raises(InternalCheckError, match="order 0"):
         # 3 / (-2 + u): divmod floors 3 / -2 to -2 and leaves a remainder
-        _slide((3, 1, 0), [-2], [-1])
+        _slide((3, 1, 0), [-2], [-1], 0)
 
 
 def rebuilt_series(f, k):
@@ -609,10 +613,10 @@ def rebuilt_series(f, k):
     no slide: d the denominator's series, p the prefactor (c0 + c1 k) +
     c1 u times the numerator's, shifted up by its zero factors."""
     c0, c1 = f.prefactor
-    top, zeros = _three_terms([c + k for c in _linear_factors(f.numerator)])
+    top, zeros = _three_terms([c + k for c in _linear_factors(f.numerator)], 0)
     x0, x1, x2 = ((0,) * zeros + top)[:3]
     p0 = c0 + c1 * k
-    bottom, _ = _three_terms([c + k for c in _linear_factors(f.denominator)])
+    bottom, _ = _three_terms([c + k for c in _linear_factors(f.denominator)], 0)
     return (p0 * x0, p0 * x1 + c1 * x0, p0 * x2 + c1 * x1), bottom
 
 
@@ -1169,15 +1173,77 @@ def recorded_terms(monkeypatch, f, digits):
 def test_direct_sum_terms_are_the_nearest_integers(monkeypatch):
     # every term up to the cutoff is _div_nearest(a scale, b) of the exact
     # [u^2] rational, and the screen decides every one of them: no term of
-    # n = 1, 2, 3 at 200 digits takes the exact fallback
-    scale = 10 ** (200 + GUARD_DIGITS + 5)
-    for n in (1, 2, 3):
+    # n = 1..6 at 200 digits, nor of n = 1, 2 at 30, takes the exact fallback
+    for n, digits in [(n, 200) for n in range(1, 7)] + [(1, 30), (2, 30)]:
+        scale = 10 ** (digits + GUARD_DIGITS + 5)
         f = build_zudilin(n)
-        _, terms, fallbacks = recorded_terms(monkeypatch, f, 200)
+        _, terms, fallbacks = recorded_terms(monkeypatch, f, digits)
         want = [_div_nearest(a * scale, b) for a, b in full_walk_terms(f, len(terms))]
-        assert terms == want, n
-        assert fallbacks == [], n
+        assert terms == want, (n, digits)
+        assert fallbacks == [], (n, digits)
         monkeypatch.undo()
+
+
+def test_screen_decides_the_first_terms_at_1000_digits(monkeypatch):
+    # a 1,000-digit direct_sum of n = 1 would pass its 10^7-term budget (at
+    # 400 digits it already sums 276,850 terms), so these are the terms it
+    # would round at 1,000 digits for the first 2,000 k, the hump and the
+    # start of the tail: each the nearest integer, and all but one decided
+    # by the screen.  The term at k = 1,942 of n = 1 lies 1/2 + 6.0e-6 past
+    # an integer, 0.69 units of 2^-F from the tie, nearer than the three
+    # floors alone can be bounded, so it must take the exact route
+    import zetaforms.forms as forms
+
+    exact, fallbacks = forms._exact_term, []
+    scale = 10 ** (1000 + GUARD_DIGITS + 5)
+    for n in (1, 2):
+        f = build_zudilin(n)
+        num, den = 2 * f.scalar.numerator * scale, f.scalar.denominator
+        terms = []
+        for k, (p, d) in enumerate(islice(_second_derivative_at(f), 2000), 1):
+            monkeypatch.setattr(forms, "_exact_term",
+                                lambda *args: fallbacks.append((n, k)) or exact(*args))
+            terms.append(_rounded_term(p, d, num, den))
+        assert terms == [_div_nearest(a * scale, b) for a, b in full_walk_terms(f, 2000)], n
+    assert fallbacks == [(1, 1942)]
+
+
+@st.composite
+def screened_terms(draw):
+    """(p, d, num, den) across the screen's regimes: num of either sign
+    from 1 to 3,000 bits, d0 from 1 to 3,000 bits, each p_i of either sign
+    from far below d0 2^-F (the tail, where q_i has a few bits) to 2^8
+    d0 (the hump), and d1, d2 of either sign from 2^-40 d0 to 2^40 d0."""
+    bits = draw(st.integers(1, 3000))
+    num = draw(st.integers(2 ** (bits - 1), 2**bits - 1)) * draw(st.sampled_from([1, -1]))
+    d0 = draw(st.integers(1, 2 ** draw(st.integers(1, 3000))))
+    frac = num.bit_length() + 16
+
+    def near(low, high):  # d0 2^e of either sign for an e in [low, high]
+        bits = max(d0.bit_length() + draw(st.integers(low, high)), 0)
+        return draw(st.integers(-(2**bits), 2**bits))
+
+    p = tuple(near(-frac - 40, 8) for _ in range(3))
+    d = (d0, near(-40, 40), near(-40, 40))
+    return p, d, num, draw(st.integers(1, 2**70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(screened_terms())
+# 0.58 units of 2^-19 past s + 3 + the two shifted sums, just past a
+# rounding boundary: the screen needs more than 3 units for its floors
+@example(((-86347939, -32628881, 92681621512),
+          (1006024261632, -1552264875385, -239610621150681), 7, 1))
+# q0 (2 e1 f1 + f1^2) near a0 (2 b1 + 1), 23 units past a bound without it
+@example(((-4004623471, -154305, 44845027332865),
+          (1029707923456, -118960929668303, -269907034105), 7, 1))
+def test_rounded_term_is_the_nearest_integer(case):
+    # the screen's answer is _div_nearest of the exact rational
+    # num (d0 (p2 d0 - p1 d1 - p0 d2) + p0 d1^2) / (den d0^3), whichever
+    # way it decides
+    (p0, p1, p2), (d0, d1, d2), num, den = case
+    exact = d0 * (p2 * d0 - p1 * d1 - p0 * d2) + p0 * d1 * d1
+    assert _rounded_term(*case) == _div_nearest(num * exact, den * d0**3)
 
 
 def test_rounded_term_falls_back_at_an_exact_tie(monkeypatch):
@@ -1193,6 +1259,11 @@ def test_rounded_term_falls_back_at_an_exact_tie(monkeypatch):
     assert len(calls) == 3
     # 1/2 + 1/2^10 is near the tie, but 16 margin bits decide it
     assert _rounded_term((0, 0, 2**9 + 1), (2**10, 0, 0), 2, 2) == 1
+    # [u^2] p/d = x2 + x0 y1^2 = 12.5 + 1,700 units of 2^-17, with x0 =
+    # 1023 / 2^17 and y1 = 40 read exactly: g = 12 bits, two past q0's 10,
+    # keep q0's part of the bound near |y1| / 2, so E = 1,666 units decides
+    # it (at g = 10, E would be 1,727)
+    assert _rounded_term((1023 * 2**63, 0, 3300 * 2**63), (2**80, 40 * 2**80, 0), 1, 1) == 13
     assert len(calls) == 3
 
 

@@ -28,7 +28,6 @@ from zetaforms.oscillation import (
     RelationData,
     SubsequencePlan,
     TorusBox,
-    _distance_to_integers,
     build_plan_general,
     detect_pi_rational,
     enumerate_psi,
@@ -752,6 +751,11 @@ def test_irrational_density_matches_reciprocal_lambda():
 
 
 # -- torus box search ------------------------------------------------------
+
+
+def _distance_to_integers(x: Fraction) -> Fraction:
+    f = x % 1
+    return min(f, 1 - f)
 
 
 def grid_box_oracle(int_rows, phases):
