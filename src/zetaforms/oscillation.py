@@ -546,6 +546,11 @@ def build_plan_general(
         if not relations.generators:
             raise DomainError("relation data needs at least one generator")
         theta = tuple(Fraction(t) for t in relations.generators)
+        for j, t in enumerate(theta):
+            if t in theta[:j]:
+                raise DomainError(
+                    f"relation generators {theta.index(t) + 1} and {j + 1} are equal"
+                )
         rows = []
         for row, original in zip(relations.rows, irrational):
             if len(row) != len(theta) + 1:

@@ -25,8 +25,9 @@ exact integer comparisons.  Successive terms shrink by about
 (j / (pi N))^2; with N = 4 * work the tail reaches 10^(-work) on the first
 try at tangent index j ~ 0.23 * work (154 at 657 digits), far below the
 optimal-truncation point j ~ pi N where the terms start to grow again.
-The route sizes the tangent cache once, up front, for the index that
-bound predicts (_tail_depth).
+The tail asks for each tangent number as it goes, and the shared cache
+grows by one index at a time (tangent_number), so a table at a higher
+precision computes only the indices it has not seen.
 
 Verification route, zeta_alternating: the alternating series
 eta(s) = sum (-1)^(k-1) k^(-s) accelerated by Chebyshev-style weights (the
@@ -44,40 +45,31 @@ from fractions import Fraction
 from .errors import BudgetError, DomainError, InternalCheckError
 from .fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
 
-_TANGENT: list[int] = [0]  # T_0 (unused), T_1, T_2, ...
-
-
-def _tangent_numbers(n: int) -> list[int]:
-    """[0, T_1, ..., T_n] with tan x = sum_k T_k x^(2k-1) / (2k-1)!.
-
-    Brent & Harvey (2013), algorithm TangentNumbers: about n^2 / 2
-    multiply-adds by integers below 2n, and no division.
-    """
-    t = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t
-
-
-def _fill_tangents(n: int) -> None:
-    """Make the cache hold T_1 .. T_n (a refill recomputes all of them)."""
-    if n >= len(_TANGENT):
-        _TANGENT[:] = _tangent_numbers(n)
+# the cache: [0, T_1, ..., T_j] and the last column [t_1[j], ..., t_j[j]]
+_TANGENT: tuple[list[int], list[int]] = ([0], [])
 
 
 def tangent_number(k: int) -> int:
-    """The tangent number T_k (k >= 1), from the shared cache.
+    """The tangent number T_k (k >= 1), tan x = sum_k T_k x^(2k-1) / (2k-1)!.
 
-    A refill the caller did not size up front at least doubles the cache,
-    so a caller stepping up through the indices pays O(k^2) integer steps
-    in all.
+    The cache grows to index k by Brent & Harvey's (2013) TangentNumbers,
+    run column by column: t_1[j] = (j-1) t_1[j-1] and
+    t_i[j] = (j-i) t_i[j-1] + (j-i+2) t_{i-1}[j], with T_j = t_j[j].  With
+    the last column kept, T_{j+1} costs j multiply-adds by integers below
+    2j, and each index is computed once per process.
     """
-    if k >= len(_TANGENT):
-        _fill_tangents(max(k, 2 * (len(_TANGENT) - 1)))
-    return _TANGENT[k]
+    if k < 1:
+        raise DomainError("tangent index must be >= 1")
+    values, column = _TANGENT
+    while len(values) <= k:
+        j = len(values)
+        entry = (j - 1) * column[0] if column else 1  # t_1[j]
+        column.append(0)  # t_j[j-1], which the recurrence multiplies by 0
+        column[0] = entry
+        for i in range(1, j):  # column[i] holds t_{i+1}
+            entry = column[i] = (j - i - 1) * column[i] + (j - i + 1) * entry
+        values.append(entry)
+    return values[k]
 
 
 def bernoulli(n: int) -> Fraction:
@@ -140,25 +132,6 @@ def power_tail_scaled(start: int, s: int, work: int) -> int:
         top, bottom = following_top, following_bottom
 
 
-def _tail_depth(s: int, start: int, work: int) -> int:
-    """The tangent index at which power_tail_scaled(start, s, work) stops,
-    or one past it: the first j whose term bound, from
-    |B_2j| = 2 (2j)! zeta(2j) / (2 pi)^(2j) < 4 (2j)! / (2 pi)^(2j), is
-    below 10^(-work) / 2, or the j where that bound starts to grow."""
-    log_limit = -work * math.log(10)
-    log_step = 2 * math.log(2 * math.pi * start)
-    # log of twice the bound on term 1: 8 s / ((2 pi)^2 start^(s+1))
-    log_term = math.log(8 * s) - 2 * math.log(2 * math.pi) - (s + 1) * math.log(start)
-    j = 1
-    while log_term >= log_limit:
-        growth = math.log((s + 2 * j - 1) * (s + 2 * j)) - log_step
-        if growth >= 0:
-            break
-        log_term += growth
-        j += 1
-    return j
-
-
 def _check_arguments(s_values, digits: int) -> list[int]:
     """The distinct arguments in ascending order, each >= 2."""
     s_values = sorted(set(s_values))
@@ -178,8 +151,6 @@ def zeta_euler_maclaurin(s_values, digits: int) -> dict[int, FixedReal]:
     work = digits + GUARD_DIGITS + 8
     scale = 10**work
     first_cutoff = max(16, 4 * work)  # the tail converges on the first try
-    # the smallest s needs the deepest tail: size the cache for it once
-    _fill_tangents(_tail_depth(s_values[0], first_cutoff, work))
     cutoffs, totals = {}, {}
     for s in s_values:
         cutoff = first_cutoff

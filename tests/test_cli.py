@@ -335,28 +335,35 @@ def test_subseq_relations_need_a_generator(capsys, tmp_path):
     assert json.loads(out)["error"]["message"] == "relation data needs at least one generator"
 
 
-def test_orbit_scan_budget_names_the_cause(capsys, tmp_path):
+def test_orbit_scan_budget_names_the_cause(capsys):
     # both omegas are sqrt2, so the orbit stays on a diagonal of the torus,
-    # and a box chosen as if the generators were independent misses it
+    # and a box chosen as if the omegas were independent misses it
+    code, out = run(capsys, "subseq", "--omega", "sqrt2", "--phi", "25/23",
+                    "--omega", "sqrt2", "--phi", "224/19", "--count", "1")
+    assert code == EXIT_BUDGET
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith("orbit scan exceeded ")
+    assert " steps with 0 of 1 hits; the box can miss the orbit " in message
+    assert message.endswith("relation generators are rationally dependent")
+
+
+@pytest.mark.parametrize("second_phi", ["0", "1/2*pi"])
+def test_subseq_relations_refuse_equal_generators(capsys, tmp_path, second_phi):
+    # the sqrt2 generator twice: refused before the box search, where it
+    # once gave a plan that failed its own check (phase 0: ratio 2.2
+    # against lambda 4) or a box off the orbit's diagonal (exit 4)
     from zetaforms.oscillation import parse_angle
 
     theta = str(parse_angle("sqrt2").over_pi())
     path = tmp_path / "relations.json"
     path.write_text(json.dumps({"generators": [theta, theta],
                                 "rows": [["0", "1", "0"], ["0", "0", "1"]]}))
-    runs = [
-        (["--omega", "sqrt2", "--phi", "25/23", "--omega", "sqrt2", "--phi", "224/19",
-          "--count", "1"], 1),
-        (["--omega", "sqrt2", "--phi", "0", "--omega", "sqrt2", "--phi", "1/2*pi",
-          "--count", "5", "--relations", str(path)], 5),
-    ]
-    for flags, count in runs:
-        code, out = run(capsys, "subseq", *flags)
-        assert code == EXIT_BUDGET
-        message = json.loads(out)["error"]["message"]
-        assert message.startswith("orbit scan exceeded ")
-        assert f" steps with 0 of {count} hits; the box can miss the orbit " in message
-        assert message.endswith("relation generators are rationally dependent")
+    code, out = run(capsys, "subseq", "--omega", "sqrt2", "--phi", "0",
+                    "--omega", "sqrt2", "--phi", second_phi, "--count", "5",
+                    "--relations", str(path))
+    assert code == EXIT_DOMAIN
+    assert json.loads(out)["error"] == {
+        "kind": "domain", "message": "relation generators 1 and 2 are equal"}
 
 
 def test_orbit_scan_cap_counts_steps_per_box_measure(capsys):

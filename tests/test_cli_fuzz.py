@@ -255,8 +255,7 @@ relation_runs = st.tuples(
 # no generators, with r_0 alone matching omega/pi: exit 3 that names the
 # relation data, not the plan's missing box
 @example(([("sqrt2", "0")], {"generators": [], "rows": [[OMEGA_OVER_PI[0]]]}, "3"))
-# a repeated generator whose box misses the orbit's diagonal: exit 4 after
-# the orbit scan's 10^6-step budget
+# a repeated generator: exit 3 that names both indices, before the box search
 @example(([("sqrt2", "0"), ("sqrt2", "1/2*pi")], {
     "generators": OMEGA_OVER_PI[:1] * 2, "rows": [["0", "1", "0"], ["0", "0", "1"]]}, "5"))
 def test_relations_fuzz(run):

@@ -362,6 +362,15 @@ def test_relation_validation_rejects_garbage():
         )
 
 
+def test_relation_generators_must_differ():
+    # generators 1 and 3 are equal; the rows alone are consistent
+    theta, e = parse_angle("1").over_pi(), parse_angle("e").over_pi()
+    zero, one = Fraction(0), Fraction(1)
+    relations = RelationData((theta, e, theta), ((zero, one, zero, zero),))
+    with pytest.raises(DomainError, match=r"^relation generators 1 and 3 are equal$"):
+        build_plan_general([pair("1", "0"), pair("1/3*pi", "0")], relations)
+
+
 # -- enumeration contracts -----------------------------------------------
 
 

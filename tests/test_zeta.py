@@ -57,6 +57,74 @@ def test_bernoulli_matches_defining_recurrence():
     assert [bernoulli(n) for n in range(301)] == oracle
 
 
+def tangent_table_oracle(n):
+    """Oracle: [0, T_1, ..., T_n], the whole table at once by Brent & Harvey
+    (2013), algorithm TangentNumbers (row by row, in place)."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+TANGENTS = tangent_table_oracle(400)
+
+
+def bernoulli_from_tangents(n):
+    """B_n from the oracle table: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    if n == 0 or n % 2:
+        return {0: Fraction(1), 1: Fraction(-1, 2)}.get(n, Fraction(0))
+    k = n // 2
+    return Fraction((-1) ** (k - 1) * 2 * k * TANGENTS[k], 4**k * (4**k - 1))
+
+
+def test_tangent_numbers_match_the_full_table(monkeypatch):
+    monkeypatch.setattr(zeta, "_TANGENT", ([0], []))
+    assert [zeta.tangent_number(k) for k in range(1, 401)] == TANGENTS[1:]
+    assert TANGENTS[1:6] == [1, 2, 16, 272, 7936]
+
+
+def test_tangent_index_below_one_is_refused():
+    assert zeta.tangent_number(5) == 7936
+    for k in (0, -1, -5):
+        with pytest.raises(DomainError, match="tangent index must be >= 1"):
+            zeta.tangent_number(k)
+
+
+RESET = None  # an access-order step that empties the tangent cache
+access_steps = st.one_of(
+    st.tuples(st.just("tangent"), st.integers(1, 400)),
+    st.tuples(st.just("bernoulli"), st.integers(0, 800)),
+    st.just(RESET),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(access_steps, max_size=12), st.booleans())
+@example([("tangent", 400), ("tangent", 1), ("bernoulli", 798), ("bernoulli", 2)], False)
+@example([("tangent", 300), RESET, ("tangent", 5), ("bernoulli", 20), RESET,
+          ("bernoulli", 400)], False)
+def test_any_access_order_gives_the_oracle_values(steps, descending):
+    # indices in any order (drawn, or sorted from the top down), the cache
+    # emptied in between or not, always give the full table's values
+    if descending:
+        steps = sorted((step for step in steps if step), key=lambda step: -step[1])
+    saved = zeta._TANGENT
+    zeta._TANGENT = ([0], [])
+    try:
+        for step in steps:
+            if step is RESET:
+                zeta._TANGENT = ([0], [])
+            elif step[0] == "tangent":
+                assert zeta.tangent_number(step[1]) == TANGENTS[step[1]], step
+            else:
+                assert bernoulli(step[1]) == bernoulli_from_tangents(step[1]), step
+    finally:
+        zeta._TANGENT = saved
+
+
 @pytest.mark.parametrize(
     "s, digits", [(5, 657), (7, 657), (9, 657), (11, 657), (2, 30), (3, 30)]
 )
@@ -155,50 +223,88 @@ def test_batched_routes_equal_the_per_s_oracles(digits, s_values):
         assert alt[s].scaled == per_s_alternating_oracle(s, digits).scaled, s
 
 
-def test_table_tail_converges_first_try(monkeypatch):
-    # counts work instead of timing it: one tail per s, and one fill of the
-    # tangent cache, up front, to about the deepest index the tails use
-    monkeypatch.setattr(zeta, "_TANGENT", [0])
-    tails, indices, fills = [], [], []
-    tail, tangent, fill = zeta.power_tail_scaled, zeta.tangent_number, zeta._tangent_numbers
+class AppendLog(list):
+    """A list that logs the index of every value appended to it."""
 
-    def counting_tail(start, s, work):
-        tails.append(s)
+    def __init__(self, values):
+        super().__init__(values)
+        self.log = []
+
+    def append(self, value):
+        self.log.append(len(self))
+        super().append(value)
+
+
+def cold_tangent_cache(monkeypatch):
+    """Empty the tangent cache; returns the log of the indices it computes."""
+    values = AppendLog([0])
+    monkeypatch.setattr(zeta, "_TANGENT", (values, []))
+    return values.log
+
+
+def count_calls(monkeypatch, name, record):
+    """Wrap zeta.<name> so that each call's arguments land in `record`."""
+    original = getattr(zeta, name)
+
+    def counting(*args):
+        record.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(zeta, name, counting)
+
+
+def test_table_tail_converges_first_try(monkeypatch):
+    # counts work instead of timing it: one tail per s, each tangent index
+    # computed once and none past the deepest one a tail reads
+    computed = cold_tangent_cache(monkeypatch)
+    tails, requests = [], []
+    count_calls(monkeypatch, "power_tail_scaled", tails)
+    count_calls(monkeypatch, "tangent_number", requests)
+    ZetaTable((5, 7, 9, 11), 657)
+    assert [s for _, s, _ in tails] == [5, 7, 9, 11]
+    deepest = max(k for k, in requests)
+    assert 2 * deepest <= 400  # the Bernoulli index 2j
+    assert computed == list(range(1, deepest + 1))
+    # a second table at a higher precision computes only the new indices
+    computed.clear()
+    requests.clear()
+    ZetaTable((5, 7, 9, 11), 1000)
+    deeper = max(k for k, in requests)
+    assert deeper > deepest
+    assert computed == list(range(deepest + 1, deeper + 1))
+
+
+def test_retry_doubles_only_the_failing_cutoff(monkeypatch):
+    # the tail for s = 7 fails once; only s = 7 retries, at twice the cutoff
+    digits = 404
+    cutoff = 4 * (digits + GUARD_DIGITS + 8)
+    computed = cold_tangent_cache(monkeypatch)
+    tail, calls = zeta.power_tail_scaled, []
+
+    def failing_once(start, s, work):
+        calls.append((start, s))
+        if (start, s) == (cutoff, 7):
+            raise BudgetError("forced")
         return tail(start, s, work)
 
-    def counting_tangent(k):
-        indices.append(k)
-        return tangent(k)
-
-    def counting_fill(n):
-        fills.append(n)
-        return fill(n)
-
-    monkeypatch.setattr(zeta, "power_tail_scaled", counting_tail)
-    monkeypatch.setattr(zeta, "tangent_number", counting_tangent)
-    monkeypatch.setattr(zeta, "_tangent_numbers", counting_fill)
-    ZetaTable((5, 7, 9, 11), 657)
-    assert tails == [5, 7, 9, 11]
-    assert 2 * max(indices) <= 400  # the Bernoulli index 2j
-    assert len(fills) == 1 and max(indices) <= fills[0] <= max(indices) + 1
+    monkeypatch.setattr(zeta, "power_tail_scaled", failing_once)
+    table = ZetaTable((5, 7, 9, 11), digits)
+    assert calls == [(cutoff, 5), (cutoff, 7), (2 * cutoff, 7), (cutoff, 9), (cutoff, 11)]
+    for s in (5, 7, 9, 11):
+        assert table[s].scaled == per_s_euler_maclaurin_oracle(s, digits).scaled, s
+    assert computed == list(range(1, len(computed) + 1))
 
 
 def test_power_tail_builds_each_term_once(monkeypatch):
     # each correction term serves first as the remainder bound, then as
     # the term: one request per tangent index
-    indices = []
-    tangent = zeta.tangent_number
-
-    def counting_tangent(k):
-        indices.append(k)
-        return tangent(k)
-
-    monkeypatch.setattr(zeta, "tangent_number", counting_tangent)
+    requests = []
+    count_calls(monkeypatch, "tangent_number", requests)
     for s, work in ((2, 40), (5, 300), (11, 675)):
-        indices.clear()
+        requests.clear()
         zeta.power_tail_scaled(4 * work, s, work)
-        assert len(indices) > 5
-        assert indices == list(range(1, len(indices) + 1)), (s, work)
+        assert len(requests) > 5
+        assert requests == [(k,) for k in range(1, len(requests) + 1)], (s, work)
 
 
 @pytest.mark.parametrize("route", ["zeta_euler_maclaurin", "zeta_alternating"])
