@@ -70,15 +70,24 @@ EXIT_INTERNAL = 5
 MAX_FORM_DIGITS = 8000
 
 
+def _int_arg(text: str) -> int:
+    """int(text), refused in argparse's own words for type=int: the name of
+    the helper that calls it would otherwise stand in the message."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _digits_arg(text: str) -> int:
-    value = int(text)
+    value = _int_arg(text)
     if value < 10:
         raise argparse.ArgumentTypeError(f"precision must be >= 10 digits, got {value}")
     return value

@@ -42,9 +42,12 @@ exact integers: `_exact_axes` puts each axis of the box on its own
 modulus, so that theta, the arc's low end and its width are all whole
 multiples of 1/M_j.  One integer walker, `_orbit_hits`, runs the orbit
 n theta mod 1 on those integers for `enumerate_psi` and for `kw_density`
-over two or more axes; `kw_density` over one axis counts the same hits
-with two floor sums (`_floor_sum`) in O(log M) steps instead of walking.
-Every count is exact on the given rationals, arc ends included.
+over two or more axes.  It jumps from one hit of the narrowest axis to
+the next, by one of the three return times that the three-distance
+theorem allows, and reads the other axes only there.  `kw_density` over
+one axis counts the same hits with two floor sums (`_floor_sum`) in
+O(log M) steps instead of walking.  Every count is exact on the given
+rationals, arc ends included.
 """
 
 from __future__ import annotations
@@ -613,24 +616,84 @@ def _exact_axes(arcs):
 def _orbit_hits(steps, moduli, lows, widths, limit):
     """Each n in 1..limit at which every axis j has pos_j = n steps[j] mod
     moduli[j] with (pos_j - lows[j]) mod moduli[j] <= widths[j], on the
-    integers of `_exact_axes`.  That shifted position advances by one
-    addition and at most one subtraction of the modulus per step, since
-    0 <= steps[j] < moduli[j].  One step per n: `enumerate_psi` needs the
-    hits themselves, and `kw_density` walks only a box of two or more
-    axes."""
-    shifted = [(-low) % m for low, m in zip(lows, moduli)]
-    axes = range(len(shifted))
-    for n in range(1, limit + 1):
-        hit = True
-        for j in axes:
-            q = shifted[j] + steps[j]
-            if q >= moduli[j]:
-                q -= moduli[j]
-            shifted[j] = q
-            if q > widths[j]:
-                hit = False
-        if hit:
+    integers of `_exact_axes`, walked from one hit of the narrowest axis to
+    the next.
+
+    The lead axis is the one with the least (w + 1)/M, compared exactly;
+    shifted by its low end, it hits when 0 <= x <= w and advances x by
+    s mod M per n.  By the three-distance theorem for the return times to
+    an arc (Sos, Ann. Univ. Sci. Budapest 1, 1958; Slater, Proc. Cambridge
+    Philos. Soc. 63, 1967) the gap from one hit to the next is a, b or
+    a + b, where a is the least r >= 1 with r s mod M <= w, a forward
+    shift da = r s mod M, and b the least r >= 1 with r s mod M = 0 or
+    >= M - w, a backward shift db = (M - r s) mod M.  From a hit x:
+
+      - x + da <= w: the next hit is after a, at x + da;
+      - otherwise x >= db: after b, at x - db;
+      - otherwise after a + b, at x + da - db.
+
+    A return r sooner than that would leave a shift, r - a or r - b, that
+    is a shorter forward or backward return.  The classical proof orders
+    a <= b, reflecting x -> w - x to swap the roles when b < a.  No
+    reflection is needed here: the first two cases both hold only if
+    da + db <= w, and a shift da + db in [1, w] would make |a - b| a
+    shorter return, while db = 0 makes b the period, so that a <= b and
+    the forward case, tested first, is right.
+
+    The first hit, a and b come from one pass over r s mod M that stops
+    when all three are found, within the period M / gcd(s, M) for a and
+    b, or at r = limit.  One not found is past limit and counts as
+    limit + 1 (its shift as w + 1), which ends the walk at the first jump
+    that needs it.  So no walk visits more than limit positions plus one
+    per jump.
+
+    The second-narrowest axis advances by the jump's r s_1 mod M_1 and is
+    read at every lead hit; any further axis is read as (n s - low) mod M
+    only where those two hit.  A box of fewer than two axes is padded with
+    modulus-1 axes, which always hit.
+    """
+    axes = sorted(zip(steps, moduli, lows, widths), key=lambda ax: Fraction(ax[3] + 1, ax[1]))
+    axes += [(0, 1, 0, 0)] * (2 - len(axes))
+    (s, m, low, w), (s1, m1, low1, w1), *rest = axes
+    start = -low % m
+    n = a = b = limit + 1  # not found yet, and past every n yielded
+    da = db = w + 1
+    q = 0  # r s mod M
+    for r in range(1, limit + 1):
+        q += s
+        if q >= m:
+            q -= m
+        if n > limit and (start + q) % m <= w:
+            n, x = r, (start + q) % m
+        if a > limit and q <= w:
+            a, da = r, q
+        if b > limit and (q == 0 or q >= m - w):
+            b, db = r, -q % m
+        if max(n, a, b) <= limit:
+            break
+    if n > limit:
+        return
+    ab, below_a, dab = a + b, w - da, da - db
+    ja, jb = a * s1 % m1, b * s1 % m1
+    jab = (ja + jb) % m1
+    x1 = (n * s1 - low1) % m1
+    while n <= limit:
+        if x1 <= w1 and (not rest or all((n * t - lo) % mod <= wd for t, mod, lo, wd in rest)):
             yield n
+        if x <= below_a:
+            n += a
+            x += da
+            x1 += ja
+        elif x >= db:
+            n += b
+            x -= db
+            x1 += jb
+        else:
+            n += ab
+            x += dab
+            x1 += jab
+        if x1 >= m1:
+            x1 -= m1
 
 
 def check_psi_count(count: int) -> None:

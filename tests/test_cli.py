@@ -506,6 +506,24 @@ def test_usage_errors_exit_2():
         assert exc.value.code == 2, argv
 
 
+@pytest.mark.parametrize("argv,flag,text", [
+    (["form", "--n", "x"], "--n", "x"),
+    (["form", "--n", "1", "--max-n", "2.5"], "--max-n", "2.5"),
+    (["form", "--n", "1", "--digits", "abc"], "--digits", "abc"),
+    (["subseq", "--omega", "1", "--phi", "0", "--count", "ten"], "--count", "ten"),
+    (["density", "--theta", "sqrt2", "--box", "0.1:0.2", "--kmax", "1e3"], "--kmax", "1e3"),
+])
+def test_non_integer_flags_use_argparse_int_wording(capsys, argv, flag, text):
+    # the same words as argparse's own type=int (as for criterion --bits),
+    # not the name of a private type function
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid int value: '{text}'" in err
+    assert "_positive_int" not in err and "_digits_arg" not in err
+
+
 def test_budget_exit(capsys):
     code, out = run(capsys, "form", "--n", "7")
     assert code == EXIT_BUDGET

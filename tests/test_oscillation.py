@@ -405,6 +405,80 @@ def fraction_oracle_psi(plan, last):
     return out
 
 
+def orbit_hits_oracle(steps, moduli, lows, widths, limit):
+    """`_orbit_hits` by the per-n walk its jumps replaced: every axis's
+    shifted position advances by one step at every n in 1..limit, and n is
+    kept when each of them is at most its width."""
+    shifted = [(-low) % m for low, m in zip(lows, moduli)]
+    axes = range(len(shifted))
+    out = []
+    for n in range(1, limit + 1):
+        hit = True
+        for j in axes:
+            q = shifted[j] + steps[j]
+            if q >= moduli[j]:
+                q -= moduli[j]
+            shifted[j] = q
+            if q > widths[j]:
+                hit = False
+        if hit:
+            out.append(n)
+    return out
+
+
+@st.composite
+def orbit_axis(draw):
+    # modulus g * m0, so that a step g * r shares the factor g with it
+    g = draw(st.integers(1, 12))
+    m0 = draw(st.one_of(st.integers(1, 40), st.integers(1, 10**30 // 12)))
+    m = g * m0
+    step = draw(st.sampled_from(["zero", "one", "minus_one", "half", "random", "shared"]))
+    step = {
+        "zero": 0, "one": 1 % m, "minus_one": m - 1, "half": m // 2,
+        "random": draw(st.integers(0, m - 1)), "shared": g * draw(st.integers(0, m0 - 1)),
+    }[step]
+    width = draw(st.one_of(st.sampled_from([0, m - 1]), st.integers(0, m - 1)))
+    return step, m, draw(st.integers(0, m - 1)), width
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(orbit_axis(), min_size=1, max_size=4), st.integers(0, 3000))
+# the lead axis's forward return a is past limit; its backward return is 1
+@example([(471632, 471633, 438629, 87122)], 2)
+# the lead axis's backward return b is past limit
+@example([(18901, 455812, 403470, 151937), (0, 1, 0, 0)], 5)
+def test_orbit_hits_match_the_per_n_oracle(axes, limit):
+    steps, moduli, lows, widths = (list(column) for column in zip(*axes))
+    expected = orbit_hits_oracle(steps, moduli, lows, widths, limit)
+    assert list(oscillation._orbit_hits(steps, moduli, lows, widths, limit)) == expected
+
+
+def test_orbit_hits_match_the_oracle_on_every_small_axis():
+    # every step, low end and width of one axis mod M <= 8, over several
+    # multiples of M: every jump a, b and a + b runs, with a < b, a = b and
+    # a > b, and with a return past the limit
+    for m in range(1, 9):
+        for step in range(m):
+            for low in range(m):
+                for width in range(m):
+                    for limit in (0, 1, 3, 3 * m + 2):
+                        args = ([step], [m], [low], [width], limit)
+                        assert list(oscillation._orbit_hits(*args)) == orbit_hits_oracle(*args)
+
+
+def test_enumerate_psi_matches_the_walk_oracle_on_a_relations_plan():
+    # a two-generator --relations plan walks a 2-D box
+    pairs, relations = two_generator_relations_case()
+    plan = build_plan_general(pairs, relations)
+    assert plan.box.dimension == 2
+    psi = enumerate_psi(plan, 400)
+    half = plan.box.eta - BOUNDARY_GUARD
+    arcs = [(t, c - half, 2 * half) for t, c in zip(plan.theta, plan.box.center)]
+    hits = orbit_hits_oracle(*oscillation._exact_axes(arcs), 10**4)[:400]
+    assert psi == [plan.big_d * n * plan.d + plan.a for n in hits]
+    assert psi == fraction_oracle_psi(plan, psi[-1])
+
+
 def supplied_relation_case():
     # omega2 = 1 + pi, so omega2/pi = omega1/pi + 1: one generator serves both
     theta1 = parse_angle("1").over_pi()
@@ -607,12 +681,15 @@ def test_kw_density_sqrt2_quarter_box():
     assert not report.rational_theta
 
 
-def fraction_count(theta, lo, hi, k_max):
-    """Independent oracle: the n <= k_max with frac(n theta) on the arc
-    from lo to hi (wrapping past 1), recounted in exact Fractions."""
-    if hi - lo >= 1:
-        return k_max
-    return sum(1 for n in range(1, k_max + 1) if (n * theta - lo) % 1 <= hi - lo)
+def fraction_count(thetas, box, k_max):
+    """Independent oracle: the n <= k_max with every frac(n theta_j) on the
+    arc from lo_j to hi_j (wrapping past 1; an axis of width 1 or more
+    always hits), recounted in exact Fractions."""
+    return sum(
+        1 for n in range(1, k_max + 1)
+        if all(hi - lo >= 1 or (n * t - lo) % 1 <= hi - lo
+               for t, (lo, hi) in zip(thetas, box))
+    )
 
 
 def walked_count(theta, lo, hi, k_max):
@@ -627,7 +704,7 @@ def test_kw_density_direct_count_oracle():
     theta = named_constant("sqrt2")
     lo, hi = Fraction(1, 10), Fraction(35, 100)
     k_max = 2000
-    expected = fraction_count(theta, lo, hi, k_max)
+    expected = fraction_count([theta], [(lo, hi)], k_max)
     report = kw_density([theta], [(lo, hi)], k_max)
     assert report.hits == expected
     # two dimensions, the second axis full width: only the first one counts
@@ -673,7 +750,7 @@ SQRT2 = named_constant("sqrt2")
 ])
 def test_kw_density_one_axis_matches_walk_and_fractions(theta, lo, hi, k_max):
     hits = kw_density([theta], [(lo, hi)], k_max).hits
-    assert hits == fraction_count(theta, lo, hi, k_max)
+    assert hits == fraction_count([theta], [(lo, hi)], k_max)
     assert hits == walked_count(theta, lo, hi, k_max)
 
 
@@ -696,7 +773,7 @@ def test_kw_density_one_axis_matches_walk(theta, lo, width, k_max):
     hi = lo + width
     hits = kw_density([theta], [(lo, hi)], k_max).hits
     assert hits == walked_count(theta, lo, hi, k_max)
-    assert hits == fraction_count(theta, lo, hi, k_max)
+    assert hits == fraction_count([theta], [(lo, hi)], k_max)
 
 
 def test_kw_density_budgets_raise_before_work(monkeypatch):
@@ -741,6 +818,48 @@ def test_kw_density_two_dimensional():
     )
     assert report.predicted == pytest.approx(0.25)
     assert abs(report.empirical - 0.25) < 0.02
+
+
+THIRD, TWO_SEVENTHS = Fraction(1, 3), Fraction(2, 7)
+
+
+@pytest.mark.parametrize("thetas,box,k_max", [
+    # rational orbits with points on both edges of each box
+    ([THIRD, TWO_SEVENTHS], [(THIRD, Fraction(2, 3)), (TWO_SEVENTHS, Fraction(4, 7))], 300),
+    ([THIRD, TWO_SEVENTHS, Fraction(3, 5)],
+     [(Fraction(0), THIRD), (Fraction(1, 7), Fraction(5, 7)), (Fraction(1, 5), Fraction(4, 5))],
+     400),
+    ([-THIRD, TWO_SEVENTHS], [(Fraction(-1, 3), Fraction(1, 3)), (Fraction(6, 7), Fraction(9, 7))],
+     300),
+    # an axis of width 0: only the n with n/3 = 1/3 mod 1 can hit
+    ([THIRD, SQRT2], [(THIRD, THIRD), (Fraction(1, 10), Fraction(3, 5))], 2000),
+    ([SQRT2, named_constant("e"), TWO_SEVENTHS],
+     [(Fraction(1, 10), Fraction(35, 100)), (Fraction(1, 5), Fraction(7, 10)),
+      (Fraction(4, 7), Fraction(4, 7))], 2000),
+    # a full-width axis drops out and leaves two axes to walk
+    ([THIRD, TWO_SEVENTHS, named_constant("e")],
+     [(THIRD, Fraction(2, 3)), (TWO_SEVENTHS, Fraction(4, 7)), (Fraction(-1, 2), Fraction(1, 2))],
+     300),
+    ([SQRT2, named_constant("e"), Fraction(1, 2)],
+     [(Fraction(1, 10), Fraction(35, 100)), (Fraction(1, 5), Fraction(7, 10)),
+      (Fraction(0), Fraction(3, 2))], 2000),
+], ids=["edges_2d", "edges_3d", "wrapping_2d", "width_0_2d", "width_0_3d",
+        "full_width_rational", "full_width_irrational"])
+def test_kw_density_several_axes_match_fractions(thetas, box, k_max):
+    assert kw_density(thetas, box, k_max).hits == fraction_count(thetas, box, k_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(small_fractions, small_fractions, st.fractions(0, 3, max_denominator=60)),
+             min_size=2, max_size=3),
+    st.integers(1, 300),
+)
+@example([(THIRD, THIRD, Fraction(1, 3)), (TWO_SEVENTHS, TWO_SEVENTHS, Fraction(2, 7))], 60)
+def test_kw_density_several_axes_match_fractions_fuzz(axes, k_max):
+    thetas = [t for t, _, _ in axes]
+    box = [(lo, lo + width) for _, lo, width in axes]
+    assert kw_density(thetas, box, k_max).hits == fraction_count(thetas, box, k_max)
 
 
 def test_kw_density_guards():
