@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated per-axis intervals lo:hi")
     p_den.add_argument("--kmax", type=_positive_int, required=True,
                        help="count n = 1..KMAX; one box axis costs O(log KMAX) "
-                       "steps, two or more walk every n (KMAX <= 10^8)")
+                       "steps, two or more jump from hit to hit of the narrowest "
+                       "axis (KMAX <= 10^8)")
     _common_output_flags(p_den)
 
     p_cri = sub.add_parser("criterion", help="Diophantine bounds from growth data")

@@ -134,29 +134,24 @@ def oscillating_report(
     """End-to-end report: check the oscillation hypothesis, build a
     subsequence plan (recording its lambda), and emit both bounds.  With
     no pairs there is nothing to check: no plan is built and lambda_used
-    is None.
+    is None.  A failed hypothesis sets hypothesis_ok False and
+    lambda_used None; the bounds stay, and to_json_dict masks them.
 
     The bounds are computed from (alpha, beta) directly: the subsequence
     rescales both to the lambda-th power and log-ratios cancel lambda, so
     any admissible plan yields the same conclusions.
     """
-    lambda_used = None
+    lambda_used, hypothesis_ok = None, True
     if pairs:
         try:
             lambda_used = float(build_plan_general(pairs).lambda_predicted)
         except (HypothesisViolation, UndecidableAtPrecision):
-            return CriterionReport(
-                dim_lower_bound=0.0,
-                dim_lower_bound_ceiled=0,
-                kappa_threshold=0.0,
-                hypothesis_ok=False,
-                lambda_used=None,
-            )
+            hypothesis_ok = False
     dim = dimension_bound(g)
     return CriterionReport(
         dim_lower_bound=dim,
         dim_lower_bound_ceiled=math.ceil(dim),
         kappa_threshold=exponent_threshold(g),
-        hypothesis_ok=True,
+        hypothesis_ok=hypothesis_ok,
         lambda_used=lambda_used,
     )

@@ -74,7 +74,6 @@ from .fixedpoint import (
     e_fixed,
     inv_pi_fraction,
     pi_fixed,
-    sin_pi_multiple,
     sqrt_fixed,
 )
 
@@ -378,8 +377,10 @@ class SubsequencePlan(NamedTuple):
 
 def _arc_floor(distance: Fraction) -> Fraction:
     """A lower bound of |cos x| for every x at least distance * pi from
-    pi/2 mod pi: sin(pi distance) at COS_DIGITS, less 10^-40."""
-    return sin_pi_multiple(distance, COS_DIGITS).to_fraction() - Fraction(1, 10**40)
+    pi/2 mod pi: sin(pi distance) = cos(pi (distance - 1/2)) at COS_DIGITS,
+    less 10^-40."""
+    arc = cos_pi_argument(distance - Fraction(1, 2), 0, COS_DIGITS)
+    return arc.to_fraction() - Fraction(1, 10**40)
 
 
 class RelationData(NamedTuple):

@@ -187,6 +187,15 @@ def test_density_command(capsys):
     assert float(json.loads(out)["empirical"]) == 1.0
 
 
+def test_density_help_names_the_hit_to_hit_walk(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "two or more jump from hit to hit of the narrowest axis (KMAX <= 10^8)" in text
+    assert "walk every n" not in text
+
+
 def test_density_one_axis_counts_past_any_walk(capsys):
     for k_max in (10**30, 10**30 + 1):
         code, out = run(capsys, "density", "--theta", "sqrt2", "--box", "0.1:0.35",

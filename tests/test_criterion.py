@@ -103,9 +103,15 @@ def test_oscillating_report_composition():
 
 
 def test_oscillating_report_hypothesis_failure():
-    report = oscillating_report(zudilin_constants(), [pair("0", "1/2*pi")])
-    assert not report.hypothesis_ok
-    assert report.to_json_dict()["kappa_threshold"] is None
+    g = zudilin_constants()
+    report = oscillating_report(g, [pair("0", "1/2*pi")])
+    assert not report.hypothesis_ok and report.lambda_used is None
+    # the report keeps the bounds from (alpha, beta); the JSON masks them
+    assert report.kappa_threshold == exponent_threshold(g)
+    doc = report.to_json_dict()
+    for field in ("dim_lower_bound", "dim_lower_bound_ceiled", "kappa_threshold",
+                  "kappa_published_rounding", "lambda_used"):
+        assert doc[field] is None, field
 
 
 def test_bounds_identical_across_plans():
