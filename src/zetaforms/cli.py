@@ -66,7 +66,7 @@ EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
 # --digits of form: the zeta table costs about digits^2.8, and form --n 1 at
-# the cap runs about a minute on 2 vCPUs
+# the cap runs 18-24 s in a fresh process on 2 vCPUs
 MAX_FORM_DIGITS = 8000
 
 

@@ -108,20 +108,19 @@ class CriterionReport(NamedTuple):
     lambda_used: Optional[float]
 
     def to_json_dict(self) -> dict:
+        bounds = (None,) * 4  # a failed hypothesis masks all four
+        if self.hypothesis_ok:
+            bounds = (
+                f"{self.dim_lower_bound:.10f}",
+                self.dim_lower_bound_ceiled,
+                f"{self.kappa_threshold:.10f}",
+                f"{math.ceil(self.kappa_threshold * 100) / 100:.2f}",
+            )
+        names = ("dim_lower_bound", "dim_lower_bound_ceiled", "kappa_threshold",
+                 "kappa_published_rounding")
         return {
             "hypothesis_ok": self.hypothesis_ok,
-            "dim_lower_bound": f"{self.dim_lower_bound:.10f}"
-            if self.hypothesis_ok
-            else None,
-            "dim_lower_bound_ceiled": self.dim_lower_bound_ceiled
-            if self.hypothesis_ok
-            else None,
-            "kappa_threshold": f"{self.kappa_threshold:.10f}"
-            if self.hypothesis_ok
-            else None,
-            "kappa_published_rounding": f"{math.ceil(self.kappa_threshold * 100) / 100:.2f}"
-            if self.hypothesis_ok
-            else None,
+            **dict(zip(names, bounds)),
             "lambda_used": None
             if self.lambda_used is None
             else f"{self.lambda_used:.6f}",

@@ -4,13 +4,12 @@ Each route takes all the arguments of a table at once and returns
 {s: FixedReal}; ZetaTable runs each route once and cross-checks every
 entry.  The two routes share no computed value.
 
-Primary route, zeta_euler_maclaurin: a direct sum to the cutoff
-N = max(16, 4 * work), `work` the working digits, plus the Euler-Maclaurin
-tail power_tail_scaled.  The head runs k once for all s: since
-floor(floor(a / b) / c) = floor(a / (b c)) for positive integers, the
-10**work scaled k^(-s) of the next s is the previous quotient divided by
-k^(s' - s), the same integer a direct division gives.  Each s keeps its
-own cutoff and its own doubling retry.
+Primary route, zeta_euler_maclaurin: a direct sum to one cutoff for all s,
+N = 4 * work (`work` the working digits, proved large enough there), plus
+the Euler-Maclaurin tail power_tail_scaled.  The head runs k once for all
+s: since floor(floor(a / b) / c) = floor(a / (b c)) for positive integers,
+the 10**work scaled k^(-s) of the next s is the previous quotient divided
+by k^(s' - s), the same integer a direct division gives.
 
 The tail's correction term j is
 
@@ -22,8 +21,8 @@ Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
 numbers", 2013).  So every term is an integer over an integer, rounded
 once onto the 10**work grid, and the stop and BudgetError decisions are
 exact integer comparisons.  Successive terms shrink by about
-(j / (pi N))^2; with N = 4 * work the tail reaches 10^(-work) on the first
-try at tangent index j ~ 0.23 * work (154 at 657 digits), far below the
+((s + 2j) / (2 pi N))^2; with N = 4 * work the tail reaches 10^(-work) at
+tangent index j ~ 0.23 * work (154 at 657 digits), far below the
 optimal-truncation point j ~ pi N where the terms start to grow again.
 The tail asks for each tangent number as it goes, and the shared cache
 grows by one index at a time (tangent_number), so a table at a higher
@@ -99,7 +98,7 @@ def power_tail_scaled(start: int, s: int, work: int) -> int:
     once onto the grid; each is built once, first as the previous step's
     remainder bound, then added.  Raises BudgetError if no depth reaches
     10**(-work) before the asymptotic terms start growing (start too small
-    for `work`); callers retry with a larger `start`.
+    for `work`); zeta_euler_maclaurin's start never is.
     """
     if start < 1 or s < 2:
         raise DomainError("power tail needs start >= 1 and s >= 2")
@@ -143,33 +142,33 @@ def _check_arguments(s_values, digits: int) -> list[int]:
 
 
 def zeta_euler_maclaurin(s_values, digits: int) -> dict[int, FixedReal]:
-    """{s: zeta(s)} by one shared direct sum to the cutoffs plus an
-    Euler-Maclaurin tail per s."""
+    """{s: zeta(s)} by one shared direct sum to the cutoff N = 4 * work plus
+    an Euler-Maclaurin tail per s.
+
+    The tail never raises BudgetError at this N, for any s >= 2.  Its term
+    j has size t_j = |B_2j| (s)_(2j-1) / ((2j)! N^(s+2j-1)), and
+    |B_2j| / (2j)! = 2 zeta(2j) / (2 pi)^(2j) with zeta(2j) falling in j,
+    so t_(j+1) / t_j < ((s + 2j) / (2 pi N))^2.  The loop tests t_2 first,
+    and t_1 = s / (12 N^(s+1)) < 1, as digits >= 10 makes work >= 28.
+      - If s >= pi N / 2, then t_2 = s (s+1) (s+2) / (720 N^(s+3)) is below
+        N^(-s/2) <= N^(-pi work), far below half a unit.
+      - Otherwise the ratio is at most 1/4 for all j <= pi N / 4 = pi work,
+        so a term falls below 4^(1 - pi work) < 10^(-work) / 2, and the tail
+        stops, before any term can grow: the divergence test cannot fire.
+    """
     s_values = _check_arguments(s_values, digits)
     if not s_values:
         return {}
     work = digits + GUARD_DIGITS + 8
     scale = 10**work
-    first_cutoff = max(16, 4 * work)  # the tail converges on the first try
-    cutoffs, totals = {}, {}
-    for s in s_values:
-        cutoff = first_cutoff
-        while True:
-            try:
-                totals[s] = power_tail_scaled(cutoff, s, work)
-                break
-            except BudgetError:
-                cutoff *= 2
-                if cutoff > 10**7:
-                    raise
-        cutoffs[s] = cutoff
+    cutoff = 4 * work
+    totals = {s: power_tail_scaled(cutoff, s, work) for s in s_values}
     steps = [(s, s - previous) for previous, s in zip([0, *s_values], s_values)]
-    for k in range(1, max(cutoffs.values())):
+    for k in range(1, cutoff):
         quotient = scale
         for s, step in steps:
             quotient //= k**step  # = scale // k**s
-            if k < cutoffs[s]:
-                totals[s] += quotient
+            totals[s] += quotient
     return {
         s: FixedReal(_div_nearest(total, 10 ** (work - digits)), digits)
         for s, total in totals.items()

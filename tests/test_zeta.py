@@ -160,17 +160,12 @@ def fraction_tail_oracle(start, s, work):
 
 
 def per_s_euler_maclaurin_oracle(s, digits):
-    """Oracle: zeta(s) alone, its own head sum scale // k**s and the
-    Fraction tail, the cutoff doubled on BudgetError."""
+    """Oracle: zeta(s) alone, its own head sum scale // k**s to the cutoff
+    4 * work and the Fraction tail."""
     work = digits + GUARD_DIGITS + 8
     scale = 10**work
-    cutoff = max(16, 4 * work)
-    while True:
-        try:
-            tail = fraction_tail_oracle(cutoff, s, work)
-            break
-        except BudgetError:
-            cutoff *= 2
+    cutoff = 4 * work
+    tail = fraction_tail_oracle(cutoff, s, work)
     total = sum(scale // k**s for k in range(1, cutoff)) + tail
     return FixedReal(_div_nearest(total, 10 ** (work - digits)), digits)
 
@@ -274,25 +269,32 @@ def test_table_tail_converges_first_try(monkeypatch):
     assert computed == list(range(deepest + 1, deeper + 1))
 
 
-def test_retry_doubles_only_the_failing_cutoff(monkeypatch):
-    # the tail for s = 7 fails once; only s = 7 retries, at twice the cutoff
+def test_a_failing_tail_leaves_the_table(monkeypatch):
+    # no retry: a tail forced to raise BudgetError ends the table, and each
+    # s asked for its tail once, at the one cutoff
     digits = 404
     cutoff = 4 * (digits + GUARD_DIGITS + 8)
-    computed = cold_tangent_cache(monkeypatch)
     tail, calls = zeta.power_tail_scaled, []
 
-    def failing_once(start, s, work):
+    def failing_last(start, s, work):
         calls.append((start, s))
-        if (start, s) == (cutoff, 7):
+        if s == 11:
             raise BudgetError("forced")
         return tail(start, s, work)
 
-    monkeypatch.setattr(zeta, "power_tail_scaled", failing_once)
-    table = ZetaTable((5, 7, 9, 11), digits)
-    assert calls == [(cutoff, 5), (cutoff, 7), (2 * cutoff, 7), (cutoff, 9), (cutoff, 11)]
-    for s in (5, 7, 9, 11):
-        assert table[s].scaled == per_s_euler_maclaurin_oracle(s, digits).scaled, s
-    assert computed == list(range(1, len(computed) + 1))
+    monkeypatch.setattr(zeta, "power_tail_scaled", failing_last)
+    with pytest.raises(BudgetError, match="forced"):
+        ZetaTable((5, 7, 9, 11), digits)
+    assert calls == [(cutoff, s) for s in (5, 7, 9, 11)]
+
+
+@pytest.mark.parametrize("digits", [10, 11, 60, 404, 657, 1000])
+def test_the_one_cutoff_serves_every_argument(digits):
+    # zeta_euler_maclaurin's bound, swept: at N = 4 * work the tail
+    # returns (0 once s is large), for s far past what the table asks for
+    work = digits + GUARD_DIGITS + 8
+    for s in [*range(2, 41), 64, 200, 1000]:
+        assert 0 <= power_tail_scaled(4 * work, s, work) < 10**work, s
 
 
 def test_power_tail_builds_each_term_once(monkeypatch):
