@@ -13,13 +13,15 @@ Four subcommands:
 Exit codes: 0 success, 2 usage, 3 domain/hypothesis, 4 budget, 5 internal
 assertion.  All output is UTF-8, line-feed terminated; JSON field order is
 fixed and every number that may exceed double precision is a decimal
-string, so identical inputs produce byte-identical output.
+string, so identical inputs produce byte-identical output.  The library's
+records carry exact values only: each command builds its JSON view here.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -31,7 +33,7 @@ from .errors import (
     InternalCheckError,
     ZetaformsError,
 )
-from .exact import log10_fraction
+from .exact import decimal_str, fraction_str, log10_fraction
 from .fixedpoint import decimal_to_fraction
 from .forms import (
     check_form_budget,
@@ -46,6 +48,7 @@ from .forms import (
     ZUDILIN_ZETA_ARGUMENTS,
 )
 from .oscillation import (
+    Angle,
     AnglePair,
     RelationData,
     build_plan_general,
@@ -213,6 +216,14 @@ def cmd_form(args, parser) -> dict:
             f"{required_digits(n)} for n={n}"
         )
     factored, expansion, form = zudilin_pipeline(n)
+    # the sign is -1 for every n: 37n + 2t changes sign under t -> -37n - t
+    # and the block products do not.  The reconstruction is reported only, so
+    # that a perturbed expansion still reaches the two numeric routes
+    reflection = reflection_check(expansion)
+    if reflection["sign"] != -1:
+        raise InternalCheckError(
+            f"form n={n}: reflection sign {reflection['sign']}, want -1"
+        )
     table = ZetaTable(form.nonzero_arguments(), digits)
     value = evaluate_numeric(form, table)
     ds_digits = min(digits, 200)
@@ -224,7 +235,7 @@ def cmd_form(args, parser) -> dict:
         "zero_coefficients": [s for s in sorted(form.coefficients)
                               if s not in ZUDILIN_ZETA_ARGUMENTS],
         "reconstruction": reconstruction_check(factored, expansion),
-        "reflection": reflection_check(expansion),
+        "reflection": reflection,
         "log2_height_over_n": round(height / n, 6),
         "coefficient_bits_reference": ZUDILIN_COEFF_BITS,
     }
@@ -235,7 +246,17 @@ def cmd_form(args, parser) -> dict:
         "command": "form",
         "n": n,
         "digits": digits,
-        "form": form.to_json_dict(checks, denominator=denominator, height=height),
+        "form": {
+            "n": n,
+            "ell0": fraction_str(form.ell0),
+            "coeffs": {
+                str(s): fraction_str(form.coefficients[s])
+                for s in sorted(form.coefficients)
+            },
+            "denominator": str(denominator),
+            "log2_height": round(height, 6),
+            "checks": checks,
+        },
         "denominator_report": den_report,
         "numeric": {
             "value": value.to_decimal(),
@@ -262,16 +283,50 @@ def cmd_subseq(args, parser) -> dict:
         "schema_version": SCHEMA_VERSION,
         "command": "subseq",
         "angles": [
-            {"omega": p.omega.describe(), "phi": p.phi.describe()} for p in pairs
+            {"omega": _angle_text(p.omega), "phi": _angle_text(p.phi)} for p in pairs
         ],
         # build_plan_general's own residue search raises HypothesisViolation
         # (exit 3) when no class is left, so a plan in hand means the
         # hypothesis holds
         "hypothesis_ok": True,
-        "plan": plan.to_json_dict(),
+        "plan": {
+            "mode": plan.mode,
+            "d": plan.d,
+            "a": plan.a,
+            "relation_denominator": plan.big_d,
+            "box": None
+            if plan.box is None
+            else {
+                "center": [fraction_str(c) for c in plan.box.center],
+                "eta": fraction_str(plan.box.eta),
+            },
+            "theta": [decimal_str(t, 18) for t in plan.theta],
+            "epsilon": f"{float(plan.epsilon):.15f}",
+            "lambda_predicted": fraction_str(plan.lambda_predicted),
+        },
         "psi": psi,
-        "verification": verification.to_json_dict(),
+        "verification": {
+            "count": verification.count,
+            "min_abs_cos": f"{float(verification.min_abs_cos):.15f}",
+            "epsilon": f"{float(verification.epsilon):.15f}",
+            "ratio": decimal_str(verification.ratio, 6),
+            "lambda_predicted": fraction_str(verification.lambda_predicted),
+            "cosine_ok": verification.cosine_ok,
+            "lambda_ok": verification.lambda_ok,
+            "passed": verification.passed,
+        },
     }
+
+
+def _angle_text(angle: Angle) -> str:
+    """pi_mult*pi + addend, either part dropped when it is 0 (the addend
+    is kept when both are)."""
+    parts = []
+    if angle.pi_mult:
+        parts.append(f"{angle.pi_mult}*pi")
+    if angle.addend or not parts:
+        parts.append(str(angle.addend))
+    return " + ".join(parts)
 
 
 def cmd_density(args, parser) -> dict:
@@ -291,7 +346,11 @@ def cmd_density(args, parser) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "density",
-        **report.to_json_dict(),
+        "k_max": report.k_max,
+        "hits": report.hits,
+        "empirical": f"{report.empirical:.8f}",
+        "predicted": f"{report.predicted:.8f}",
+        "rational_theta": report.rational_theta,
     }
 
 
@@ -316,7 +375,26 @@ def cmd_criterion(args, parser) -> dict:
         if args.omega or args.phi
         else ()
     )
-    doc["report"] = oscillating_report(growth, pairs).to_json_dict()
+    report = oscillating_report(growth, pairs)
+    bounds = (None,) * 4  # a failed hypothesis masks all four
+    if report.hypothesis_ok:
+        dim, kappa = report.dim_lower_bound, report.kappa_threshold
+        if not (math.isfinite(dim) and math.isfinite(kappa * 100)):
+            raise DomainError(
+                f"a bound overflows a double: dimension bound {dim}, "
+                f"kappa threshold {kappa}"
+            )
+        bounds = (f"{dim:.10f}", math.ceil(dim), f"{kappa:.10f}",
+                  f"{math.ceil(kappa * 100) / 100:.2f}")
+    names = ("dim_lower_bound", "dim_lower_bound_ceiled", "kappa_threshold",
+             "kappa_published_rounding")
+    doc["report"] = {
+        "hypothesis_ok": report.hypothesis_ok,
+        **dict(zip(names, bounds)),
+        "lambda_used": None
+        if report.lambda_used is None
+        else f"{report.lambda_used:.6f}",
+    }
     return doc
 
 

@@ -102,29 +102,9 @@ def zudilin_constants() -> GrowthData:
 
 class CriterionReport(NamedTuple):
     dim_lower_bound: float
-    dim_lower_bound_ceiled: int
     kappa_threshold: float
     hypothesis_ok: bool
     lambda_used: Optional[float]
-
-    def to_json_dict(self) -> dict:
-        bounds = (None,) * 4  # a failed hypothesis masks all four
-        if self.hypothesis_ok:
-            bounds = (
-                f"{self.dim_lower_bound:.10f}",
-                self.dim_lower_bound_ceiled,
-                f"{self.kappa_threshold:.10f}",
-                f"{math.ceil(self.kappa_threshold * 100) / 100:.2f}",
-            )
-        names = ("dim_lower_bound", "dim_lower_bound_ceiled", "kappa_threshold",
-                 "kappa_published_rounding")
-        return {
-            "hypothesis_ok": self.hypothesis_ok,
-            **dict(zip(names, bounds)),
-            "lambda_used": None
-            if self.lambda_used is None
-            else f"{self.lambda_used:.6f}",
-        }
 
 
 def oscillating_report(
@@ -134,7 +114,7 @@ def oscillating_report(
     subsequence plan (recording its lambda), and emit both bounds.  With
     no pairs there is nothing to check: no plan is built and lambda_used
     is None.  A failed hypothesis sets hypothesis_ok False and
-    lambda_used None; the bounds stay, and to_json_dict masks them.
+    lambda_used None; the bounds stay, and the CLI masks them.
 
     The bounds are computed from (alpha, beta) directly: the subsequence
     rescales both to the lambda-th power and log-ratios cancel lambda, so
@@ -146,10 +126,8 @@ def oscillating_report(
             lambda_used = float(build_plan_general(pairs).lambda_predicted)
         except (HypothesisViolation, UndecidableAtPrecision):
             hypothesis_ok = False
-    dim = dimension_bound(g)
     return CriterionReport(
-        dim_lower_bound=dim,
-        dim_lower_bound_ceiled=math.ceil(dim),
+        dim_lower_bound=dimension_bound(g),
         kappa_threshold=exponent_threshold(g),
         hypothesis_ok=hypothesis_ok,
         lambda_used=lambda_used,

@@ -261,21 +261,6 @@ class ZetaLinearForm(NamedTuple):
             raise DomainError("the zero form (every coefficient 0) has no height")
         return max(map(log2_fraction, vals))
 
-    def to_json_dict(self, checks: dict, denominator: int, height: float) -> dict:
-        """The JSON view, with the common denominator and the log2 height
-        the caller already holds."""
-        return {
-            "n": self.n,
-            "ell0": fraction_str(self.ell0),
-            "coeffs": {
-                str(s): fraction_str(self.coefficients[s])
-                for s in sorted(self.coefficients)
-            },
-            "denominator": str(denominator),
-            "log2_height": round(height, 6),
-            "checks": checks,
-        }
-
 
 def sum_over_k(p: PartialFractionExpansion, n: int = 0) -> ZetaLinearForm:
     """Sum the expansion over t = 1, 2, 3, ... into a zeta linear form.
@@ -607,8 +592,8 @@ def reconstruction_check(f: FactoredRationalFunction, p: PartialFractionExpansio
 
 
 def reflection_check(p: PartialFractionExpansion) -> dict:
-    """Does t -> -T - t map the expanded function to +f or -f?  Reported,
-    not asserted, and exact on the coefficients: a/(t+m)^j becomes
+    """Does t -> -T - t map the expanded function to +f or -f?  Reported
+    here (`form` asserts sign -1), and exact on the coefficients: a/(t+m)^j becomes
     (-1)^j a/(t+T-m)^j, so f(-T-t) = sign * f(t) exactly when every
     a_{j,T-m} = sign * (-1)^j a_{j,m}.  A symmetric pole set forces
     T = min m + max m (37n for Zudilin's forms, with sign -1).  The zero

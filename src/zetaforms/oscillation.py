@@ -64,7 +64,7 @@ from .errors import (
     HypothesisViolation,
     UndecidableAtPrecision,
 )
-from .exact import decimal_str, fraction_str, log10_fraction
+from .exact import log10_fraction
 from .fixedpoint import (
     MAX_COS_WORK_DIGITS,
     FixedReal,
@@ -142,14 +142,6 @@ class Angle(NamedTuple):
     def value(self) -> Fraction:
         """Numeric value at the canonical 120-digit pi pin."""
         return self.pi_mult * named_constant("pi") + self.addend
-
-    def describe(self) -> str:
-        parts = []
-        if self.pi_mult:
-            parts.append(f"{self.pi_mult}*pi")
-        if self.addend or not parts:
-            parts.append(str(self.addend))
-        return " + ".join(parts)
 
 
 def parse_angle(text: str) -> Angle:
@@ -356,23 +348,6 @@ class SubsequencePlan(NamedTuple):
     theta: tuple[Fraction, ...] = ()
     epsilon: Fraction = Fraction(0)
     lambda_predicted: Fraction = Fraction(1)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "d": self.d,
-            "a": self.a,
-            "relation_denominator": self.big_d,
-            "box": None
-            if self.box is None
-            else {
-                "center": [fraction_str(c) for c in self.box.center],
-                "eta": fraction_str(self.box.eta),
-            },
-            "theta": [decimal_str(t, 18) for t in self.theta],
-            "epsilon": f"{float(self.epsilon):.15f}",
-            "lambda_predicted": fraction_str(self.lambda_predicted),
-        }
 
 
 def _arc_floor(distance: Fraction) -> Fraction:
@@ -747,18 +722,6 @@ class PlanVerification(NamedTuple):
     def passed(self) -> bool:
         return self.cosine_ok and self.lambda_ok
 
-    def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "min_abs_cos": f"{float(self.min_abs_cos):.15f}",
-            "epsilon": f"{float(self.epsilon):.15f}",
-            "ratio": decimal_str(self.ratio, 6),
-            "lambda_predicted": fraction_str(self.lambda_predicted),
-            "cosine_ok": self.cosine_ok,
-            "lambda_ok": self.lambda_ok,
-            "passed": self.passed,
-        }
-
 
 def _screen_terms(pair: AnglePair) -> tuple[int, int]:
     """omega/pi and phi/pi, read by `Angle.over_pi`, rounded to the nearest
@@ -810,27 +773,26 @@ def verify_plan(
     The least |cos(psi omega_i + phi_i)| is the COS_DIGITS value that
     `CosEvaluator.abs_cos` gives at some (psi, pair), the same one an
     exhaustive loop over every (psi, pair) finds, but only a few of them
-    are evaluated.  A float screen keeps one float per psi: the least
-    `_screened_abs_cos` over the pairs, each within delta =
+    are evaluated.  A float screen keeps one column per pair: its
+    `_screened_abs_cos` at every psi, each within delta =
     `_screen_error(psi(count))` of its COS_DIGITS value.  If the exhaustive
     minimum v* sits at (psi*, i*) and s is the least screened value, at
-    (psi', j), then psi* screens at most v* + delta <= v(psi', j) + delta
-    <= s + 2 delta.  So the least COS_DIGITS value over psi(1) and the
+    (psi', j), then (psi*, i*) screens at most v* + delta <= v(psi', j) +
+    delta <= s + 2 delta.  So the least COS_DIGITS value over psi(1) and the
     (psi, pair) that screen within 2 delta of s is v* itself.
     """
     psi = enumerate_psi(plan, count)
     evaluators = [CosEvaluator(p) for p in pairs]
-    terms = [_screen_terms(p) for p in pairs]
-    screened = [min(_screened_abs_cos(w, b, k) for w, b in terms) for k in psi]
-    bound = min(screened) + 2 * _screen_error(psi[-1])
+    columns = [[_screened_abs_cos(w, b, k) for k in psi]
+               for w, b in map(_screen_terms, pairs)]
+    bound = min(map(min, columns)) + 2 * _screen_error(psi[-1])
     # psi(1) is confirmed whatever it screens, so that an argument past the
     # cosine's MAX_COS_WORK_DIGITS budget raises at the least psi
     least = min(ev.abs_cos(psi[0]).scaled for ev in evaluators)
-    for k, s in zip(psi, screened):
-        if s <= bound:
-            for ev, (w, b) in zip(evaluators, terms):
-                if _screened_abs_cos(w, b, k) <= bound:
-                    least = min(least, ev.abs_cos(k).scaled)
+    for k, row in zip(psi, zip(*columns)):
+        for ev, s in zip(evaluators, row):
+            if s <= bound:
+                least = min(least, ev.abs_cos(k).scaled)
     ratio = Fraction(psi[-1], count)
     min_frac = Fraction(least, 10**COS_DIGITS)
     lam = plan.lambda_predicted
@@ -854,15 +816,6 @@ class DensityReport(NamedTuple):
     empirical: float
     predicted: float
     rational_theta: bool  # orbit provably finite within the sample horizon
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "hits": self.hits,
-            "empirical": f"{self.empirical:.8f}",
-            "predicted": f"{self.predicted:.8f}",
-            "rational_theta": self.rational_theta,
-        }
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:

@@ -11,6 +11,7 @@ import pytest
 from zetaforms.cli import (
     EXIT_BUDGET,
     EXIT_DOMAIN,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     MAX_FORM_DIGITS,
@@ -570,6 +571,49 @@ def test_criterion_constants_name_the_non_finite_input(capsys):
         code, out = run(capsys, "criterion", *flags)
         assert code == EXIT_DOMAIN
         assert json.loads(out)["error"] == {"kind": "domain", "message": message}
+
+
+MASKED = {"hypothesis_ok": False, "dim_lower_bound": None, "dim_lower_bound_ceiled": None,
+          "kappa_threshold": None, "kappa_published_rounding": None, "lambda_used": None}
+
+
+def test_criterion_bounds_past_the_double_range(capsys):
+    # a bound about to be printed that is not finite is a domain error: kappa
+    # (and so kappa * 100) is inf at --c0 1e-307, the dimension bound at
+    # --c1 1e-320; a failed hypothesis masks them, and exits 0
+    for flags, message in (
+        (["--c0", "1e-307", "--c1", "0", "--bits", "513"],
+         "a bound overflows a double: dimension bound 1.0, kappa threshold inf"),
+        (["--c0", "2", "--c1", "1e-320", "--bits", "0"],
+         "a bound overflows a double: dimension bound inf, kappa threshold 1.0"),
+    ):
+        code, out = run(capsys, "criterion", *flags)
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"] == {"kind": "domain", "message": message}
+        code, out = run(capsys, "criterion", *flags, "--omega", "0", "--phi", "1/2*pi")
+        assert code == EXIT_OK
+        assert json.loads(out)["report"] == MASKED
+    _, out = run(capsys, "criterion", "--c0", "5e-324", "--c1", "0", "--bits", "513",
+                 "--omega", "0", "--phi", "1/2*pi")
+    assert out == json.dumps({
+        "schema_version": 1, "command": "criterion", "source": "constants",
+        "log_alpha": "-0.0000000000", "log_beta": "355.5845036273", "report": MASKED,
+    }, indent=2) + "\n"
+
+
+def test_form_asserts_the_reflection_sign(capsys, monkeypatch):
+    # form reports the reflection check, and a sign other than -1 is an
+    # internal error
+    import zetaforms.cli as cli
+
+    for failing in ({"symmetric": True, "sign": 1}, {"symmetric": False, "sign": None}):
+        monkeypatch.setattr(cli, "reflection_check", lambda p: failing)
+        code, out = run(capsys, "form", "--n", "1")
+        assert code == EXIT_INTERNAL
+        assert json.loads(out)["error"] == {
+            "kind": "internal",
+            "message": f"form n=1: reflection sign {failing['sign']}, want -1",
+        }
 
 
 def test_usage_errors_come_from_the_command_parser(capsys):

@@ -1,8 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
+from zetaforms import cli
 from zetaforms.criterion import (
     GrowthData,
     dimension_bound,
@@ -93,22 +95,29 @@ def test_bound_consistency_product():
         assert product == pytest.approx(1.0, abs=1e-9)
 
 
-def test_oscillating_report_composition():
+def criterion_report(capsys, *argv):
+    """The "report" object that `criterion ARGV` prints, exit 0."""
+    assert cli.main(["criterion", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["report"]
+
+
+def test_oscillating_report_composition(capsys):
     g = zudilin_constants()
     report = oscillating_report(g, [pair("1", "0")])
     assert report.hypothesis_ok
     assert report.kappa_threshold == pytest.approx(438.22134, abs=1e-3)
-    assert report.dim_lower_bound_ceiled == 2
+    assert criterion_report(capsys, "--zudilin", "--omega", "1", "--phi", "0")[
+        "dim_lower_bound_ceiled"] == 2
     assert report.lambda_used == pytest.approx(2.0)
 
 
-def test_oscillating_report_hypothesis_failure():
+def test_oscillating_report_hypothesis_failure(capsys):
     g = zudilin_constants()
     report = oscillating_report(g, [pair("0", "1/2*pi")])
     assert not report.hypothesis_ok and report.lambda_used is None
     # the report keeps the bounds from (alpha, beta); the JSON masks them
     assert report.kappa_threshold == exponent_threshold(g)
-    doc = report.to_json_dict()
+    doc = criterion_report(capsys, "--zudilin", "--omega", "0", "--phi", "1/2*pi")
     for field in ("dim_lower_bound", "dim_lower_bound_ceiled", "kappa_threshold",
                   "kappa_published_rounding", "lambda_used"):
         assert doc[field] is None, field

@@ -5,6 +5,7 @@ the block bookkeeping, pole multiplicities from an interval cover count,
 reconstruction by exact evaluation at sample points.
 """
 
+import json
 import math
 import random
 from collections import Counter
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from zetaforms import cli
 from zetaforms.errors import BudgetError, DomainError, InternalCheckError
 from zetaforms.exact import harmonic_power_sum
 from zetaforms.forms import (
@@ -1369,14 +1371,15 @@ def test_zero_form_has_no_height():
         zero.log2_height()
 
 
-def test_json_document_shape(pipeline1):
+def test_json_document_shape(pipeline1, capsys):
     form = pipeline1.form
     d, height = common_denominator(form)[0], form.log2_height()
-    doc = form.to_json_dict({"vanishing_ok": True}, d, height)
+    assert cli.main(["form", "--n", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)["form"]
     assert list(doc) == ["n", "ell0", "coeffs", "denominator", "log2_height", "checks"]
     assert doc["denominator"] == str(d)
     assert doc["log2_height"] == round(height, 6)
-    assert doc["checks"] == {"vanishing_ok": True}
+    assert doc["checks"]["vanishing_ok"] is True
     assert doc["coeffs"]["3"] == "0"
     assert doc["coeffs"]["5"].lstrip("-").split("/")[0].isdigit()
     assert fraction_str(Fraction(-3, 7)) == "-3/7"

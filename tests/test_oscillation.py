@@ -558,6 +558,28 @@ def test_verify_plan_adversarial():
     assert report == exhaustive_verify_plan(plan, pairs, 200)
 
 
+@pytest.mark.parametrize("texts", [
+    [("3/7*pi", "1/4*pi")],
+    [("sqrt2", "0")],
+    [("1/3*pi", "0"), ("2/5*pi", "1/7")],
+])
+def test_verify_plan_screens_each_psi_and_pair_once(monkeypatch, texts):
+    # in a rational plan every psi is a candidate: it is still screened once
+    pairs = [pair(*t) for t in texts]
+    plan = build_plan_general(pairs)
+    expected = exhaustive_verify_plan(plan, pairs, 500)
+    calls = []
+
+    def counted(w, b, k):
+        calls.append(k)
+        return screen(w, b, k)
+
+    screen = oscillation._screened_abs_cos
+    monkeypatch.setattr(oscillation, "_screened_abs_cos", counted)
+    assert verify_plan(plan, pairs, 500) == expected
+    assert len(calls) == 500 * len(pairs)
+
+
 def exhaustive_verify_plan(plan, pairs, count):
     """verify_plan by the loop its float screen replaced:
     `CosEvaluator.abs_cos` at every (psi, pair), the least kept."""
