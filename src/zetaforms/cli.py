@@ -207,13 +207,16 @@ def _load_relations(path: Optional[str], parser_error) -> Optional[RelationData]
 def cmd_form(args, parser) -> dict:
     n = args.n
     check_form_budget(n, args.max_n)
-    digits = args.digits or required_digits(n) + 90
+    needed = required_digits(n)
+    if args.digits is None and needed > MAX_FORM_DIGITS:
+        raise BudgetError(f"n={n} needs {needed} digits, above the cap {MAX_FORM_DIGITS}")
+    # the default keeps 90 digits of headroom where the cap leaves room for them
+    digits = min(needed + 90, MAX_FORM_DIGITS) if args.digits is None else args.digits
     if digits > MAX_FORM_DIGITS:
         raise BudgetError(f"--digits {digits} exceeds the cap {MAX_FORM_DIGITS}")
-    if digits < required_digits(n):
+    if digits < needed:
         raise BudgetError(
-            f"--digits {digits} is below the required budget "
-            f"{required_digits(n)} for n={n}"
+            f"--digits {digits} is below the required budget {needed} for n={n}"
         )
     factored, expansion, form = zudilin_pipeline(n)
     # the sign is -1 for every n: 37n + 2t changes sign under t -> -37n - t

@@ -19,8 +19,8 @@ def harmonic_power_sum(m: int, s: int) -> Fraction:
 
     This is the exact tail correction in sum_{k>=1} (k+m)^(-s)
     = zeta(s) - harmonic_power_sum(m, s).  `forms.sum_over_k` never forms
-    it: it walks its terms' tails down the poles as integers over
-    lcm(1..max m)^s, one order at a time; this one-term sum is its oracle.
+    it: it keeps its numerator over lcm(1..max m)^s as an integer in one
+    walk up the poles; this one-term sum is its oracle.
     """
     if m < 0:
         raise DomainError(f"harmonic_power_sum needs m >= 0, got {m}")

@@ -4,7 +4,11 @@ The pipeline: build the factored function (a linear prefactor, rising-
 factorial blocks in the numerator and denominator, one scalar), decompose
 it exactly into partial fractions, shift orders for the second derivative,
 and sum over positive integer arguments using sum_{k>=1} (k+m)^(-s) =
-zeta(s) - H_m(s).
+zeta(s) - H_m(s).  From the per-pole recurrence to the sum the
+coefficients stay integers, one rational scale per pole over
+denominators all poles share (PartialFractionExpansion): a Fraction is
+formed for each pole's scale and for the values that leave the engine,
+ell0 and each ell_s, never per term.
 
 A block list is read as its linear factors t + c, listed once by
 _linear_factors for the pole cover, the zeros at a pole, direct_sum's
@@ -25,6 +29,7 @@ import itertools
 import math
 import operator
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -130,32 +135,88 @@ def _denominator_cover(f: FactoredRationalFunction) -> dict[int, int]:
     return Counter(_linear_factors(f.denominator))
 
 
+class _TermView(Mapping):
+    """(m, j) -> a_{j,m} of an expansion, zero terms omitted, pole by pole
+    in increasing j.  Each value is one normalised Fraction, made when it is
+    read, so that counting or listing the terms makes none."""
+
+    __slots__ = ("_expansion",)
+
+    def __init__(self, expansion: PartialFractionExpansion):
+        self._expansion = expansion
+
+    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+        (m, j), (poles, dens) = key, self._expansion
+        scale, top, numerators = poles.get(m, (0, 0, ()))
+        if not (0 <= top - j < len(numerators) and numerators[top - j]):
+            raise KeyError(key)
+        return scale * Fraction(numerators[top - j], dens[top - j])
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for m, (_, top, numerators) in self._expansion.poles.items():
+            yield from ((m, top - i) for i in range(len(numerators) - 1, -1, -1)
+                        if numerators[i])
+
+    def __len__(self) -> int:
+        return sum(map(bool, itertools.chain.from_iterable(
+            numerators for _, _, numerators in self._expansion.poles.values())))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class PartialFractionExpansion(NamedTuple):
-    """Exact coefficients a_{j,m} of 1/(t+m)^j; zero coefficients omitted.
+    """Exact coefficients a_{j,m} of 1/(t+m)^j, kept as integers per pole.
 
-    Treated as immutable once built (safe to share across tasks)."""
+    poles maps m to (scale, top, numerators), and the term of order top - i
+    at m is a_{top-i,m} = scale * numerators[i] / dens[i]: one rational
+    scale per pole, integers over denominators that every pole shares
+    (i! Lambda^i from partial_fractions), unreduced.  A zero numerator is
+    no term.  `terms` is the view as normalised Fractions.  Treated as
+    immutable once built (safe to share across tasks)."""
 
-    terms: dict[tuple[int, int], Fraction]  # (m, j)
+    poles: dict[int, tuple[Fraction, int, tuple[int, ...]]]  # m -> (scale, top, numerators)
+    dens: tuple[int, ...]
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int], Fraction]:
+        """(m, j) -> a_{j,m}, zero terms omitted, pole by pole in increasing
+        j, for callers outside the engine: a read-only mapping whose values
+        are normalised Fractions, each made when it is read."""
+        return _TermView(self)
 
     def evaluate(self, t: Fraction) -> Fraction:
-        """Exact value at a rational t = P/Q.  A pole's terms a/(t+m)^j,
-        j <= mu, become one integer numerator over
-        lcm(denominators of the a) * (P + mQ)^mu: one Fraction per pole,
-        and ZeroDivisionError at a pole."""
+        """Exact value at a rational t = P/Q, ZeroDivisionError at a pole.
+        Pole m's terms become one integer over its known denominator
+        v C_k (P + mQ)^top, scale = u/v, k its last index and C_k =
+        lcm(dens[:k+1]) (dens[k] itself for partial_fractions' dens, each
+        of which divides the next), by Horner's rule on the C_i / C_(i-1).
+        The poles are added as integers over V C_K (V the lcm of the v, K
+        the largest k) times the lcm of the (P + mQ)^top, merged pairwise so
+        that each sum carries only its own poles' factors: one Fraction in
+        all."""
         big_p, big_q = Fraction(t).as_integer_ratio()
-        poles: dict[int, dict[int, Fraction]] = {}
-        for (m, j), a in self.terms.items():
-            poles.setdefault(m, {})[j] = a
-        total = Fraction(0)
-        for m, by_order in poles.items():
-            x, mu = big_p + m * big_q, max(by_order)
-            lcm = math.lcm(*(a.denominator for a in by_order.values()))
-            numerator = sum(
-                a.numerator * (lcm // a.denominator) * big_q**j * x ** (mu - j)
-                for j, a in by_order.items()
-            )
-            total += Fraction(numerator, lcm * x**mu)
-        return total
+        if not self.poles:
+            return Fraction(0)
+        last = max(len(numerators) for _, _, numerators in self.poles.values()) - 1
+        common = math.lcm(*(scale.denominator for scale, _, _ in self.poles.values()))
+        commons = list(itertools.accumulate(self.dens, math.lcm))  # the C_i
+        steps = [0] + [b // a * big_q for a, b in zip(commons, commons[1:])]
+        lifts = [c // d for c, d in zip(commons, self.dens)]
+        parts = []  # (numerator, (P + mQ)^top) of each pole, over V C_K
+        for m, (scale, top, numerators) in self.poles.items():
+            x, k, acc = big_p + m * big_q, len(numerators) - 1, 0
+            for i, (a, step, lift) in enumerate(zip(numerators, steps, lifts)):
+                acc = acc * step + a * lift * x**i
+            weight = scale.numerator * (common // scale.denominator) * (commons[last] // commons[k])
+            parts.append((weight * acc * big_q ** (top - k), x**top))
+        while len(parts) > 1:
+            merged = [(a * (d // g) + c * (b // g), b // g * d)
+                      for (a, b), (c, d) in zip(parts[::2], parts[1::2])
+                      for g in [math.gcd(b, d)]]
+            parts = merged + parts[2 * len(merged):]
+        numerator, bottom = parts[0]
+        return Fraction(numerator, common * commons[last] * bottom)
 
 
 def _pole_scales(scalar: Fraction, spans, poles) -> Iterator[Fraction]:
@@ -192,8 +253,11 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
         B_i = sum_{k=1..i} (-1)^(k-1) (i-1)!/(i-k)! Q_k B_(i-k),
         a_{j,m} = scalar L_m (p0 B_i + c1 i Lambda B_(i-1)) / (i! Lambda^i),
 
-    one Fraction scalar L_m per pole, slid from pole to pole (_pole_scales),
-    times the integer over i! Lambda^i, zero terms omitted, sorted by (m, j).
+    kept as pole m's (scale, top, numerators) = (scalar L_m, mu - z,
+    p0 B_i + c1 i Lambda B_(i-1) for i = 0..top-1) over the shared dens
+    i! Lambda^i: one Fraction scalar L_m per pole, slid from pole to pole
+    (_pole_scales), integers unreduced, no gcd per term, and the poles in
+    increasing m, those with no nonzero term left out.
     One sweep over x = -X..X keeps S_k(x) = sum_{0 != y <= x} (Lambda/y)^k,
     adding +-w S_k at x = hi - m and lo - 1 - m to pole m's vector of Q_k."""
     if not f.is_proper:
@@ -202,9 +266,9 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
                           f"{f.denominator_degree})")
     cover, zeros = _denominator_cover(f), Counter(_linear_factors(f.numerator))
     tops = {m: mu - zeros[m] for m, mu in sorted(cover.items()) if mu > zeros[m]}
-    out: dict[tuple[int, int], Fraction] = {}
+    poles: dict[int, tuple[Fraction, int, tuple[int, ...]]] = {}
     if not tops or not f.scalar:
-        return PartialFractionExpansion(out)
+        return PartialFractionExpansion(poles, ())
     spans = [(b.shift, b.shift + b.length - 1, b.power) for b in f.numerator]
     spans += [(b.shift, b.shift + b.length - 1, -b.power) for b in f.denominator]
     reach = max(max(hi for _, hi, _ in spans) - min(tops),
@@ -228,18 +292,20 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
         q, b = power_sums[m], [1]
         for i in range(1, top):
             b.append(sum(v * x * y for v, x, y in zip(weights[i], q, reversed(b))))
-        for i in range(top - 1, -1, -1):
-            t = (c0 - c1 * m) * b[i] + (c1 * i * lam * b[i - 1] if i else 0)
-            if t:
-                out[(m, top - i)] = scale * Fraction(t, dens[i])
-    return PartialFractionExpansion(out)
+        numerators = tuple((c0 - c1 * m) * b[i] + (c1 * i * lam * b[i - 1] if i else 0)
+                           for i in range(top))
+        if any(numerators):
+            poles[m] = (scale, top, numerators)
+    return PartialFractionExpansion(poles, tuple(dens))
 
 
 def second_derivative(p: PartialFractionExpansion) -> PartialFractionExpansion:
-    """d^2/dt^2 termwise: a/(t+m)^j -> j(j+1) a/(t+m)^(j+2)."""
-    return PartialFractionExpansion(
-        {(m, j + 2): j * (j + 1) * a for (m, j), a in p.terms.items()}
-    )
+    """d^2/dt^2 termwise: a/(t+m)^j -> j(j+1) a/(t+m)^(j+2), on each pole's
+    numerators, its top raised by 2 and its scale and the dens kept."""
+    return p._replace(poles={
+        m: (scale, top + 2, tuple(t * (top - i) * (top - i + 1) for i, t in enumerate(numerators)))
+        for m, (scale, top, numerators) in p.poles.items()
+    })
 
 
 class ZetaLinearForm(NamedTuple):
@@ -269,31 +335,50 @@ def sum_over_k(p: PartialFractionExpansion, n: int = 0) -> ZetaLinearForm:
     and every order >= 2 (absolute convergence), or 1 when the order-1
     coefficients sum to 0: then sum_k sum_m a_{m,1} / (k+m) telescopes to
     -sum_m a_{m,1} H_m(1), and no zeta(1) coefficient is kept.  The
-    constant -sum a_{m,s} H_m(s) is summed as -sum_s sum_l l^-s A_s(l),
-    with the tails A_s(l) = sum_{m>=l} a_{m,s} kept in one walk down the
-    poles.  Each order s is one integer sum over d_s, the lcm of its terms'
-    denominators; ell0 adds sum_l A_s(l) (M/l)^s / (d_s M^s), M = lcm(1..max m).
+    constant is -sum a_{m,s} H_m(s), H_m(s) = h_m(s) / M^s with the
+    integers h_m(s) = sum_{l<=m} (M/l)^s, M = lcm(1..max m), kept in one
+    walk up the poles.  The expansion's integers are read as they are: a
+    term scale t / dens[i], scale = u/v, is the integer u (V/v) t over
+    V dens[i], V the lcm of the poles' v, summed with and without its
+    h_m(s) into its (s, i) pair, with no gcd per term.  Each order s then
+    lifts its pairs to one integer over d_s = V lcm(its dens), and a
+    Fraction is formed only for each ell_s and each order's part of ell0.
     """
-    terms = sorted(p.terms.items())
-    den: dict[int, int] = {}  # s -> d_s
-    for (_, s), a in terms:
-        den[s] = math.lcm(den.get(s, 1), a.denominator)
-    order_one = sum(a for (_, s), a in terms if s == 1)
-    tails, walked, by_pole = Counter(), Counter(), defaultdict(list)
-    for (m, s), a in terms:
+    poles = sorted(p.poles.items())
+    common = math.lcm(*(scale.denominator for _, (scale, _, _) in poles))  # V
+    big_m = math.lcm(*range(1, max(p.poles, default=0) + 1))
+    harmonic = [0] * (max((top for _, (_, top, _) in poles), default=0) + 1)  # h_l(s)
+    keys, at, l = [], {}, 0  # the (m, s) in order; s -> the i of its terms
+    sums, walked = Counter(), Counter()  # (s, i) -> sum of u (V/v) t, and times h_m(s)
+    for m, (scale, top, numerators) in poles:
+        while l < m:
+            l, power = l + 1, 1
+            for s in range(1, len(harmonic)):
+                power *= big_m // l
+                harmonic[s] += power
+        lifted = scale.numerator * (common // scale.denominator)
+        for i in range(len(numerators) - 1, -1, -1):
+            if numerators[i]:
+                s, x = top - i, lifted * numerators[i]
+                keys.append((m, s))
+                at.setdefault(s, set()).add(i)
+                sums[s, i] += x
+                walked[s, i] += x * harmonic[max(s, 0)]  # an order < 1 raises below
+    den = {s: math.lcm(*(p.dens[i] for i in used)) for s, used in at.items()}  # d_s / V
+
+    def total(acc: Counter, s: int) -> int:  # order s over d_s
+        return sum(acc[s, i] * (den[s] // p.dens[i]) for i in at[s])
+
+    order_one = total(sums, 1) if 1 in at else 0
+    for m, s in keys:
         if m < 0:
             raise DomainError(f"pole at positive integer t={-m} hits the sum range")
         if s < 1 or (s == 1 and order_one != 0):
             raise DomainError(f"divergent order {s} at pole -{m}")
-        by_pole[m].append((s, a))
-    big_m = math.lcm(*range(1, max(by_pole, default=0) + 1))
-    for l in range(max(by_pole, default=0), -1, -1):  # at l = 0, A_s(0) = ell_s
-        for s, a in by_pole.get(l, ()):
-            tails[s] += a.numerator * (den[s] // a.denominator)
-        for s, tail in tails.items() if l else ():
-            walked[s] += tail * (big_m // l) ** s
-    ell0 = -sum((Fraction(x, den[s] * big_m**s) for s, x in walked.items()), Fraction(0))
-    return ZetaLinearForm(n, ell0, {s: Fraction(tails[s], den[s]) for s in den if s > 1})
+    ell0 = -sum((Fraction(total(walked, s), common * den[s] * big_m**s) for s in den),
+                Fraction(0))
+    return ZetaLinearForm(n, ell0, {s: Fraction(total(sums, s), common * den[s])
+                                    for s in den if s > 1})
 
 
 ZUDILIN_ZETA_ARGUMENTS = (5, 7, 9, 11)
@@ -598,15 +683,36 @@ def reflection_check(p: PartialFractionExpansion) -> dict:
     a_{j,T-m} = sign * (-1)^j a_{j,m}.  A symmetric pole set forces
     T = min m + max m (37n for Zudilin's forms, with sign -1).  The zero
     function (no terms) has no sign."""
-    if not p.terms:
-        return {"symmetric": False, "sign": None}
-    poles = [m for m, _ in p.terms]
-    total = min(poles) + max(poles)
-    (m0, j0), a0 = next(iter(p.terms.items()))
-    sign = (-1) ** j0 * p.terms.get((total - m0, j0), 0) / a0
-    if sign not in (1, -1) or any(
-        p.terms.get((total - m, j)) != sign * (-1) ** j * a
-        for (m, j), a in p.terms.items()
-    ):
-        return {"symmetric": False, "sign": None}
-    return {"symmetric": True, "sign": int(sign)}
+    poles = {m: pole for m, pole in p.poles.items() if any(pole[2])}
+    if poles:
+        total = min(poles) + max(poles)
+        for sign in (1, -1):
+            if _mirrored(poles, p.dens, total, sign):
+                return {"symmetric": True, "sign": sign}
+    return {"symmetric": False, "sign": None}
+
+
+def _mirrored(poles, dens, total: int, sign: int) -> bool:
+    """Is every a_{j,T-m} = sign (-1)^j a_{j,m}, T = total?  Per pole pair,
+    with scales u/v at m and u'/v' at T - m, a = scale num / dens[i] and
+    a' = scale' num' / dens[i'] are compared as u' v num' dens[i] against
+    u v' num dens[i'], integers; when the scales agree up to sign and the
+    tops do (i = i'), as for Zudilin's forms, only the num are compared."""
+    for m, (scale, top, numerators) in poles.items():
+        if total - m not in poles:
+            return False
+        other, top2, numerators2 = poles[total - m]
+        left, right = other.numerator * scale.denominator, scale.numerator * other.denominator
+        left, right = (1, 1) if left == right else (-1, 1) if left == -right else (left, right)
+        orders = {top - i: i for i, a in enumerate(numerators) if a}
+        orders2 = {top2 - i: i for i, a in enumerate(numerators2) if a}
+        if orders.keys() != orders2.keys():
+            return False
+        for j, i in orders.items():
+            i2 = orders2[j]
+            lhs, rhs = left * numerators2[i2], sign * (-1) ** j * right * numerators[i]
+            if i != i2:
+                lhs, rhs = lhs * dens[i], rhs * dens[i2]
+            if lhs != rhs:
+                return False
+    return True

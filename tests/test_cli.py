@@ -558,6 +558,44 @@ def test_form_digits_cap(capsys, monkeypatch):
         }
 
 
+@pytest.mark.parametrize("n, digits", [(1, 404), (30, 7755), (31, 8000)])
+def test_form_default_digits_fit_under_the_cap(capsys, monkeypatch, pipeline1, n, digits):
+    # required_digits(n) + 90, or the cap when only the headroom passes it:
+    # n = 31 needs 7,919 digits and runs at 8,000.  The pipeline is stubbed
+    # with n = 1's and the table build stops the run once the digits are chosen
+    import zetaforms.cli as cli
+
+    class Chosen(Exception):
+        pass
+
+    def table(arguments, chosen):
+        raise Chosen(chosen)
+
+    stub = (pipeline1.factored, pipeline1.expansion, pipeline1.form)
+    monkeypatch.setattr(cli, "zudilin_pipeline", lambda _: stub)
+    monkeypatch.setattr(cli, "ZetaTable", table)
+    with pytest.raises(Chosen) as chosen:
+        run(capsys, "form", "--n", str(n), "--max-n", str(n))
+    assert chosen.value.args == (digits,)
+
+
+@pytest.mark.parametrize("n, needed", [(32, 8172), (40, 10200)])
+def test_form_default_digits_past_the_cap_exit_4(capsys, monkeypatch, n, needed):
+    # no --digits was given, so the message names the n and what it needs
+    import zetaforms.cli as cli
+
+    def unreachable(n):
+        raise AssertionError("ran the pipeline past the digits cap")
+
+    monkeypatch.setattr(cli, "zudilin_pipeline", unreachable)
+    code, out = run(capsys, "form", "--n", str(n), "--max-n", "40")
+    assert code == EXIT_BUDGET
+    assert json.loads(out)["error"] == {
+        "kind": "budget",
+        "message": f"n={n} needs {needed} digits, above the cap {MAX_FORM_DIGITS}",
+    }
+
+
 def test_criterion_constants_name_the_non_finite_input(capsys):
     # a nan rate is named, not reported as a decay slower than the growth,
     # and a --bits past the double range is an error document, not an
@@ -657,7 +695,8 @@ def test_direct_sum_sees_partial_fractions(capsys, monkeypatch):
     def scaled(f):
         p = exact(f)
         factor = 1 + Fraction(1, 10**10)
-        return type(p)({key: a * factor for key, a in p.terms.items()})
+        return p._replace(poles={m: (scale * factor, top, numerators)
+                                 for m, (scale, top, numerators) in p.poles.items()})
 
     monkeypatch.setattr(forms, "partial_fractions", scaled)
     code, out = run(capsys, "form", "--n", "1")

@@ -5,6 +5,7 @@ the block bookkeeping, pole multiplicities from an interval cover count,
 reconstruction by exact evaluation at sample points.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -49,6 +50,22 @@ from zetaforms.forms import (
     _three_terms,
 )
 from zetaforms.zeta import ZetaTable
+
+
+def expansion_of(terms):
+    """The PartialFractionExpansion with the given (m, j) -> a terms, zero
+    ones dropped: each pole's scale is 1 over the lcm of its denominators,
+    its numerators the a times that lcm, from its largest order j down to
+    its smallest, over dens of 1."""
+    poles = {}
+    for m in dict.fromkeys(m for m, _ in terms):
+        orders = {j: Fraction(a) for (mm, j), a in terms.items() if mm == m and a}
+        if orders:
+            top, common = max(orders), math.lcm(*(a.denominator for a in orders.values()))
+            numerators = [orders.get(top - i, 0) * common for i in range(top - min(orders) + 1)]
+            poles[m] = (Fraction(1, common), top, tuple(map(int, numerators)))
+    size = max((len(numerators) for _, _, numerators in poles.values()), default=0)
+    return PartialFractionExpansion(poles, (1,) * size)
 
 
 def cover_count_oracle(n, m):
@@ -211,7 +228,7 @@ def termwise_expansion_oracle(p, t):
 @example({(2, 1): Fraction(3, 4), (-1, 2): Fraction(7)}, Fraction(1))
 @example({}, Fraction(1, 2))
 def test_expansion_evaluate_matches_the_termwise_oracle(terms, t):
-    p = PartialFractionExpansion(terms)
+    p = expansion_of(terms)
     if any(t + m == 0 for m, _ in terms):
         with pytest.raises(ZeroDivisionError):
             p.evaluate(t)
@@ -219,6 +236,22 @@ def test_expansion_evaluate_matches_the_termwise_oracle(terms, t):
             termwise_expansion_oracle(p, t)
     else:
         assert p.evaluate(t) == termwise_expansion_oracle(p, t)
+
+
+def test_expansion_reads_dens_that_do_not_divide_each_other():
+    # partial_fractions' dens i! Lambda^i each divide the next; these do not,
+    # and evaluate, sum_over_k and the terms view still read them exactly
+    p = PartialFractionExpansion(
+        {1: (Fraction(2, 3), 4, (5, 7, 11)), 4: (Fraction(-1, 5), 4, (3, 0, -2))},
+        (2, 6, 4),
+    )
+    assert p.terms == {(1, 2): Fraction(11, 6), (1, 3): Fraction(7, 9),
+                       (1, 4): Fraction(5, 3), (4, 2): Fraction(1, 10),
+                       (4, 4): Fraction(-3, 10)}
+    for t in (Fraction(1, 2), Fraction(-7, 3), Fraction(5)):
+        assert p.evaluate(t) == termwise_expansion_oracle(p, t)
+    form = sum_over_k(p)
+    assert (form.ell0, list(form.coefficients.items())) == fraction_sum_oracle(p)
 
 
 def test_non_integer_pole_rejected():
@@ -352,6 +385,43 @@ def test_partial_fractions_matches_rebuild_oracle_zudilin(pipelines):
     for pipe in map(pipelines, range(1, 6)):
         want = per_pole_rebuild_oracle(pipe.factored)
         assert list(pipe.expansion.terms.items()) == list(want.items()), pipe.n
+
+
+# SHA-256 of the lines "m j a" of the terms, in key order, recorded from
+# the engine that formed one normalised Fraction per term: they pin n
+# past the rebuild oracle's reach (about 6 s at n = 9), at under a second
+TERMS_SHA256 = {
+    9: (2170, "bb3f4846f6bfc5843ea26c4b7f8b00fe0bb14a766f8377bbfaf8c93c7c86bffb"),
+    13: (3130, "1f4c7ea8f241abaf00486514cb67572f8c3f4b2abc5b38988f4ae677cb18acf3"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(TERMS_SHA256))
+def test_partial_fractions_terms_match_recorded_digests(n):
+    terms = partial_fractions(build_zudilin(n)).terms
+    text = "".join(f"{m} {j} {a}\n" for (m, j), a in terms.items())
+    assert (len(terms), hashlib.sha256(text.encode()).hexdigest()) == TERMS_SHA256[n]
+
+
+def test_pipeline_forms_no_fraction_per_term(monkeypatch):
+    # the engine keeps integers from the recurrence to the sum: Fractions
+    # are the slid pole scales and the values that leave it (ell0, ell_s),
+    # O(poles + orders), where one per term would be 730 at n = 3
+    import zetaforms.forms as forms
+
+    made, real = [], forms.Fraction
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(forms, "Fraction", counting)
+    _, expansion, form = forms.zudilin_pipeline(3)
+    monkeypatch.undo()
+    terms = expansion.terms
+    poles, orders = len({m for m, _ in terms}), len(form.coefficients)
+    assert (len(terms), poles, orders) == (730, 100, 10)
+    assert len(made) <= 2 * (poles + orders)
 
 
 @st.composite
@@ -683,10 +753,10 @@ def test_reconstruction_at_explicit_random_rationals(pipeline1):
 
 
 def test_second_derivative_trivia():
-    p = PartialFractionExpansion({(1, 1): Fraction(1)})
+    p = expansion_of({(1, 1): Fraction(1)})
     assert second_derivative(p).terms == {(1, 3): Fraction(2)}
-    assert second_derivative(PartialFractionExpansion({})).terms == {}
-    p = PartialFractionExpansion({(2, 10): Fraction(3, 5)})
+    assert second_derivative(expansion_of({})).terms == {}
+    p = expansion_of({(2, 10): Fraction(3, 5)})
     assert second_derivative(p).terms == {(2, 12): Fraction(66)}  # 110 * 3/5
 
 
@@ -700,42 +770,42 @@ def test_second_derivative_order_shift(pipeline1):
 
 
 def test_sum_over_k_trivia():
-    form = sum_over_k(PartialFractionExpansion({(0, 3): Fraction(1)}))
+    form = sum_over_k(expansion_of({(0, 3): Fraction(1)}))
     assert form.ell0 == 0 and form.coefficients == {3: Fraction(1)}
-    form = sum_over_k(PartialFractionExpansion({(2, 3): Fraction(2)}))
+    form = sum_over_k(expansion_of({(2, 3): Fraction(2)}))
     assert form.ell0 == Fraction(-9, 4) and form.coefficients == {3: Fraction(2)}
     form = sum_over_k(
-        PartialFractionExpansion({(1, 2): Fraction(1), (0, 2): Fraction(-1)})
+        expansion_of({(1, 2): Fraction(1), (0, 2): Fraction(-1)})
     )
     assert form.coefficients == {2: Fraction(0)} and form.ell0 == -1
 
 
 def test_sum_over_k_rejects_divergent():
     with pytest.raises(DomainError):
-        sum_over_k(PartialFractionExpansion({(1, 1): Fraction(1)}))
+        sum_over_k(expansion_of({(1, 1): Fraction(1)}))
     with pytest.raises(DomainError):
-        sum_over_k(PartialFractionExpansion({(-2, 3): Fraction(1)}))
+        sum_over_k(expansion_of({(-2, 3): Fraction(1)}))
     # the error names the first bad term in sorted (m, s) order
     bad = {(4, 1): Fraction(1), (-1, 3): Fraction(1), (-3, 2): Fraction(1)}
     with pytest.raises(DomainError, match=r"^pole at positive integer t=3 "):
-        sum_over_k(PartialFractionExpansion(bad))
+        sum_over_k(expansion_of(bad))
     bad = {(9, 0): Fraction(1), (2, 5): Fraction(1), (7, 1): Fraction(1)}
     with pytest.raises(DomainError, match=r"^divergent order 1 at pole -7$"):
-        sum_over_k(PartialFractionExpansion(bad))
+        sum_over_k(expansion_of(bad))
     # a pole at t = 1 is reported as such even when its order is 1
     with pytest.raises(DomainError, match=r"^pole at positive integer t=1 "):
-        sum_over_k(PartialFractionExpansion({(-1, 1): Fraction(1)}))
+        sum_over_k(expansion_of({(-1, 1): Fraction(1)}))
     # order-1 terms whose coefficients do not sum to 0 diverge: the error
     # names the first of them, even when a later one would cancel part
     bad = {(3, 1): Fraction(2), (5, 1): Fraction(-1), (1, 2): Fraction(1)}
     with pytest.raises(DomainError, match=r"^divergent order 1 at pole -3$"):
-        sum_over_k(PartialFractionExpansion(bad))
+        sum_over_k(expansion_of(bad))
 
 
 def test_sum_over_k_telescopes_order_one():
     # 1/(t+1) - 1/(t+3) summed over t >= 1 is 1/2 + 1/3 = H_3 - H_1, the
     # constant -sum a_{m,1} H_m(1); an order-2 term keeps its zeta(2)
-    p = PartialFractionExpansion(
+    p = expansion_of(
         {(1, 1): Fraction(1), (3, 1): Fraction(-1), (2, 2): Fraction(4)}
     )
     form = sum_over_k(p)
@@ -805,20 +875,20 @@ def mixed_expansions(draw):
         terms[(draw(st.integers(-5, -1)), draw(st.integers(0, 9)))] = draw(value)
     elif fault == "order 0":
         terms[(draw(st.integers(0, 30)), 0)] = draw(value)
-    return PartialFractionExpansion(terms)
+    return expansion_of(terms)
 
 
 @settings(max_examples=200, deadline=None)
 @given(mixed_expansions())
 # the first bad term in sorted order raises: a pole at t = 2 before the
 # unbalanced order 1, order 0 at m = 0 before it, the order 1 at m = 3
-@example(PartialFractionExpansion({(3, 1): Fraction(2, 3), (5, 1): Fraction(-1, 9),
+@example(expansion_of({(3, 1): Fraction(2, 3), (5, 1): Fraction(-1, 9),
                                    (-2, 4): Fraction(1, 4), (7, 0): Fraction(5)}))
-@example(PartialFractionExpansion({(0, 0): Fraction(1, 6), (2, 1): Fraction(1, 4)}))
-@example(PartialFractionExpansion({(3, 1): Fraction(2, 3), (5, 1): Fraction(-1, 9),
+@example(expansion_of({(0, 0): Fraction(1, 6), (2, 1): Fraction(1, 4)}))
+@example(expansion_of({(3, 1): Fraction(2, 3), (5, 1): Fraction(-1, 9),
                                    (1, 2): Fraction(7, 12), (4, 0): Fraction(5)}))
 # telescoping order 1 next to orders 2 and 9 with coprime denominators
-@example(PartialFractionExpansion({(1, 1): Fraction(1, 3), (30, 1): Fraction(-1, 3),
+@example(expansion_of({(1, 1): Fraction(1, 3), (30, 1): Fraction(-1, 3),
                                    (0, 2): Fraction(5, 2**40), (17, 9): Fraction(-3, 1331)}))
 def test_sum_over_k_matches_fraction_oracle(p):
     try:
@@ -853,7 +923,7 @@ def test_sum_over_k_matches_per_term_oracle_zudilin(pipeline1, pipeline2):
 )
 def test_sum_over_k_matches_per_term_oracle(terms):
     # m = 0 terms, gaps between poles and every order 2..12
-    p = PartialFractionExpansion(terms)
+    p = expansion_of(terms)
     form = sum_over_k(p)
     assert (form.ell0, list(form.coefficients.items())) == per_term_sum_oracle(p)
 
@@ -949,7 +1019,7 @@ def test_reflection_detects_asymmetric():
         "sign": None,
     }
     # the zero function has no sign
-    assert reflection_check(PartialFractionExpansion({})) == {
+    assert reflection_check(expansion_of({})) == {
         "symmetric": False,
         "sign": None,
     }
@@ -960,7 +1030,7 @@ def test_reflection_is_exact_on_every_coefficient(pipeline1):
     terms = dict(pipeline1.expansion.terms)
     key = max(terms)
     terms[key] += Fraction(1, 10**300)
-    assert reflection_check(PartialFractionExpansion(terms))["symmetric"] is False
+    assert reflection_check(expansion_of(terms))["symmetric"] is False
 
 
 def test_reflection_matches_sampled_evaluation(pipeline1, pipeline2):
@@ -1366,7 +1436,7 @@ def test_common_denominator_clears_zudilin(pipeline1):
 
 
 def test_zero_form_has_no_height():
-    zero = sum_over_k(PartialFractionExpansion({}))
+    zero = sum_over_k(expansion_of({}))
     with pytest.raises(DomainError, match="zero form"):
         zero.log2_height()
 

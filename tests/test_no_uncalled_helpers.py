@@ -29,6 +29,8 @@ OUTSIDE_CALLERS = {
     "harmonic_power_sum": ("bench/tracer.py", "wraps it as the exact.harmonic_power_sum span"),
     "bernoulli": ("bench/tracer.py", "wraps it for the zeta.bernoulli counters; the "
                   "tail reads tangent numbers, and bernoulli stays public as their view"),
+    "terms": ("bench/tracer.py", "counts forms.pf_terms and forms.poles from it; the "
+              "engine reads the per-pole integers, and terms stays public as their view"),
 }
 PIPELINE_STAGES = {"build_zudilin", "partial_fractions", "second_derivative",
                    "sum_over_k", "check_zudilin_vanishing"}
