@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated angle expressions (values, not /pi); "
                        "write a leading minus as --theta=-1/4")
     p_den.add_argument("--box", required=True,
-                       help="comma-separated per-axis intervals lo:hi")
+                       help="comma-separated per-axis intervals lo:hi; "
+                       "write a leading minus as --box=-1:2,0:0.5")
     p_den.add_argument("--kmax", type=_positive_int, required=True,
                        help="count n = 1..KMAX; one box axis costs O(log KMAX) "
                        "steps, two or more jump from hit to hit of the narrowest "

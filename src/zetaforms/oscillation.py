@@ -22,9 +22,12 @@ approximation at parse time, and every angle/pi reads 1/pi at that same
 120-digit pin, widened for an addend of more than 87 integer digits so
 that the pin's error stays below 10^-33.  That makes every decision in
 this module a deterministic exact-rational comparison.  Every cosine that
-decides or is reported is evaluated at COS_DIGITS; `verify_plan` screens
-the orbit's cosines in floats first and confirms only the few that can be
-its minimum.
+decides or is reported is evaluated at COS_DIGITS.  One float screen,
+`_screened_abs_cos` within `_screen_error`, comes first in both searches
+for an extremum: the residue search screens every free residue and
+confirms only the few that can hold the largest floor, and `verify_plan`
+screens the orbit's cosines and confirms only the few that can be its
+minimum.
 
 "Irrational" always means irrational-at-precision: the best approximation
 of omega/pi with denominator <= D_MAX misses it by RATIONAL_TOL or more.
@@ -80,8 +83,8 @@ from .fixedpoint import (
 CANONICAL_DIGITS = 120
 PIN_ERROR_DIGITS = 33  # |addend| * (1/pi pin error) stays below 10^-33
 COS_DIGITS = 60
-SCREEN_BITS = 200  # verify_plan's screen reads angle/pi in units of 2^-200
-D_MAX = 10**6  # largest pi-rational denominator, and the residue-search cap
+SCREEN_BITS = 200  # the float screen reads angle/pi in units of 2^-200
+D_MAX = 10**6  # largest pi-rational denominator, so the residue search's d
 RATIONAL_TOL = Fraction(1, 10**30)
 BOUNDARY_GUARD = Fraction(1, 10**25)  # shrink-to-reject margin at box edges
 KW_MAX_WALK = 10**8  # k_max of a walk over two or more axes
@@ -205,8 +208,8 @@ class CosEvaluator:
 
     When omega = (c/q) pi exactly, the reduced argument depends on k mod q
     only, so results are memoised by that integer; the periodic structure
-    is then exact, not approximate.  The residue search calls it for every
-    free residue; `verify_plan` only for the (psi, pair) its float screen
+    is then exact, not approximate.  The residue search and `verify_plan`
+    call it only for the residues or (psi, pair) that their float screen
     cannot rule out.
     """
 
@@ -449,8 +452,24 @@ def build_plan_general(
     residue is left that search raises HypothesisViolation, which happens
     exactly when `hypothesis_multi` is False (d is a multiple of its
     modulus), so every returned plan comes with the hypothesis decided
-    true; d above D_MAX raises BudgetError.  Without pi-irrational pairs
-    that is the plan (mode "rational", lambda = d).  One pi-irrational pair without
+    true; d above D_MAX raises BudgetError.
+
+    The search screens each free residue r in floats first, like
+    `verify_plan`: pair i's `_screened_abs_cos` is read at r itself when
+    omega_i has an addend, and otherwise from one table of its d_i values
+    at r mod d_i, since such a pair repeats with period d_i.  Every screened
+    value lies within delta = `_screen_error(d)` of its COS_DIGITS value, so
+    a residue whose COS_DIGITS floor is the maximum V* screens at least
+    V* - delta, and none screens above V* + delta.  The least free residue
+    and those that screen within 2 delta of the best are confirmed at
+    COS_DIGITS in increasing order, which gives the a and epsilon of a loop
+    over every free residue.  As in `verify_plan`, a candidate's floor
+    reads only the pairs that screen within 2 delta of its screened floor:
+    any other pair's COS_DIGITS value exceeds that of the pair screening
+    least.
+
+    Without pi-irrational pairs that is the plan (mode "rational", lambda =
+    d).  One pi-irrational pair without
     relations gets the arc of half-width 1/4 centred at -phi/pi (mode
     "irrational_single"): |cos| >= sqrt(2)/2, and the arc measure 1/2 gives
     lambda = 2.  Otherwise the irrational pairs, transformed to
@@ -480,15 +499,34 @@ def build_plan_general(
     if rational:
         d = math.lcm(*(ratio.denominator for _, ratio, _ in rational))
         evaluators = [CosEvaluator(pair) for pair, _, _ in rational]
-        a, best_floor = None, -1
-        for residue in _free_residues(rational):
-            floor = min(ev.abs_cos(residue).scaled for ev in evaluators)
-            if floor > best_floor:
-                a, best_floor = residue, floor
+        residues = _free_residues(rational)
+        a = next(residues, None)
         if a is None:
-            raise HypothesisViolation(
-                "no residue class avoids all pi/2 congruences"
-            )
+            raise HypothesisViolation("no residue class avoids all pi/2 congruences")
+        # the least free residue is confirmed before any screen, so that an
+        # argument past the cosine's MAX_COS_WORK_DIGITS raises there
+        best_floor = min(ev.abs_cos(a).scaled for ev in evaluators)
+        screens = []
+        for pair, ratio, _ in rational:
+            w, b, q = *_screen_terms(pair), ratio.denominator
+            if pair.omega.addend or q == d:  # nothing repeats to tabulate
+                screens.append(lambda r, w=w, b=b: _screened_abs_cos(w, b, r))
+            else:  # period q in r, as in CosEvaluator's memo
+                table = [_screened_abs_cos(w, b, k) for k in range(q)]
+                screens.append(lambda r, t=table, q=q: t[r % q])
+        # the residues screening within 2 delta of the best, streamed
+        band, top, near = 2 * _screen_error(d), -1.0, []
+        for r in residues:
+            s = min(screen(r) for screen in screens)
+            if s > top:
+                top, near = s, [x for x in near if x[1] >= s - band]
+            if s >= top - band:
+                near.append((r, s))
+        for r, s in near:  # a pair screening above s + 2 delta is not r's least
+            floor = min(ev.abs_cos(r).scaled for ev, screen in zip(evaluators, screens)
+                        if screen(r) <= s + band)
+            if floor > best_floor:
+                a, best_floor = r, floor
         rational_floor = Fraction(best_floor, 10**COS_DIGITS)
         if rational_floor < Fraction(1, 10**30):
             raise HypothesisViolation("all residue classes are excluded")
@@ -743,9 +781,10 @@ def _screened_abs_cos(w: int, b: int, k: int) -> float:
 
 
 def _screen_error(k_max: int) -> float:
-    """delta: a bound, for 1 <= k <= k_max, on the distance from
+    """delta: a bound, for 0 <= k <= k_max, on the distance from
     `_screened_abs_cos` to |cos(k omega + phi)| and to its COS_DIGITS value
-    from `CosEvaluator.abs_cos`.
+    from `CosEvaluator.abs_cos`: k_max is psi(count) in `verify_plan` and
+    the modulus d in the residue search of `build_plan_general`.
 
     With t = k omega/pi + phi/pi, each of omega/pi and phi/pi carries the
     1/pi pin error (below 10^-PIN_ERROR_DIGITS) and the rounding to
@@ -768,7 +807,9 @@ def verify_plan(
     count: int,
 ) -> PlanVerification:
     """Check the plan's two promises over psi(1..count): the cosine floor
-    for every pair, and psi(count)/count within 5% of the predicted lambda.
+    for every pair, and (psi(count) - a)/count within 5% of the predicted
+    lambda.  The offset a is the plan's, so a rational plan, psi(n) =
+    n d + a, passes at every count; the reported ratio is psi(count)/count.
 
     The least |cos(psi omega_i + phi_i)| is the COS_DIGITS value that
     `CosEvaluator.abs_cos` gives at some (psi, pair), the same one an
@@ -803,7 +844,7 @@ def verify_plan(
         ratio=ratio,
         lambda_predicted=lam,
         cosine_ok=min_frac >= plan.epsilon - Fraction(1, 10**30),
-        lambda_ok=abs(ratio - lam) <= lam * Fraction(5, 100),
+        lambda_ok=abs(ratio - Fraction(plan.a, count) - lam) <= lam * Fraction(5, 100),
     )
 
 

@@ -195,6 +195,7 @@ def test_density_help_names_the_hit_to_hit_walk(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "two or more jump from hit to hit of the narrowest axis (KMAX <= 10^8)" in text
     assert "walk every n" not in text
+    assert "write a leading minus as --box=-1:2,0:0.5" in text
 
 
 def test_density_one_axis_counts_past_any_walk(capsys):
@@ -481,6 +482,26 @@ def test_cosine_budget_errors_keep_their_documents(capsys, argv, message):
         "command": "subseq",
         "error": {"kind": "budget", "message": message},
     }
+
+
+@pytest.mark.parametrize("argv, code, kind, message", [
+    (["--omega", "1/1009*pi", "--phi", "0", "--omega", "1/1013*pi", "--phi", "0"],
+     EXIT_BUDGET, "budget", "residue search modulus 1022117 exceeds 1000000 (lcm of "
+     "the pi-rational denominators)"),
+    # the first pair excludes the even classes, the second the odd ones
+    (["--omega", "1/2*pi", "--phi", "1/2*pi", "--omega", "1/2*pi", "--phi", "0"],
+     EXIT_DOMAIN, "domain", "no residue class avoids all pi/2 congruences"),
+    (["--omega", "1/3*pi", "--phi", "1/2*pi+1e-25"], EXIT_DOMAIN, "domain",
+     "phase congruence: distance 9.549e-26 sits on the decision boundary "
+     "(tolerance 1e-25)"),
+    # the least free residue is confirmed before the float screen
+    (["--omega", "1/3*pi", "--phi", "1e3960"], EXIT_BUDGET, "budget",
+     "cos argument needs 4034 working digits, above the cap 4000"),
+])
+def test_residue_search_errors_keep_their_documents(capsys, argv, code, kind, message):
+    got, out = run(capsys, "subseq", *argv)
+    assert got == code
+    assert json.loads(out)["error"] == {"kind": kind, "message": message}
 
 
 def test_subseq_irrational_confirms_a_handful_of_cosines(capsys, monkeypatch):

@@ -277,6 +277,20 @@ def residue_cases():
         [("1/2*pi", "1/2*pi"), ("1/2*pi", "0")],  # every class excluded
         # d = 97 * 89; a = 0 mod 89 is phase-congruent on the second pair
         [("1/97*pi", "1/4*pi"), ("3/89*pi", "1/2*pi")],
+        # about half of the 997 classes tie at sqrt(2)/2 on the first pair
+        [("0", "1/4*pi"), ("1/997*pi", "0")],
+        [("1/2*pi", "1/4*pi"), ("5/1009*pi", "1/3*pi")],
+        # 504 and 505 are mirror images about 3 10^-43 apart, 505 the larger;
+        # 1009 is excluded
+        [("1/1009*pi", "1/2*pi-1e-40")],
+        [("5/997*pi+1e-40", "1/3*pi"), ("1/3*pi", "0")],
+        [("2/7*pi", "sqrt2"), ("3/11*pi", "-1/2*e")],
+        [("1/7*pi", "1/5"), ("3/11*pi", "sqrt2"), ("2/13*pi", "1/4*pi")],
+        [("7/2003*pi", "e"), ("1/2*pi", "1/2*pi")],  # the even classes excluded
+        # mirror pairs whose |cos| differ by about 10^-40 at every residue,
+        # which the screen may order the other way round
+        [("2/11*pi", "74/33"), ("-2/11*pi", "-74/33+1e-40")],
+        [("1/3*pi", "27/29"), ("-1/3*pi", "-27/29+1e-40")],
     ]
     rng = random.Random(20261018)
     phases = ["0", "1/4*pi", "1/6*pi", "1/2*pi", "-1/3*pi", "2/7", "1/2*pi+1e-40"]
@@ -300,6 +314,22 @@ def test_residue_search_matches_fraction_oracle(spec):
     plan = build_plan_general(pairs)
     assert plan.mode == "rational"
     assert (plan.a, plan.epsilon) == expected
+
+
+def test_residue_search_confirms_a_handful_of_cosines(monkeypatch):
+    # of the 99,991 residues, the float screen leaves only the least free
+    # one and the best to COS_DIGITS
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact_cos(*args)
+
+    exact_cos = oscillation.cos_pi_argument
+    monkeypatch.setattr(oscillation, "cos_pi_argument", counted)
+    plan = build_plan_general([pair("1/99991*pi", "0")])
+    assert (plan.d, plan.a, plan.epsilon) == (99991, 99991, 1)
+    assert len(calls) == 2
 
 
 def test_plan_rational_pi_over_3():
@@ -549,6 +579,32 @@ def test_verify_plan_rational_case():
     assert report.passed
 
 
+@pytest.mark.parametrize("texts", [
+    [("1/3*pi", "0")],
+    [("0", "0")],
+    [("1/4*pi", "1/3"), ("2/5*pi", "1/7*pi")],
+])
+def test_lambda_check_reads_psi_less_its_offset(texts):
+    # psi(count)/count = d + a/count for a rational plan misses lambda = d
+    # by more than 5% whenever count < 20 a/d, so the check drops the a
+    pairs = [pair(*t) for t in texts]
+    plan = build_plan_general(pairs)
+    for count in range(1, 31):
+        report = verify_plan(plan, pairs, count)
+        assert report.ratio == Fraction(plan.d * count + plan.a, count)
+        assert report.passed, count
+
+
+def test_lambda_check_still_fails_dependent_omegas():
+    # sqrt2 and 3 sqrt2 without relations: the box assumes independent
+    # generators, and the orbit hits it at a rate far from 1/lambda
+    pairs = [pair("sqrt2", "0"), pair("3*sqrt2", "0")]
+    plan = build_plan_general(pairs)
+    report = verify_plan(plan, pairs, 4000)
+    assert (plan.a, plan.lambda_predicted, report.ratio) == (0, 4, Fraction(5999, 1000))
+    assert report.cosine_ok and not report.lambda_ok
+
+
 def test_verify_plan_adversarial():
     plan = build_plan_general([pair("1", "0")])
     pairs = [pair("1", "1/2*pi")]
@@ -601,7 +657,7 @@ def exhaustive_verify_plan(plan, pairs, count):
         ratio=ratio,
         lambda_predicted=lam,
         cosine_ok=min_frac >= plan.epsilon - Fraction(1, 10**30),
-        lambda_ok=abs(ratio - lam) <= lam * Fraction(5, 100),
+        lambda_ok=abs(ratio - Fraction(plan.a, count) - lam) <= lam * Fraction(5, 100),
     )
 
 
