@@ -12,15 +12,17 @@ ell0 and each ell_s, never per term.
 
 A block list is read as its linear factors t + c, listed once by
 _linear_factors for the pole cover, the zeros at a pole, direct_sum's
-series, the leading exact zeros of R'' and evaluate (P + cQ at t = P/Q);
-partial_fractions also reads each block whole, as an interval of constants.
+zeros, log-derivative sums and exact terms, and evaluate (P + cQ at t =
+P/Q); partial_fractions and direct_sum's step also read each block whole,
+as an interval of constants or its two ends.
 
 The two numeric routes share no series code and act as oracles for one
 another: the exact coefficients (partial_fractions, an integer recurrence
 per pole on power sums of the factors) times the zeta table, and
-direct_sum, which reads only the factored function (_second_derivative_at
-slides its integer series up t = 1, 2, ...) and derives its cutoff from
-it, so it checks partial_fractions, sum_over_k and the zeta table at once.
+direct_sum, which reads only the factored function (_second_derivative_terms
+walks R(k) and its log-derivatives up t = 1, 2, ... in binary fixed point,
+each term rounded exactly) and derives its cutoff from it, so it checks
+partial_fractions, sum_over_k and the zeta table at once.
 """
 
 from __future__ import annotations
@@ -478,141 +480,155 @@ def _three_terms(constants, shift: int) -> tuple[tuple[int, int, int], int]:
     return (a0, a1, a2), zeros
 
 
-def _slide(series, outgoing: list[int], incoming: list[int], shift: int) -> tuple[int, int, int]:
-    """series / prod (c + shift + u) over the outgoing c * prod (c + shift +
-    u) over the incoming c, to u^2, zero factors left out (_three_terms).
-    The division is exact order by order; a remainder means the series
-    lacks those factors."""
-    (a0, a1, a2), ((b0, b1, b2), _) = series, _three_terms(outgoing, shift)
-    q0, r0 = divmod(a0, b0)
-    q1, r1 = divmod(a1 - b1 * q0, b0)
-    q2, r2 = divmod(a2 - b1 * q1 - b2 * q0, b0)
-    for order, rem in enumerate((r0, r1, r2)):
-        if rem:
-            raise InternalCheckError(
-                f"series not divisible by the outgoing factors at order {order}"
-            )
-    (m0, m1, m2), _ = _three_terms(incoming, shift)
-    return q0 * m0, q0 * m1 + q1 * m0, q0 * m2 + q1 * m1 + q2 * m0
-
-
-def _second_derivative_at(f: FactoredRationalFunction):
-    """Yield (p, d) for k = 1, 2, ...: R(k + u) = scalar * p(u) / d(u) +
-    O(u^3) for R = f, with p = (p0, p1, p2), d = (d0, d1, d2) integers and
-    d0 > 0, so R''(k) = 2 [u^2] R(k + u) = 2 scalar (d0 (p2 d0 - p1 d1 -
-    p0 d2) + p0 d1^2) / d0^3.
-
-    d is the denominator's _three_terms at t = k + u (every constant >= 1)
-    and p the prefactor times the numerator's, its zero factors a power of
-    u.  From k to k + 1 a block (t + shift)_length^power loses t + shift and
-    gains t + shift + length, power times: each side's leaving and entering
-    constants are listed once, less k, and each step's _slide adds k to
-    them.  Where the numerator vanishes to order 3 or more, R''(k) is
-    exactly 0 (no pole sits at a positive integer), so the leading run of
-    such k (k <= 27n for Zudilin's forms) is yielded as p = 0, d = 1 and the
-    walk starts past it.  A step takes about 20 us at n = 1 (16 factors
-    out, 16 in, on series of 800 to 2,700 bits) and 38 us at n = 3, against
-    about 10 us for _rounded_term at n = 1 (2 vCPUs, Python 3.11)."""
-    cover = _denominator_cover(f)
-    if min(cover, default=0) < 0:
-        raise DomainError(f"pole at positive integer t={-min(cover)} hits the sum range")
-    factors = _linear_factors(f.numerator)
-    roots = Counter(-c for c in factors)
+def _exact_term(f: FactoredRationalFunction, k: int, num: int, den: int) -> int:
+    """_div_nearest(num * a, den * b), den > 0, for a / b = [u^2] p(u) / d(u)
+    and R(k + u) = scalar * p(u) / d(u): d the denominator's _three_terms at
+    t = k + u and p the prefactor times the numerator's, its zero factors a
+    power of u.  [u^2] p/d = (d0 (p2 d0 - p1 d1 - p0 d2) + p0 d1^2) / d0^3,
+    formed from scratch at k."""
+    (x0, x1, x2), zeros = _three_terms(_linear_factors(f.numerator), k)
+    (d0, d1, d2), _ = _three_terms(_linear_factors(f.denominator), k)
+    x0, x1, x2 = ((0,) * zeros + (x0, x1, x2))[:3]
     c0, c1 = f.prefactor
-    if c1 and c0 % c1 == 0:
-        roots[-c0 // c1] += 1
-    start = 1
-    while roots[start] >= 3:
-        start += 1
-    yield from itertools.repeat(((0, 0, 0), (1, 0, 0)), start - 1)
-    top, zeros = _three_terms(factors, start)
-    bottom, _ = _three_terms(_linear_factors(f.denominator), start)
-    top_out, top_in, bottom_out, bottom_in = (
-        [b.shift + b.length * entering for b in blocks for _ in range(b.power)]
-        for blocks in (f.numerator, f.denominator) for entering in (0, 1)
-    )
-    for k in itertools.count(start):
-        x0, x1, x2 = ((0,) * zeros + top)[:3]
-        p0 = c0 + c1 * k
-        yield (p0 * x0, p0 * x1 + c1 * x0, p0 * x2 + c1 * x1), bottom
-        top = _slide(top, top_out, top_in, k)
-        zeros += top_in.count(-k) - top_out.count(-k)
-        bottom = _slide(bottom, bottom_out, bottom_in, k)
-
-
-# fractional bits of the screened quotients of p past the bit length of
-# num: the screen's error stays near 2^-16 of a unit of the rounded term
-SCREEN_MARGIN_BITS = 16
-
-
-def _rounded_term(p, d, num: int, den: int) -> int:
-    """_div_nearest(num * a, den * b), den > 0, for a / b = [u^2] p(u) /
-    d(u) with p = (p0, p1, p2) and d = (d0, d1, d2), d0 > 0.
-
-    [u^2] p/d = x2 - x1 y1 - x0 y2 + x0 y1^2 with x_i = p_i / d0 and
-    y_i = d_i / d0.  The x_i are read at F = bitlen(num) +
-    SCREEN_MARGIN_BITS fractional bits, q_i = floor(p_i 2^F / d0) =
-    X_i - t_i with X_i = x_i 2^F and 0 <= t_i < 1.  The y_i only ever
-    multiply q0 and q1, so they are read at g = max(bitlen q0, bitlen q1)
-    + 2 bits, e_i = floor(d_i 2^g / d0) = Y_i - f_i with Y_i = y_i 2^g,
-    0 <= f_i < 1: in the tail, where q0 and q1 have a few dozen bits, g
-    is that small while F is about bitlen(num).  In units of 2^-F, with
-    a_i = |q_i|, b_i = |e_i|,
-
-        T = X2 - (X1 Y1 + X0 Y2) / 2^g + X0 Y1^2 / 2^2g,
-        s = q2 - ((q1 e1 + q0 e2) >> g) + ((q0 e1^2) >> 2g).
-
-    Three floors separate them: t2, and the two shifts of s, each below
-    one unit.  The cross terms X1 Y1 - q1 e1 = q1 f1 + t1 e1 + t1 f1 and
-    X0 Y2 - q0 e2 = q0 f2 + t0 e2 + t0 f2 are below a0 + a1 + b1 + b2 + 2
-    together, and X0 Y1^2 - q0 e1^2 = q0 (2 e1 f1 + f1^2) + t0 (e1 + f1)^2
-    is at most a0 (2 b1 + 1) + (b1 + 1)^2.  So |T - s| < 3 + (a0 + a1 +
-    b1 + b2 + 2) / 2^g + (a0 (2 b1 + 1) + (b1 + 1)^2) / 2^2g, and taking
-    the two fractions by shifts loses less than one unit each:
-
-        E = 6 + ((a0 + a1 + b1 + b2 + 2) >> g)
-              + ((a0 (2 b1 + 1) + (b1 + 1)^2) >> 2g)
-
-    bounds |T - s| with a unit to spare.  Since g >= 2 and a0, a1 <
-    2^(g - 2), the q-parts of the two fractions stay below 1/2 + b1 /
-    2^(g + 1), so E is about 6 + |y1| (3/2 + |y1|) + |y2| units, whatever
-    the size of d0.  The exact rational, with its d0^3, is formed only
-    when num (s - E) and num (s + E) round apart (Ziv's strategy): the
-    term is always the exact nearest integer."""
-    frac = num.bit_length() + SCREEN_MARGIN_BITS
-    d0, d1, d2 = d
-    q0, q1, q2 = ((x << frac) // d0 for x in p)
-    g = max(q0.bit_length(), q1.bit_length()) + 2
-    e1, e2 = (d1 << g) // d0, (d2 << g) // d0
-    q0e1 = q0 * e1
-    s = q2 - ((q1 * e1 + q0 * e2) >> g) + ((q0e1 * e1) >> (2 * g))
-    a0, a1, b1, b2 = abs(q0), abs(q1), abs(e1), abs(e2)
-    error = (
-        6
-        + ((a0 + a1 + b1 + b2 + 2) >> g)
-        + ((2 * abs(q0e1) + a0 + (b1 + 1) ** 2) >> (2 * g))
-    )
-    unit = den << frac
-    low = _div_nearest(num * s - abs(num) * error, unit)
-    if low == _div_nearest(num * s + abs(num) * error, unit):
-        return low
-    return _exact_term(p, d, num, den)
-
-
-def _exact_term(p, d, num: int, den: int) -> int:
-    """_rounded_term from the exact rational: [u^2] p/d = (d0 (p2 d0 -
-    p1 d1 - p0 d2) + p0 d1^2) / d0^3."""
-    (p0, p1, p2), (d0, d1, d2) = p, d
+    a = c0 + c1 * k
+    p0, p1, p2 = a * x0, a * x1 + c1 * x0, a * x2 + c1 * x1
     return _div_nearest(
         num * (d0 * (p2 * d0 - p1 * d1 - p0 * d2) + p0 * d1 * d1), den * d0**3
     )
 
 
+class _Reciprocals(dict):
+    """x -> floor(2^bits / |x|^power) for integers x != 0, negated for x < 0
+    when power is 1, each computed when first read: within one unit of
+    2^bits / x^power."""
+
+    def __init__(self, bits: int, power: int):
+        super().__init__()
+        self.one, self.power = 1 << bits, power
+
+    def __missing__(self, x: int) -> int:
+        value = self.one // abs(x) ** self.power
+        self[x] = value = -value if x < 0 and self.power == 1 else value
+        return value
+
+
+# bits by which the walk keeps its error bound below a unit of the rounded
+# term: a seed aims about 2 WALK_GUARD_BITS bits below it and the walk
+# re-seeds once the bound passes 2^-WALK_GUARD_BITS units
+WALK_GUARD_BITS = 20
+
+
+def _second_derivative_terms(f: FactoredRationalFunction, work: int) -> Iterator[int]:
+    """Yield _div_nearest of 10^work R''(k), k = 1, 2, ..., for R = f, each
+    the exact nearest integer, from the factors alone.
+
+    With R = scalar G, R''(k) = scalar G(k) (H1^2 - H2) for H1 = G'/G =
+    sum +-1/(k + c) and H2 = -(G'/G)' = sum +-1/(k + c)^2 over the linear
+    factors t + c (+ numerator, - denominator), the prefactor's c1/(c0 +
+    c1 k) and its square included.  The walk carries V = 10^work scalar
+    G(k) as v = floor(V 2^F) to within ev units, and H1, H2 at W bits as h1
+    = s1 + floor(c1 2^W / (c0 + c1 k)), h2 likewise, where s1 and s2 are sums
+    of the table entries floor(2^W/x) and floor(2^W/x^2) (_Reciprocals) over
+    the factors' x = k + c.  From k to k + 1 a block (t + shift)_length^power
+    loses x = k + shift and gains k + shift + length, power times, so G(k +
+    1) / G(k) = A/B is a ratio of small integer products over those block
+    ends and the prefactor, v becomes floor(v A / B) and ev |A/B| + 1 bounds
+    its error, and s1, s2 add and drop the same table entries: they stay
+    the exact table sums, each of the e1 - 1 = sum |multiplicity| entries
+    (and the prefactor's floor) off by less than one unit.  So |h1 - 2^W
+    H1| < e1, |h2 - 2^W H2| < e1, and q = floor(h1^2 / 2^W) - h2 is within
+    eq = floor(e1 (2 |h1| + e1) / 2^W) + e1 + 2 units of 2^W Q, Q = H1^2 -
+    H2.  The product v q is then within E = |v| eq + |q| ev + ev eq units of
+    2^(F + W) V Q, strictly, and the term is rounded at t - E and t + E: if
+    the two agree, so does the exact value between them (Ziv's strategy);
+    if not, the term is formed from the exact rational (_exact_term).
+
+    A seed computes V exactly (evaluate at k), with F = max(F0, F0 - log2
+    |V|) and W = F0 + max(log2 |V| + 1, 0), F0 = 2 guard + 2 bitlen(e1) +
+    2: |Q| < 2^(2 bitlen(e1) + 1) and eq about 2 e1 |H1|, so
+    E starts near 2^-(2 guard) units.  While F exceeds F0 (|V| below 1), v
+    is shifted down to keep about F0 significant bits.  When E passes
+    2^-guard units (V has grown since the seed, or ev has) the walk
+    re-seeds at that k, W only ever growing.  A k where a numerator factor
+    or the prefactor vanishes is no step: to order 3 or more R''(k) is
+    exactly 0 (no pole sits at a positive integer, checked here), to order
+    1 or 2 it is _exact_term, and the walk re-seeds past it."""
+    cover = _denominator_cover(f)
+    if min(cover, default=0) < 0:
+        raise DomainError(f"pole at positive integer t={-min(cover)} hits the sum range")
+    (c0, c1), scalar = f.prefactor, f.scalar
+    if not (scalar and (c0 or c1)):
+        yield from itertools.repeat(0)
+        return
+    top, bottom = _linear_factors(f.numerator), _linear_factors(f.denominator)
+    roots = Counter(-c for c in top)
+    if c1 and c0 % c1 == 0:
+        roots[-c0 // c1] += 1
+    tens = 10**work
+    num, den = 2 * scalar.numerator * tens, scalar.denominator
+    steps = Counter()  # c -> w: G(k + 1) / G(k) = prefactor ratio * prod (k + c)^w
+    for blocks, sign in ((f.numerator, 1), (f.denominator, -1)):
+        for b in blocks:
+            steps[b.shift + b.length] += sign * b.power
+            steps[b.shift] -= sign * b.power
+    ups = [c for c, w in steps.items() for _ in range(w)]
+    downs = [c for c, w in steps.items() for _ in range(-w)]
+    present = Counter(top)
+    present.subtract(bottom)
+    present = [(c, m) for c, m in present.items() if m]
+    e1 = sum(abs(m) for _, m in present) + 1
+    guard = WALK_GUARD_BITS
+    floor_bits = max(2 * guard + 2 * e1.bit_length() + 2, 0)  # F0
+    bits, v = 0, None  # W, and no walk state
+    for k in itertools.count(1):
+        if roots[k]:
+            v = None
+            yield 0 if roots[k] >= 3 else _exact_term(f, k, num, den)
+            continue
+        pre, fresh = c0 + c1 * k, v is None
+        while True:
+            if v is None:
+                value = f.evaluate(k)
+                big, small = value.numerator * tens, value.denominator
+                scale = big.bit_length() - small.bit_length()  # log2 |V|, within 1
+                frac = max(floor_bits, floor_bits - scale)
+                v, ev = (big << frac) // small, 1
+                if max(floor_bits + scale + 1, floor_bits, 1) > bits:
+                    bits = max(floor_bits + scale + 1, floor_bits, 1)
+                    inv1, inv2 = _Reciprocals(bits, 1), _Reciprocals(bits, 2)
+                s1 = sum(m * inv1[k + c] for c, m in present)
+                s2 = sum(m * inv2[k + c] for c, m in present)
+            h1 = s1 + (c1 << bits) // pre
+            h2 = s2 + (c1 * c1 << bits) // (pre * pre)
+            q = (h1 * h1 >> bits) - h2
+            eq = (e1 * (2 * abs(h1) + e1) >> bits) + e1 + 2
+            err, shift = abs(v) * eq + abs(q) * ev + ev * eq, frac + bits
+            if fresh or not err >> max(shift - guard, 0):
+                break
+            v, fresh = None, True
+        t, half = v * q, 1 << (shift - 1)
+        low = (t - err + half) >> shift
+        yield low if low == (t + err + half) >> shift else _exact_term(f, k, num, den)
+        if roots[k + 1]:
+            continue
+        xs, ys = [k + c for c in ups], [k + c for c in downs]
+        a, b = (pre + c1) * math.prod(xs), pre * math.prod(ys)
+        if b < 0:
+            a, b = -a, -b
+        v, ev = v * a // b, -(-ev * abs(a) // b) + 1
+        if frac > floor_bits and v.bit_length() > floor_bits + 64:  # 64 bits at a time
+            s = min(frac - floor_bits, v.bit_length() - floor_bits)
+            v, ev, frac = v >> s, (ev >> s) + 2, frac - s
+        s1 += sum(map(inv1.__getitem__, xs)) - sum(map(inv1.__getitem__, ys))
+        s2 += sum(map(inv2.__getitem__, xs)) - sum(map(inv2.__getitem__, ys))
+
+
 def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     """Numeric value of sum_{k>=1} R''(k) for the factored R = f, term by
-    term from the factors themselves (_second_derivative_at), each term the
-    exact rational rounded once (_rounded_term: screened from short
-    quotients, exact only where the screen cannot decide).
+    term from the factors themselves (_second_derivative_terms: R(k) and
+    its log-derivatives walked in binary fixed point, each term the exact
+    rational rounded once, from scratch only where the walk's error bound
+    cannot decide it).
 
     It reads neither the output of partial_fractions nor the zeta reduction
     in sum_over_k, so it is the oracle side of the oracle/evaluation pair.
@@ -621,22 +637,20 @@ def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     past the hump, k >= 4 x the largest pole, times a 10^4 safety factor.
 
     At 200 digits, for Zudilin's forms (2 vCPUs, Python 3.11, in process,
-    best of 5): n = 1 (1,459 terms) takes 0.048 s, n = 2 0.010 s, n = 3
-    0.017 s and n = 6 0.066 s; n = 13 0.36 s and n = 25 1.5 s (one run
-    each).  No term of n = 1..6 needs the exact fallback.
+    best of 5): n = 1 (1,459 terms) takes 0.021 s, n = 2 0.004 s, n = 3
+    0.006 s and n = 6 0.011 s; n = 13 0.026 s and n = 25 0.046 s (best of
+    3).  No term of n = 1..6 needs the exact route.
     """
     if not f.is_proper:
         raise DomainError("the direct sum needs a proper function")
     work = digits + GUARD_DIGITS + 5
-    num, den = 2 * f.scalar.numerator * 10**work, f.scalar.denominator
     guard = 10 ** (work - digits)
     decay = f.denominator_degree - f.numerator_degree + 2
     k_min = 4 * max(_denominator_cover(f))  # past the hump
     acc = 0
     c_run = 0  # max |term| * k^decay, in 10**-work units
     limit = 10**7
-    for k, (p, d) in zip(range(1, limit + 1), _second_derivative_at(f)):
-        term = _rounded_term(p, d, num, den)
+    for k, term in zip(range(1, limit + 1), _second_derivative_terms(f, work)):
         acc += term
         if term or k >= k_min:  # a zero term before k_min leaves c_run as it is
             power = k ** (decay - 1)

@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import islice, product
+from itertools import compress, islice, product
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -514,15 +514,21 @@ def build_plan_general(
             else:  # period q in r, as in CosEvaluator's memo
                 table = [_screened_abs_cos(w, b, k) for k in range(q)]
                 screens.append(lambda r, t=table, q=q: t[r % q])
-        # the residues screening within 2 delta of the best, streamed
-        band, top, near = 2 * _screen_error(d), -1.0, []
+        # the residues screening within 2 delta of the best, streamed, and
+        # their screened values, side by side in flat arrays (the module is
+        # loaded here, so that a CLI start loads only the package)
+        from array import array
+
+        band, top, near, screened = 2 * _screen_error(d), -1.0, array("q"), array("d")
         for r in residues:
             s = min(screen(r) for screen in screens)
             if s > top:
-                top, near = s, [x for x in near if x[1] >= s - band]
+                top, keep = s, [x >= s - band for x in screened]
+                near, screened = array("q", compress(near, keep)), array("d", compress(screened, keep))
             if s >= top - band:
-                near.append((r, s))
-        for r, s in near:  # a pair screening above s + 2 delta is not r's least
+                near.append(r)
+                screened.append(s)
+        for r, s in zip(near, screened):  # a pair screening above s + 2 delta is not r's least
             floor = min(ev.abs_cos(r).scaled for ev, screen in zip(evaluators, screens)
                         if screen(r) <= s + band)
             if floor > best_floor:

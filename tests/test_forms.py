@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zetaforms import cli
-from zetaforms.errors import BudgetError, DomainError, InternalCheckError
+from zetaforms.errors import BudgetError, DomainError
 from zetaforms.exact import harmonic_power_sum
 from zetaforms.forms import (
     RECONSTRUCTION_POINTS,
@@ -44,9 +44,7 @@ from zetaforms.fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
 from zetaforms.forms import (
     _denominator_cover,
     _linear_factors,
-    _rounded_term,
-    _second_derivative_at,
-    _slide,
+    _second_derivative_terms,
     _three_terms,
 )
 from zetaforms.zeta import ZetaTable
@@ -642,42 +640,15 @@ def test_direct_sum_of_ball_series_matches_exact_route(n):
     assert abs(direct.to_fraction() - exact.to_fraction()) < Fraction(1, 10**30)
 
 
-def test_slide_division_is_exact_or_raises():
-    # (2 + u)(3 + u) = 6 + 5u + u^2, the factors of RisingBlock(2, 2, 1) at
-    # t = u: sliding to t = u + 1 divides by the outgoing (2 + u) and
-    # multiplies by the incoming (4 + u)
-    assert _slide((6, 5, 1), [2], [4], 0) == (12, 7, 1)  # (3 + u)(4 + u)
-    # the walk lists the constants once and each step adds its shift: the
-    # next step leaves 2 + 1 and enters 4 + 1
-    assert _slide((12, 7, 1), [2], [4], 1) == (20, 9, 1)  # (4 + u)(5 + u)
-    # a corrupted series raises, whichever order carries the fault: 7 is
-    # not divisible by 2, 6 + 6u leaves u / (2 + u) at order 1, and
-    # 6 + 5u + 2u^2 leaves u^2 / (2 + u) at order 2
-    for order, corrupt in enumerate([(7, 5, 1), (6, 6, 1), (6, 5, 2)]):
-        with pytest.raises(InternalCheckError, match=f"not divisible .* order {order}"):
-            _slide(corrupt, [2], [4], 0)
-    # with two outgoing factors the one division is by their product: a
-    # series missing either factor raises
-    series, zeros = _three_terms([2, 3, 5, 5], 0)  # (2 + u)(3 + u)(5 + u)^2
-    assert (series, zeros) == ((150, 185, 81), 0)
-    for corrupt in ((150 + 25, 185, 81), (150, 185 + 2, 81), (150, 185, 81 + 5)):
-        with pytest.raises(InternalCheckError, match="not divisible"):
-            _slide(corrupt, [2, 5, 5], [4, 6, 6], 0)
-    # (3 + u)(4 + u)(6 + u)^2
-    assert _slide(series, [2, 5, 5], [4, 6, 6], 0) == _three_terms([3, 4, 6, 6], 0)[0]
-    # RisingBlock(0, 2, 1) at t = u is u (1 + u), the zero factor counted
-    # apart; sliding to t = u + 1 drops it for (2 + u)
+def test_three_terms_counts_zero_factors_apart():
+    # (2 + u)(3 + u)(5 + u)^2 to u^2, the factors of the constants at t = u
+    assert _three_terms([2, 3, 5, 5], 0) == ((150, 185, 81), 0)
+    assert _three_terms([2, 3, 5, 5], 1) == _three_terms([3, 4, 6, 6], 0)
+    # a constant that the shift makes 0 is a factor u, counted apart
     assert _three_terms([0, 1], 0) == ((1, 1, 0), 1)
-    assert _slide((1, 1, 0), [0], [2], 0) == (2, 3, 1)  # (1 + u)(2 + u)
-    # (-1 + u)(2 + u) divides by a negative constant exactly, and the
-    # incoming 0 of RisingBlock(-1, 1, 1) is counted apart
     assert _three_terms([-1, 2], 0) == ((-2, 1, 1), 0)
     assert _three_terms([0, 3], 0) == ((3, 1, 0), 1)
-    assert _three_terms([-1, 2], 1) == ((3, 1, 0), 1)  # the shift makes the zero
-    assert _slide((-2, 1, 1), [-1, 2], [0, 3], 0) == (3, 1, 0)  # 1 times (3 + u)
-    with pytest.raises(InternalCheckError, match="order 0"):
-        # 3 / (-2 + u): divmod floors 3 / -2 to -2 and leaves a remainder
-        _slide((3, 1, 0), [-2], [-1], 0)
+    assert _three_terms([-1, 2], 1) == ((3, 1, 0), 1)
 
 
 def rebuilt_series(f, k):
@@ -694,33 +665,54 @@ def rebuilt_series(f, k):
 
 @st.composite
 def walk_functions(draw):
-    """Numerator blocks with negative and zero constants on the walk
-    (zeros that arrive and leave), powers up to 3, denominator blocks with
-    every pole at t <= 0 and any prefactor but the zero one."""
-    def blocks(low):
+    """(f, digits) for the walk: triple numerator zeros at t = 1..lead, then
+    zeros of order 1 or 2 or the prefactor's root further on (where the
+    walk takes the exact route and re-seeds past it), other numerator
+    blocks with negative and zero constants, powers up to 3, denominator
+    blocks with every pole at t <= 0, a prefactor with c1 = 0 or not, a
+    nonzero scalar of either sign and 10 to 1,000 digits."""
+    def blocks(low, least, most):
         return st.lists(
             st.builds(RisingBlock, st.integers(low, 6), st.integers(1, 5), st.integers(1, 3)),
-            min_size=1, max_size=4,
+            min_size=least, max_size=most,
         )
-    prefactor = draw(st.tuples(st.integers(-6, 6), st.integers(-2, 2)).filter(any))
-    return FactoredRationalFunction(prefactor, tuple(draw(blocks(-12))),
-                                    tuple(draw(blocks(0))))
+    lead = draw(st.integers(0, 4))
+    numerator = [RisingBlock(-lead, lead, 3)] if lead else []
+    for _ in range(draw(st.integers(0, 2))):
+        numerator.append(RisingBlock(-draw(st.integers(lead + 1, lead + 12)), 1,
+                                     draw(st.integers(1, 2))))
+    numerator += draw(blocks(-12, 0, 2))
+    c1 = draw(st.integers(-2, 2))
+    if c1 and draw(st.booleans()):
+        c0 = -c1 * draw(st.integers(lead + 1, lead + 12))
+    else:
+        c0 = draw(st.integers(-6, 6).filter(lambda c: c or c1))
+    scalar = draw(st.fractions(min_value=-10, max_value=10, max_denominator=20).filter(bool))
+    f = FactoredRationalFunction((c0, c1), tuple(numerator), tuple(draw(blocks(0, 1, 4))), scalar)
+    return f, draw(st.integers(10, 1000))
 
 
 @settings(max_examples=80, deadline=None)
 @given(walk_functions())
-@example(FactoredRationalFunction(
+@example((FactoredRationalFunction(
     (1, 1), (RisingBlock(-3, 3, 2), RisingBlock(-2, 1, 3)), (RisingBlock(0, 2, 1),)
-))
-def test_walk_matches_rebuilt_series(f):
-    # every k from 1 past every numerator zero: the slid series equal
-    # _three_terms rebuilt from scratch at that k, except the leading run
-    # where the numerator vanishes to order 3 or more (p = 0 there)
-    walk = list(islice(_second_derivative_at(f), 24))
-    rebuilt = [rebuilt_series(f, k) for k in range(1, 25)]
-    skipped = next(k for k, (p, _) in enumerate(rebuilt) if p != (0, 0, 0))
-    assert walk[:skipped] == [((0, 0, 0), (1, 0, 0))] * skipped
-    assert walk[skipped:] == rebuilt[skipped:]
+), 200))
+# c1 = 0, a negative scalar, a triple zero run, then zeros of order 1 and 2
+@example((FactoredRationalFunction(
+    (3, 0), (RisingBlock(-2, 2, 3), RisingBlock(-5, 1, 1), RisingBlock(-7, 1, 2)),
+    (RisingBlock(1, 4, 2),), Fraction(-5, 3)
+), 1000))
+# the prefactor's root at t = 6, past a triple zero at t = 1
+@example((FactoredRationalFunction(
+    (-12, 2), (RisingBlock(-1, 1, 3),), (RisingBlock(0, 3, 3),), Fraction(7, 2)
+), 10))
+def test_walk_matches_rebuilt_series(case):
+    # each of the first 24 terms is _div_nearest(a 10^work, b) of the [u^2]
+    # rational on the series rebuilt at that k, whatever route it took
+    f, digits = case
+    work = digits + GUARD_DIGITS + 5
+    want = [_div_nearest(a * 10**work, b) for a, b in full_walk_terms(f, 24)]
+    assert list(islice(_second_derivative_terms(f, work), 24)) == want
 
 
 def test_partial_fractions_rejects_improper():
@@ -1107,16 +1099,16 @@ def test_direct_sum_matches_per_pole_oracle(pipeline1, pipeline2, monkeypatch):
     # decay and hump derived from f are 78n + 11 and 4 x 35n = 140n
     import zetaforms.forms as forms
 
-    terms = forms._second_derivative_at
+    terms = forms._second_derivative_terms
     used = []
 
-    def counted(f):
+    def counted(f, work):
         used.append(0)
-        for term in terms(f):
+        for term in terms(f, work):
             used[-1] += 1
             yield term
 
-    monkeypatch.setattr(forms, "_second_derivative_at", counted)
+    monkeypatch.setattr(forms, "_second_derivative_terms", counted)
     cases = [(pipe.n, pipe.factored, pipe.differentiated) for pipe in (pipeline1, pipeline2)]
     f3 = build_zudilin(3)
     cases.append((3, f3, second_derivative(partial_fractions(f3))))
@@ -1133,14 +1125,14 @@ def test_direct_sum_cutoff_follows_the_decay(monkeypatch):
     # 6.6 million terms
     import zetaforms.forms as forms
 
-    terms = forms._second_derivative_at
+    terms = forms._second_derivative_terms
 
-    def capped(f):
-        for k, term in enumerate(terms(f), 1):
+    def capped(f, work):
+        for k, term in enumerate(terms(f, work), 1):
             assert k <= 10**5, "direct_sum walked past 10^5 terms"
             yield term
 
-    monkeypatch.setattr(forms, "_second_derivative_at", capped)
+    monkeypatch.setattr(forms, "_second_derivative_terms", capped)
     f = FactoredRationalFunction((1, 0), (), (RisingBlock(1, 2, 1),))
     assert direct_sum(f, 10).to_decimal() == "0.2500000000"
 
@@ -1165,40 +1157,60 @@ def second_derivative_value(f, p, d):
     return 2 * f.scalar * c2
 
 
-def test_second_derivative_skips_only_exact_zeros():
-    # the leading k where the numerator vanishes to order >= 3 come out as
-    # p = 0, d = 1 without a slide: 27n of them for Zudilin's forms,
-    # and 2 for t (t-1)^3 (t-2)^3 (t-3)^2 over (t+1)_5^3, whose order drops
-    # to 2 at t = 3, and for (1 - t) (t-1)^2 (t-2)^3, where the prefactor's
-    # root makes the third zero at t = 1; past them come the series rebuilt
-    # at each k
-    cases = [(build_zudilin(n), 27 * n) for n in (1, 2, 3)]
+def routed_to_exact(monkeypatch):
+    """The k of every term _second_derivative_terms forms from the exact
+    rational, appended as they come."""
+    import zetaforms.forms as forms
+
+    exact, routed = forms._exact_term, []
+
+    def recording(f, k, *args):
+        routed.append(k)
+        return exact(f, k, *args)
+
+    monkeypatch.setattr(forms, "_exact_term", recording)
+    return routed
+
+
+def test_second_derivative_skips_only_exact_zeros(monkeypatch):
+    # the k where the numerator vanishes to order >= 3 come out as 0 with
+    # no exact route: 27n of them for Zudilin's forms, and 2 for t (t-1)^3
+    # (t-2)^3 (t-3)^2 over (t+1)_5^3, whose order drops to 2 at t = 3 (the
+    # exact route there), and for (1 - t) (t-1)^2 (t-2)^3, where the
+    # prefactor's root makes the third zero at t = 1; every term is the
+    # oracle's from the series rebuilt at each k
+    routed = routed_to_exact(monkeypatch)
+    cases = [(build_zudilin(n), 27 * n, []) for n in (1, 2, 3)]
     cases.append((FactoredRationalFunction(
         (0, 1), (RisingBlock(-3, 3, 2), RisingBlock(-2, 2, 1)), (RisingBlock(1, 5, 3),)
-    ), 2))
+    ), 2, [3]))
     cases.append((FactoredRationalFunction(
         (1, -1), (RisingBlock(-1, 1, 2), RisingBlock(-2, 1, 3)), (RisingBlock(1, 5, 3),)
-    ), 2))
-    for f, skipped in cases:
+    ), 2, []))
+    for f, skipped, exact in cases:
+        routed.clear()
         count = skipped + 30
         full = full_walk_terms(f, count)
-        walk = [rebuilt_series(f, k) for k in range(1, count + 1)]
-        series = list(islice(_second_derivative_at(f), count))
-        assert series[:skipped] == [((0, 0, 0), (1, 0, 0))] * skipped
+        terms = list(islice(_second_derivative_terms(f, 30), count))
         assert all(a == 0 for a, _ in full[:skipped])
-        assert series[skipped:] == walk[skipped:]
+        assert terms == [_div_nearest(a * 10**30, b) for a, b in full]
         assert full[skipped][0] != 0
+        assert routed == exact
 
 
 def test_second_derivative_terms_exact_zudilin(pipeline1, pipeline2):
+    # the oracle's series and the walk's 200-digit terms against the
+    # twice-differentiated partial fractions, evaluated exactly
+    work = 200 + GUARD_DIGITS + 5
     for pipe in (pipeline1, pipeline2):
         n, f = pipe.n, pipe.factored
-        terms = [second_derivative_value(f, p, d) for p, d in islice(
-            _second_derivative_at(f), 140 * n
-        )]
+        terms = list(islice(_second_derivative_terms(f, work), 140 * n))
         assert terms[: 27 * n] == [0] * (27 * n)  # triple zeros at t = 1..27n
         for k in (1, 27 * n, 27 * n + 1, 35 * n, 140 * n):
-            assert terms[k - 1] == pipe.differentiated.evaluate(k), (n, k)
+            value = pipe.differentiated.evaluate(k)
+            assert second_derivative_value(f, *rebuilt_series(f, k)) == value, (n, k)
+            value *= 10**work
+            assert terms[k - 1] == _div_nearest(value.numerator, value.denominator), (n, k)
         assert terms[27 * n] != 0
 
 
@@ -1209,147 +1221,123 @@ def test_second_derivative_terms_exact(f):
     # scaled by 1 or 10^30, is rounded to the nearest integer of its value
     assume(f.is_proper)
     d = second_derivative(partial_fractions(f))
-    terms = islice(_second_derivative_at(f), 10)
-    sn, sd = f.scalar.numerator, f.scalar.denominator
-    for k, (p, den) in enumerate(terms, 1):
-        value = second_derivative_value(f, p, den)
-        assert value == d.evaluate(k), k
-        for scale in (1, 10**30):
-            want = value * scale
-            assert _rounded_term(p, den, 2 * sn * scale, sd) == _div_nearest(
-                want.numerator, want.denominator
-            ), (k, scale)
+    for k in range(1, 11):
+        assert second_derivative_value(f, *rebuilt_series(f, k)) == d.evaluate(k), k
+    for work in (0, 30):
+        terms = islice(_second_derivative_terms(f, work), 10)
+        for k, term in enumerate(terms, 1):
+            want = d.evaluate(k) * 10**work
+            assert term == _div_nearest(want.numerator, want.denominator), (k, work)
 
 
 def recorded_terms(monkeypatch, f, digits):
-    """direct_sum(f, digits) with every term and every exact fallback
-    recorded: (value, terms, fallbacks)."""
+    """direct_sum(f, digits) with every term and the k of every exact one
+    recorded: (value, terms, routed)."""
     import zetaforms.forms as forms
 
-    rounded, exact = forms._rounded_term, forms._exact_term
-    terms, fallbacks = [], []
+    walk, terms = forms._second_derivative_terms, []
 
-    def recording(*args):
-        terms.append(rounded(*args))
-        return terms[-1]
+    def recording(f, work):
+        for term in walk(f, work):
+            terms.append(term)
+            yield term
 
-    def fallback(*args):
-        fallbacks.append(exact(*args))
-        return fallbacks[-1]
-
-    monkeypatch.setattr(forms, "_rounded_term", recording)
-    monkeypatch.setattr(forms, "_exact_term", fallback)
-    return direct_sum(f, digits), terms, fallbacks
+    routed = routed_to_exact(monkeypatch)
+    monkeypatch.setattr(forms, "_second_derivative_terms", recording)
+    return direct_sum(f, digits), terms, routed
 
 
 def test_direct_sum_terms_are_the_nearest_integers(monkeypatch):
     # every term up to the cutoff is _div_nearest(a scale, b) of the exact
-    # [u^2] rational, and the screen decides every one of them: no term of
-    # n = 1..6 at 200 digits, nor of n = 1, 2 at 30, takes the exact fallback
+    # [u^2] rational, and the walk decides every one of them: no term of
+    # n = 1..6 at 200 digits, nor of n = 1, 2 at 30, takes the exact route
     for n, digits in [(n, 200) for n in range(1, 7)] + [(1, 30), (2, 30)]:
         scale = 10 ** (digits + GUARD_DIGITS + 5)
         f = build_zudilin(n)
-        _, terms, fallbacks = recorded_terms(monkeypatch, f, digits)
+        _, terms, routed = recorded_terms(monkeypatch, f, digits)
         want = [_div_nearest(a * scale, b) for a, b in full_walk_terms(f, len(terms))]
         assert terms == want, (n, digits)
-        assert fallbacks == [], (n, digits)
+        assert routed == [], (n, digits)
         monkeypatch.undo()
+    # the first 300 terms of Ball's series at 30 digits: (t - n)_n vanishes
+    # once at t = 1..n, so each of those k takes the exact route, and the
+    # walk seeds again past them
+    routed, work = routed_to_exact(monkeypatch), 30 + GUARD_DIGITS + 5
+    for n in range(1, 7):
+        f = ball_zeta3(n)
+        want = [_div_nearest(a * 10**work, b) for a, b in full_walk_terms(f, 300)]
+        assert list(islice(_second_derivative_terms(f, work), 300)) == want, n
+    assert routed == [k for n in range(1, 7) for k in range(1, n + 1)]
 
 
 def test_screen_decides_the_first_terms_at_1000_digits(monkeypatch):
     # a 1,000-digit direct_sum of n = 1 would pass its 10^7-term budget (at
     # 400 digits it already sums 276,850 terms), so these are the terms it
     # would round at 1,000 digits for the first 2,000 k, the hump and the
-    # start of the tail: each the nearest integer, and all but one decided
-    # by the screen.  The term at k = 1,942 of n = 1 lies 1/2 + 6.0e-6 past
-    # an integer, 0.69 units of 2^-F from the tie, nearer than the three
-    # floors alone can be bounded, so it must take the exact route
-    import zetaforms.forms as forms
-
-    exact, fallbacks = forms._exact_term, []
-    scale = 10 ** (1000 + GUARD_DIGITS + 5)
+    # start of the tail: each the nearest integer, and all decided by the
+    # walk.  The term at k = 1,942 of n = 1 lies 1/2 + 6.0e-6 past an
+    # integer, about 2^-17.3 units from the tie, and the walk's bound stays
+    # below 2^-WALK_GUARD_BITS = 2^-20 units
+    routed, work = routed_to_exact(monkeypatch), 1000 + GUARD_DIGITS + 5
     for n in (1, 2):
         f = build_zudilin(n)
-        num, den = 2 * f.scalar.numerator * scale, f.scalar.denominator
-        terms = []
-        for k, (p, d) in enumerate(islice(_second_derivative_at(f), 2000), 1):
-            monkeypatch.setattr(forms, "_exact_term",
-                                lambda *args: fallbacks.append((n, k)) or exact(*args))
-            terms.append(_rounded_term(p, d, num, den))
-        assert terms == [_div_nearest(a * scale, b) for a, b in full_walk_terms(f, 2000)], n
-    assert fallbacks == [(1, 1942)]
+        want = [_div_nearest(a * 10**work, b) for a, b in full_walk_terms(f, 2000)]
+        assert list(islice(_second_derivative_terms(f, work), 2000)) == want, n
+    assert routed == []
 
 
-@st.composite
-def screened_terms(draw):
-    """(p, d, num, den) across the screen's regimes: num of either sign
-    from 1 to 3,000 bits, d0 from 1 to 3,000 bits, each p_i of either sign
-    from far below d0 2^-F (the tail, where q_i has a few bits) to 2^8
-    d0 (the hump), and d1, d2 of either sign from 2^-40 d0 to 2^40 d0."""
-    bits = draw(st.integers(1, 3000))
-    num = draw(st.integers(2 ** (bits - 1), 2**bits - 1)) * draw(st.sampled_from([1, -1]))
-    d0 = draw(st.integers(1, 2 ** draw(st.integers(1, 3000))))
-    frac = num.bit_length() + 16
+def test_walk_keeps_its_terms_as_r_grows_from_below_a_unit(monkeypatch):
+    # n = 3 at 10^280: 10^work R(k) is about 2^-48 at the walk's seed (k =
+    # 82) and 2^54 at its hump (k = 122), so the walk carries v with more
+    # fractional bits than F0 and shifts them out as R grows; the terms
+    # past the hump are up to 50 bits long, and each of the first 200 is
+    # the oracle's, at the default guard bits and at -8
+    import zetaforms.forms as forms
 
-    def near(low, high):  # d0 2^e of either sign for an e in [low, high]
-        bits = max(d0.bit_length() + draw(st.integers(low, high)), 0)
-        return draw(st.integers(-(2**bits), 2**bits))
-
-    p = tuple(near(-frac - 40, 8) for _ in range(3))
-    d = (d0, near(-40, 40), near(-40, 40))
-    return p, d, num, draw(st.integers(1, 2**70))
-
-
-@settings(max_examples=300, deadline=None)
-@given(screened_terms())
-# 0.58 units of 2^-19 past s + 3 + the two shifted sums, just past a
-# rounding boundary: the screen needs more than 3 units for its floors
-@example(((-86347939, -32628881, 92681621512),
-          (1006024261632, -1552264875385, -239610621150681), 7, 1))
-# q0 (2 e1 f1 + f1^2) near a0 (2 b1 + 1), 23 units past a bound without it
-@example(((-4004623471, -154305, 44845027332865),
-          (1029707923456, -118960929668303, -269907034105), 7, 1))
-def test_rounded_term_is_the_nearest_integer(case):
-    # the screen's answer is _div_nearest of the exact rational
-    # num (d0 (p2 d0 - p1 d1 - p0 d2) + p0 d1^2) / (den d0^3), whichever
-    # way it decides
-    (p0, p1, p2), (d0, d1, d2), num, den = case
-    exact = d0 * (p2 * d0 - p1 * d1 - p0 * d2) + p0 * d1 * d1
-    assert _rounded_term(*case) == _div_nearest(num * exact, den * d0**3)
+    f, work = build_zudilin(3), 280
+    want = [_div_nearest(a * 10**work, b) for a, b in full_walk_terms(f, 200)]
+    assert sum(map(bool, want)) > 100
+    for guard in (forms.WALK_GUARD_BITS, -8):
+        monkeypatch.setattr(forms, "WALK_GUARD_BITS", guard)
+        assert list(islice(_second_derivative_terms(f, work), 200)) == want, guard
 
 
 def test_rounded_term_falls_back_at_an_exact_tie(monkeypatch):
-    # num [u^2] p/d / den = 2 (1/2) / 2 = 1/2 exactly: the screen's interval
-    # straddles the tie, so the exact route rounds it away from zero
-    import zetaforms.forms as forms
+    # scalar / ((t+1)(t+2)) has R''(1) = scalar (2/8 - 2/27) = scalar
+    # 19/108: at scalar +-54/19 and work 0 the first term is +-1/2 exactly,
+    # the walk's interval straddles the tie, and the exact route rounds it
+    # away from zero; at 1/2 + 2^-10 the guard bits decide it
+    routed = routed_to_exact(monkeypatch)
 
-    exact, calls = forms._exact_term, []
-    monkeypatch.setattr(forms, "_exact_term", lambda *args: calls.append(args) or exact(*args))
-    assert _rounded_term((0, 0, 1), (2, 0, 0), 2, 2) == 1
-    assert _rounded_term((0, 0, 1), (2, 0, 0), -2, 2) == -1
-    assert _rounded_term((0, 0, -1), (2, 0, 0), 2, 2) == -1
-    assert len(calls) == 3
-    # 1/2 + 1/2^10 is near the tie, but 16 margin bits decide it
-    assert _rounded_term((0, 0, 2**9 + 1), (2**10, 0, 0), 2, 2) == 1
-    # [u^2] p/d = x2 + x0 y1^2 = 12.5 + 1,700 units of 2^-17, with x0 =
-    # 1023 / 2^17 and y1 = 40 read exactly: g = 12 bits, two past q0's 10,
-    # keep q0's part of the bound near |y1| / 2, so E = 1,666 units decides
-    # it (at g = 10, E would be 1,727)
-    assert _rounded_term((1023 * 2**63, 0, 3300 * 2**63), (2**80, 40 * 2**80, 0), 1, 1) == 13
-    assert len(calls) == 3
+    def first(scalar):
+        f = FactoredRationalFunction((1, 0), (), (RisingBlock(1, 2, 1),), scalar)
+        return next(_second_derivative_terms(f, 0))
+
+    assert first(Fraction(54, 19)) == 1
+    assert first(Fraction(-54, 19)) == -1
+    assert routed == [1, 1]
+    assert first((Fraction(1, 2) + Fraction(1, 2**10)) * Fraction(108, 19)) == 1
+    assert routed == [1, 1]
 
 
-def test_direct_sum_is_exact_when_every_term_falls_back(monkeypatch):
-    # a margin of -20 bits leaves every screen undecided: every term of
-    # n = 1 takes the exact route, and the sum keeps every digit
+def test_direct_sum_is_exact_when_the_guard_bits_run_out(monkeypatch):
+    # with the guard bits lowered to -8 the walk's bound passes them again
+    # and again: n = 1 re-seeds past its first seed and rounds dozens of
+    # terms from the exact rational, yet every term is still the oracle's
+    # and the sum keeps every digit
     import zetaforms.forms as forms
 
     f = build_zudilin(1)
-    screened = direct_sum(f, 200)
-    monkeypatch.setattr(forms, "SCREEN_MARGIN_BITS", -20)
-    value, terms, fallbacks = recorded_terms(monkeypatch, f, 200)
-    assert value.to_decimal() == screened.to_decimal()
-    assert fallbacks == terms and len(terms) > 27
+    walked = direct_sum(f, 200)
+    evaluate, seeds = FactoredRationalFunction.evaluate, []
+    monkeypatch.setattr(FactoredRationalFunction, "evaluate",
+                        lambda self, t: seeds.append(t) or evaluate(self, t))
+    monkeypatch.setattr(forms, "WALK_GUARD_BITS", -8)
+    value, terms, routed = recorded_terms(monkeypatch, f, 200)
+    assert value.to_decimal() == walked.to_decimal()
+    scale = 10 ** (200 + GUARD_DIGITS + 5)
+    assert terms == [_div_nearest(a * scale, b) for a, b in full_walk_terms(f, len(terms))]
+    assert len(seeds) > 2 and len(routed) > 20, (seeds, routed)
 
 
 def test_second_derivative_terms_reject_positive_pole():
@@ -1357,7 +1345,7 @@ def test_second_derivative_terms_reject_positive_pole():
     f = FactoredRationalFunction((1, 0), (), (RisingBlock(-3, 2, 1),))
     message = "pole at positive integer t=3 hits the sum range"
     with pytest.raises(DomainError, match=message):
-        next(_second_derivative_at(f))
+        next(_second_derivative_terms(f, 0))
     with pytest.raises(DomainError, match=message):
         direct_sum(f, 50)
     with pytest.raises(DomainError, match=message):
