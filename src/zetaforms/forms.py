@@ -11,10 +11,10 @@ formed for each pole's scale and for the values that leave the engine,
 ell0 and each ell_s, never per term.
 
 A block list is read as its linear factors t + c, listed once by
-_linear_factors for the pole cover, the zeros at a pole, direct_sum's
-zeros, log-derivative sums and exact terms, and evaluate (P + cQ at t =
-P/Q); partial_fractions and direct_sum's step also read each block whole,
-as an interval of constants or its two ends.
+_linear_factors for the pole cover, the zeros at a pole, evaluate (P + cQ
+at t = P/Q) and all that direct_sum reads: its cutoff, zeros, seeds,
+steps, log-derivative sums and exact terms.  Only partial_fractions'
+sweep also reads each block whole, as an interval of constants.
 
 The two numeric routes share no series code and act as oracles for one
 another: the exact coefficients (partial_fractions, an integer recurrence
@@ -130,11 +130,6 @@ def _linear_factors(blocks: tuple[RisingBlock, ...]) -> list[int]:
     block, each repeated `power` times."""
     return [c for b in blocks for c in range(b.shift, b.shift + b.length)
             for _ in range(b.power)]
-
-
-def _denominator_cover(f: FactoredRationalFunction) -> dict[int, int]:
-    """m -> how many denominator factors vanish at t = -m (with powers)."""
-    return Counter(_linear_factors(f.denominator))
 
 
 class _TermView(Mapping):
@@ -266,7 +261,7 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFractionExpansion:
         raise DomainError("partial fractions of a non-proper function would have a "
                           f"polynomial part (degrees {f.numerator_degree} >= "
                           f"{f.denominator_degree})")
-    cover, zeros = _denominator_cover(f), Counter(_linear_factors(f.numerator))
+    cover, zeros = Counter(_linear_factors(f.denominator)), Counter(_linear_factors(f.numerator))
     tops = {m: mu - zeros[m] for m, mu in sorted(cover.items()) if mu > zeros[m]}
     poles: dict[int, tuple[Fraction, int, tuple[int, ...]]] = {}
     if not tops or not f.scalar:
@@ -529,13 +524,13 @@ def _second_derivative_terms(f: FactoredRationalFunction, work: int) -> Iterator
     G(k) as v = floor(V 2^F) to within ev units, and H1, H2 at W bits as h1
     = s1 + floor(c1 2^W / (c0 + c1 k)), h2 likewise, where s1 and s2 are sums
     of the table entries floor(2^W/x) and floor(2^W/x^2) (_Reciprocals) over
-    the factors' x = k + c.  From k to k + 1 a block (t + shift)_length^power
-    loses x = k + shift and gains k + shift + length, power times, so G(k +
-    1) / G(k) = A/B is a ratio of small integer products over those block
-    ends and the prefactor, v becomes floor(v A / B) and ev |A/B| + 1 bounds
-    its error, and s1, s2 add and drop the same table entries: they stay
-    the exact table sums, each of the e1 - 1 = sum |multiplicity| entries
-    (and the prefactor's floor) off by less than one unit.  So |h1 - 2^W
+    the factors' x = k + c.  With w(c) the multiplicity of t + c (numerator
+    minus denominator), G(k + 1) / G(k) = A/B is the prefactor's ratio times
+    prod (k + c)^(w(c - 1) - w(c)), small integer products over the c where
+    w changes, v becomes floor(v A / B) and ev |A/B| + 1 bounds its error,
+    and s1, s2 add and drop the same table entries: they stay the exact
+    table sums, each of the e1 - 1 = sum |w(c)| entries (and the
+    prefactor's floor) off by less than one unit.  So |h1 - 2^W
     H1| < e1, |h2 - 2^W H2| < e1, and q = floor(h1^2 / 2^W) - h2 is within
     eq = floor(e1 (2 |h1| + e1) / 2^W) + e1 + 2 units of 2^W Q, Q = H1^2 -
     H2.  The product v q is then within E = |v| eq + |q| ev + ev eq units of
@@ -543,7 +538,8 @@ def _second_derivative_terms(f: FactoredRationalFunction, work: int) -> Iterator
     the two agree, so does the exact value between them (Ziv's strategy);
     if not, the term is formed from the exact rational (_exact_term).
 
-    A seed computes V exactly (evaluate at k), with F = max(F0, F0 - log2
+    A seed computes V exactly, as the unreduced integers 10^work scalar
+    times the products of the factors at k, with F = max(F0, F0 - log2
     |V|) and W = F0 + max(log2 |V| + 1, 0), F0 = 2 guard + 2 bitlen(e1) +
     2: |Q| < 2^(2 bitlen(e1) + 1) and eq about 2 e1 |H1|, so
     E starts near 2^-(2 guard) units.  While F exceeds F0 (|V| below 1), v
@@ -553,28 +549,24 @@ def _second_derivative_terms(f: FactoredRationalFunction, work: int) -> Iterator
     or the prefactor vanishes is no step: to order 3 or more R''(k) is
     exactly 0 (no pole sits at a positive integer, checked here), to order
     1 or 2 it is _exact_term, and the walk re-seeds past it."""
-    cover = _denominator_cover(f)
-    if min(cover, default=0) < 0:
-        raise DomainError(f"pole at positive integer t={-min(cover)} hits the sum range")
+    top, bottom = _linear_factors(f.numerator), _linear_factors(f.denominator)
+    if min(bottom, default=0) < 0:
+        raise DomainError(f"pole at positive integer t={-min(bottom)} hits the sum range")
     (c0, c1), scalar = f.prefactor, f.scalar
     if not (scalar and (c0 or c1)):
         yield from itertools.repeat(0)
         return
-    top, bottom = _linear_factors(f.numerator), _linear_factors(f.denominator)
     roots = Counter(-c for c in top)
     if c1 and c0 % c1 == 0:
         roots[-c0 // c1] += 1
     tens = 10**work
     num, den = 2 * scalar.numerator * tens, scalar.denominator
-    steps = Counter()  # c -> w: G(k + 1) / G(k) = prefactor ratio * prod (k + c)^w
-    for blocks, sign in ((f.numerator, 1), (f.denominator, -1)):
-        for b in blocks:
-            steps[b.shift + b.length] += sign * b.power
-            steps[b.shift] -= sign * b.power
+    present = Counter(top)  # c -> w(c)
+    present.subtract(bottom)
+    steps = Counter({c + 1: m for c, m in present.items()})  # c -> w(c - 1) - w(c)
+    steps.subtract(present)
     ups = [c for c, w in steps.items() for _ in range(w)]
     downs = [c for c, w in steps.items() for _ in range(-w)]
-    present = Counter(top)
-    present.subtract(bottom)
     present = [(c, m) for c, m in present.items() if m]
     e1 = sum(abs(m) for _, m in present) + 1
     guard = WALK_GUARD_BITS
@@ -588,8 +580,8 @@ def _second_derivative_terms(f: FactoredRationalFunction, work: int) -> Iterator
         pre, fresh = c0 + c1 * k, v is None
         while True:
             if v is None:
-                value = f.evaluate(k)
-                big, small = value.numerator * tens, value.denominator
+                big = scalar.numerator * tens * pre * math.prod(k + c for c in top)
+                small = scalar.denominator * math.prod(k + c for c in bottom)
                 scale = big.bit_length() - small.bit_length()  # log2 |V|, within 1
                 frac = max(floor_bits, floor_bits - scale)
                 v, ev = (big << frac) // small, 1
@@ -646,7 +638,7 @@ def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     work = digits + GUARD_DIGITS + 5
     guard = 10 ** (work - digits)
     decay = f.denominator_degree - f.numerator_degree + 2
-    k_min = 4 * max(_denominator_cover(f))  # past the hump
+    k_min = 4 * max(_linear_factors(f.denominator))  # past the hump
     acc = 0
     c_run = 0  # max |term| * k^decay, in 10**-work units
     limit = 10**7

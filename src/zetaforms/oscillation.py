@@ -455,18 +455,20 @@ def build_plan_general(
     true; d above D_MAX raises BudgetError.
 
     The search screens each free residue r in floats first, like
-    `verify_plan`: pair i's `_screened_abs_cos` is read at r itself when
-    omega_i has an addend, and otherwise from one table of its d_i values
-    at r mod d_i, since such a pair repeats with period d_i.  Every screened
-    value lies within delta = `_screen_error(d)` of its COS_DIGITS value, so
-    a residue whose COS_DIGITS floor is the maximum V* screens at least
-    V* - delta, and none screens above V* + delta.  The least free residue
-    and those that screen within 2 delta of the best are confirmed at
-    COS_DIGITS in increasing order, which gives the a and epsilon of a loop
-    over every free residue.  As in `verify_plan`, a candidate's floor
-    reads only the pairs that screen within 2 delta of its screened floor:
-    any other pair's COS_DIGITS value exceeds that of the pair screening
-    least.
+    `verify_plan`: pair i's `_screened_abs_cos` is read at r itself, unless
+    omega_i has no addend and its exact pi-multiple has a denominator q_i
+    below d (`CosEvaluator`'s period): then the pair repeats with period
+    q_i, and is read from one table of its q_i values at r mod q_i.  A
+    detected d_i need not be that period (1/3 + 10^-40 is detected as 1/3,
+    but has none below d).  Every screened value lies within delta =
+    `_screen_error(d)` of its COS_DIGITS value, so a residue whose
+    COS_DIGITS floor is the maximum V* screens at least V* - delta, and
+    none screens above V* + delta.  The least free residue and those that
+    screen within 2 delta of the best are confirmed at COS_DIGITS in
+    increasing order, which gives the a and epsilon of a loop over every
+    free residue.  As in `verify_plan`, a candidate's floor reads only the
+    pairs that screen within 2 delta of its screened floor: any other
+    pair's COS_DIGITS value exceeds that of the pair screening least.
 
     Without pi-irrational pairs that is the plan (mode "rational", lambda =
     d).  One pi-irrational pair without
@@ -507,11 +509,11 @@ def build_plan_general(
         # argument past the cosine's MAX_COS_WORK_DIGITS raises there
         best_floor = min(ev.abs_cos(a).scaled for ev in evaluators)
         screens = []
-        for pair, ratio, _ in rational:
-            w, b, q = *_screen_terms(pair), ratio.denominator
-            if pair.omega.addend or q == d:  # nothing repeats to tabulate
+        for pair, _, _ in rational:
+            w, b, q = *_screen_terms(pair), pair.omega.pi_mult.denominator
+            if pair.omega.addend or q >= d:  # nothing repeats within d to tabulate
                 screens.append(lambda r, w=w, b=b: _screened_abs_cos(w, b, r))
-            else:  # period q in r, as in CosEvaluator's memo
+            else:  # exact period q in r, as in CosEvaluator's memo
                 table = [_screened_abs_cos(w, b, k) for k in range(q)]
                 screens.append(lambda r, t=table, q=q: t[r % q])
         # the residues screening within 2 delta of the best, streamed, and

@@ -183,8 +183,11 @@ def zeta_alternating(s_values, digits: int) -> dict[int, FixedReal]:
     recurrence d_k = 6 d_{k-1} - d_{k-2} (values of ((3+sqrt8)^n+(3-sqrt8)^n)/2),
     giving error ~ (3+sqrt8)^(-n); then zeta = eta / (1 - 2^(1-s)).  The
     weights b and c are integers, so each sum is kept as a 10**work scaled
-    integer (one rounding per term, below 10**(-work) after the division
-    by d) and rounded once more at the end.
+    integer and rounded once at the end.  Its terms are floored, by the
+    head's identity floor(floor(a / b) / c) = floor(a / (b c)): one quotient
+    c 10**work // (k+1)^s per k, divided by (k+1)^(s' - s) for the next s'.
+    Each floor is off by under one unit, so a sum by under n units, and by
+    under n / d units of 10**(-work) after the division by d.
     """
     s_values = _check_arguments(s_values, digits)
     work = digits + GUARD_DIGITS + 5
@@ -196,11 +199,13 @@ def zeta_alternating(s_values, digits: int) -> dict[int, FixedReal]:
         d_prev, d = d, 6 * d - d_prev
     b, c = -1, -d
     acc = dict.fromkeys(s_values, 0)
+    steps = [(s, s - previous) for previous, s in zip([0, *s_values], s_values)]
     for k in range(n):
         c = b - c
-        scaled_c = c * scale
-        for s in s_values:
-            acc[s] += _div_nearest(scaled_c, (k + 1) ** s)
+        quotient = c * scale
+        for s, step in steps:
+            quotient //= (k + 1) ** step  # = c * scale // (k + 1)**s
+            acc[s] += quotient
         b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))  # exact
     # zeta = (acc / d) / (1 - 2^(1-s)), in units of 10**(-digits)
     out = {}

@@ -1,8 +1,9 @@
 """The linear factors t + c of a factored function's rising blocks are
 expanded in one place, `forms._linear_factors`: no other function in
 src/zetaforms calls `range` on a block's `.length`.  Every other reader
-(the pole cover, the exact evaluation, the zeros, sums and exact terms
-of the second derivative's walk) takes its constants from that list."""
+(the pole cover, the exact evaluation, and the cutoff, zeros, seeds,
+steps, sums and exact terms of direct_sum's walk) takes its constants
+from that list."""
 
 import ast
 from pathlib import Path

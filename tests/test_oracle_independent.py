@@ -2,7 +2,10 @@
 route it checks: nothing that `forms.direct_sum` reaches by name, following
 the module-level functions and classes of forms.py (a class with all its
 methods), names `partial_fractions`, `PartialFractionExpansion`,
-`sum_over_k` or `ZetaTable`."""
+`sum_over_k`, `ZetaTable` or `evaluate`.  `evaluate` is on the list because
+`reconstruction_check` trusts `FactoredRationalFunction.evaluate` to check
+the expansion: an oracle that read R(k) through it would share that
+evaluator with the side it checks, so the walk reads the factor list."""
 
 import ast
 from pathlib import Path
@@ -10,7 +13,8 @@ from pathlib import Path
 import zetaforms
 
 FORMS = Path(zetaforms.__file__).parent / "forms.py"
-EXACT_ROUTE = {"partial_fractions", "PartialFractionExpansion", "sum_over_k", "ZetaTable"}
+EXACT_ROUTE = {"partial_fractions", "PartialFractionExpansion", "sum_over_k", "ZetaTable",
+               "evaluate"}
 
 
 def _names(node: ast.AST) -> set[str]:

@@ -247,11 +247,13 @@ def test_plan_classifies_each_pair_once(monkeypatch):
 
 
 def residue_oracle(pairs):
-    """(a, epsilon) by brute force over every a in 1..d, d the lcm of the
-    pi_mult denominators: the smallest a whose least |cos(a omega_i +
-    phi_i)|, each an exact Fraction from cos_pi_argument, is largest.  None
-    when that floor is below 10^-30, i.e. every class is excluded."""
-    d = math.lcm(*(p.omega.pi_mult.denominator for p in pairs))
+    """(a, epsilon) by brute force over every a in 1..d, d the plan's
+    modulus, the lcm of the denominators detect_pi_rational gives (a
+    pi_mult within 10^-30 of a fraction counts as that fraction): the
+    smallest a whose least |cos(a omega_i + phi_i)|, each an exact Fraction
+    from cos_pi_argument, is largest.  None when that floor is below
+    10^-30, i.e. every class is excluded."""
+    d = math.lcm(*(detect_pi_rational(p.omega).denominator for p in pairs))
 
     def floor(a):
         return min(
@@ -291,6 +293,10 @@ def residue_cases():
         # which the screen may order the other way round
         [("2/11*pi", "74/33"), ("-2/11*pi", "-74/33+1e-40")],
         [("1/3*pi", "27/29"), ("-1/3*pi", "-27/29+1e-40")],
+        # detected as 1/3 but with no period 3: the pair is screened at each
+        # residue of d = 15, not from a table of 3
+        [("1/3*pi+1e-40*pi", "1/7"), ("1/5*pi", "1/4*pi+1/9")],
+        [("1/3*pi-1e-40*pi", "1/7"), ("1/5*pi", "1/4*pi+1/9")],
     ]
     rng = random.Random(20261018)
     phases = ["0", "1/4*pi", "1/6*pi", "1/2*pi", "-1/3*pi", "2/7", "1/2*pi+1e-40"]
