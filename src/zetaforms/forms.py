@@ -629,7 +629,7 @@ def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     past the hump, k >= 4 x the largest pole, times a 10^4 safety factor.
 
     At 200 digits, for Zudilin's forms (2 vCPUs, Python 3.11, in process,
-    best of 5): n = 1 (1,459 terms) takes 0.021 s, n = 2 0.004 s, n = 3
+    best of 5): n = 1 (1,459 terms) takes 0.015 s, n = 2 0.004 s, n = 3
     0.006 s and n = 6 0.011 s; n = 13 0.026 s and n = 25 0.046 s (best of
     3).  No term of n = 1..6 needs the exact route.
     """
@@ -640,14 +640,28 @@ def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     decay = f.denominator_degree - f.numerator_degree + 2
     k_min = 4 * max(_linear_factors(f.denominator))  # past the hump
     acc = 0
-    c_run = 0  # max |term| * k^decay, in 10**-work units
+    # c_run = max |term| k^decay (10**-work units) is kept as the pair
+    # top = (|term|, k) that attains it and its log2 top_log; the walk stops
+    # once 2 c_run 10^4 < stop k^(decay-1).  Comparisons use the log2s, off
+    # by far under 1e-6, and the exact integers only where two log2s lie
+    # within 1e-6 of each other
+    top, top_log = (0, 1), -math.inf
+    stop = (decay - 1) * guard
+    stop_log = math.log2(stop) - math.log2(2 * 10**4)
     limit = 10**7
     for k, term in zip(range(1, limit + 1), _second_derivative_terms(f, work)):
         acc += term
-        if term or k >= k_min:  # a zero term before k_min leaves c_run as it is
-            power = k ** (decay - 1)
-            c_run = max(c_run, abs(term) * power * k)
-            if k >= k_min and 2 * c_run * 10**4 < (decay - 1) * power * guard:
+        if term:
+            term_log = math.log2(abs(term)) + decay * math.log2(k)
+            if term_log > top_log + 1e-6 or (
+                term_log > top_log - 1e-6
+                and abs(term) * k**decay > top[0] * top[1] ** decay
+            ):
+                top, top_log = (abs(term), k), term_log
+        if k >= k_min:
+            gap = stop_log + (decay - 1) * math.log2(k) - top_log
+            if gap > 1e-6 or (gap > -1e-6 and 2 * 10**4 * top[0] * top[1] ** decay
+                              < stop * k ** (decay - 1)):
                 break
     else:
         raise BudgetError(f"direct sum cutoff budget exceeded at k={limit}")

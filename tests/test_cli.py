@@ -742,6 +742,16 @@ def test_form_default_digits_byte_identical(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
 
 
+def test_form_at_4000_digits_byte_identical(capsys):
+    # the zeta table's integers at a precision far past the benchmark's,
+    # pinned from the Euler-Maclaurin table that preceded the Lambert route
+    code, out = run(capsys, "form", "--n", "1", "--digits", "4000")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ef7b9b3d55846c68ddf0bd4fea80cc7b313e2bc13e58903c9acb3b143d01a6ea"
+    )
+
+
 @pytest.mark.parametrize("key", [
     "cli subseq --omega 1/2*e --phi 1/3 --count 2000",
     "cli subseq --omega 4/5*pi --phi 2/5 --omega 2/3*e --phi 3/7 --count 2000",

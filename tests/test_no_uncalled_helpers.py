@@ -27,8 +27,10 @@ OUTSIDE_CALLERS = {
     "zudilin_linear_form": ("bench/child.py", "calls it for the exact_ladder workload"),
     "hypothesis_multi": ("bench/tracer.py", "wraps it as the oscillation.hypothesis span"),
     "harmonic_power_sum": ("bench/tracer.py", "wraps it as the exact.harmonic_power_sum span"),
-    "bernoulli": ("bench/tracer.py", "wraps it for the zeta.bernoulli counters; the "
-                  "tail reads tangent numbers, and bernoulli stays public as their view"),
+    "zeta_euler_maclaurin": ("bench/tracer.py", "wraps it as the zeta.em span; the "
+                             "tests' oracle of the table's integers"),
+    "power_tail_scaled": ("bench/tracer.py", "wraps it for the zeta.power_tail counters; "
+                          "the tail of the Euler-Maclaurin oracle"),
     "terms": ("bench/tracer.py", "counts forms.pf_terms and forms.poles from it; the "
               "engine reads the per-pole integers, and terms stays public as their view"),
 }

@@ -5,7 +5,11 @@ methods), names `partial_fractions`, `PartialFractionExpansion`,
 `sum_over_k`, `ZetaTable` or `evaluate`.  `evaluate` is on the list because
 `reconstruction_check` trusts `FactoredRationalFunction.evaluate` to check
 the expansion: an oracle that read R(k) through it would share that
-evaluator with the side it checks, so the walk reads the factor list."""
+evaluator with the side it checks, so the walk reads the factor list.
+
+Likewise in zeta.py, ZetaTable's two routes: nothing `zeta_alternating`
+reaches names `pi_scaled`, `bernoulli`, `tangent_number` or `zeta_lambert`,
+and nothing `zeta_lambert` reaches names `zeta_alternating`."""
 
 import ast
 from pathlib import Path
@@ -15,6 +19,8 @@ import zetaforms
 FORMS = Path(zetaforms.__file__).parent / "forms.py"
 EXACT_ROUTE = {"partial_fractions", "PartialFractionExpansion", "sum_over_k", "ZetaTable",
                "evaluate"}
+ZETA = Path(zetaforms.__file__).parent / "zeta.py"
+LAMBERT_ROUTE = {"pi_scaled", "bernoulli", "tangent_number", "zeta_lambert"}
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -52,3 +58,27 @@ def test_route_sees_a_shared_name():
         "def _seed(f):\n    return partial_fractions(f)\n"
     )
     assert _route(tree, "direct_sum")["_seed"] & EXACT_ROUTE == {"partial_fractions"}
+
+
+def _shared(route: dict[str, set[str]], banned: set[str]) -> dict[str, list[str]]:
+    return {name: sorted(names & banned) for name, names in route.items() if names & banned}
+
+
+def test_zeta_routes_share_nothing():
+    tree = ast.parse(ZETA.read_text(encoding="utf-8"))
+    alternating = _route(tree, "zeta_alternating")
+    assert _shared(alternating, LAMBERT_ROUTE) == {}, (
+        "zeta_alternating's route reads the Lambert route: "
+        + repr(_shared(alternating, LAMBERT_ROUTE)))
+    lambert = _route(tree, "zeta_lambert")
+    assert {"_lambert_scaled", "_exp_neg", "bernoulli", "tangent_number"} <= lambert.keys()
+    assert _shared(lambert, {"zeta_alternating"}) == {}
+
+
+def test_zeta_route_sees_a_shared_name():
+    tree = ast.parse(
+        "def zeta_alternating(s, d):\n    return _weights(s, d)\n"
+        "def _weights(s, d):\n    return pi_scaled(d)\n"
+    )
+    assert _shared(_route(tree, "zeta_alternating"), LAMBERT_ROUTE) == {
+        "_weights": ["pi_scaled"]}

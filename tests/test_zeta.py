@@ -19,6 +19,7 @@ from zetaforms.zeta import (
     power_tail_scaled,
     zeta_alternating,
     zeta_euler_maclaurin,
+    zeta_lambert,
 )
 
 # zeta(2m) = pi^(2m) * coefficient; textbook values
@@ -131,7 +132,7 @@ def test_any_access_order_gives_the_oracle_values(steps, descending):
 def test_both_routes_match_mpmath(s, digits):
     with mp.workdps(digits + 20):
         want = Fraction(mp.nstr(mp.zeta(s), digits + 15, strip_zeros=False))
-    for route in (zeta_euler_maclaurin, zeta_alternating):
+    for route in (zeta_lambert, zeta_euler_maclaurin, zeta_alternating):
         got = route([s], digits)[s].to_fraction()
         assert abs(got - want) < Fraction(1, 10 ** (digits - 7)), route.__name__
 
@@ -255,7 +256,7 @@ def test_table_tail_converges_first_try(monkeypatch):
     tails, requests = [], []
     count_calls(monkeypatch, "power_tail_scaled", tails)
     count_calls(monkeypatch, "tangent_number", requests)
-    ZetaTable((5, 7, 9, 11), 657)
+    zeta_euler_maclaurin((5, 7, 9, 11), 657)
     assert [s for _, s, _ in tails] == [5, 7, 9, 11]
     deepest = max(k for k, in requests)
     assert 2 * deepest <= 400  # the Bernoulli index 2j
@@ -263,7 +264,7 @@ def test_table_tail_converges_first_try(monkeypatch):
     # a second table at a higher precision computes only the new indices
     computed.clear()
     requests.clear()
-    ZetaTable((5, 7, 9, 11), 1000)
+    zeta_euler_maclaurin((5, 7, 9, 11), 1000)
     deeper = max(k for k, in requests)
     assert deeper > deepest
     assert computed == list(range(deepest + 1, deeper + 1))
@@ -284,7 +285,7 @@ def test_a_failing_tail_leaves_the_table(monkeypatch):
 
     monkeypatch.setattr(zeta, "power_tail_scaled", failing_last)
     with pytest.raises(BudgetError, match="forced"):
-        ZetaTable((5, 7, 9, 11), digits)
+        zeta_euler_maclaurin((5, 7, 9, 11), digits)
     assert calls == [(cutoff, s) for s in (5, 7, 9, 11)]
 
 
@@ -309,7 +310,7 @@ def test_power_tail_builds_each_term_once(monkeypatch):
         assert requests == [(k,) for k in range(1, len(requests) + 1)], (s, work)
 
 
-@pytest.mark.parametrize("route", ["zeta_euler_maclaurin", "zeta_alternating"])
+@pytest.mark.parametrize("route", ["zeta_lambert", "zeta_alternating"])
 @pytest.mark.parametrize("shift, fails", [(10**ZetaTable.VERIFY_MARGIN, False), (10**6, True)])
 def test_table_refuses_routes_that_disagree(monkeypatch, route, shift, fails):
     # one route's zeta(7) moved by `shift` units of the last digit
@@ -399,3 +400,76 @@ def test_alternating_handles_s2():
     got = zeta_alternating([2], 60)[2].to_fraction()
     want = zeta_euler_maclaurin([2], 60)[2].to_fraction()
     assert abs(got - want) < Fraction(1, 10**55)
+
+
+# the Lambert route against the Euler-Maclaurin oracle: the same integers
+
+@pytest.mark.parametrize(
+    "digits", [10, 11, 12, 17, 30, 45, 60, 99, 200, 404, 657, 1000, 1301, 1671, 1700]
+)
+def test_lambert_integers_equal_the_euler_maclaurin_oracle(digits):
+    s_values = range(2, 13)
+    assert zeta_lambert(s_values, digits) == zeta_euler_maclaurin(s_values, digits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 16), st.integers(10, 700))
+@example(2, 10)
+@example(16, 700)
+@example(5, 404)
+def test_both_routes_give_the_oracle_integers(s, digits):
+    want = zeta_euler_maclaurin([s], digits)[s]
+    assert zeta_lambert([s], digits)[s] == want
+    assert zeta_alternating([s], digits)[s] == want
+
+
+@pytest.mark.parametrize("work", [36, 100, 301, 1000, 3000])
+def test_lambert_values_lie_within_their_bound(work):
+    # _lambert_scaled's docstring: zeta(s) * 2**work within 2 s + 8 (M + 2)^2
+    # units, for even s and both odd lines
+    values, cutoff = zeta._lambert_scaled(range(2, 18), work)
+    assert cutoff == work // 9 + 1
+    with mp.workprec(work + 100):
+        for s, value in values.items():
+            error = abs(value - mp.zeta(s) * mp.mpf(2) ** work)
+            assert error <= 2 * s + 8 * (cutoff + 2) ** 2, s
+
+
+@pytest.mark.parametrize("bits", [30, 64, 200, 2000])
+def test_exp_neg_within_its_bound(bits):
+    # the pi multiples the Lambert route and its neighbours would feed in,
+    # and the ends of the domain; the argument is exact here
+    with mp.workprec(bits + 100):
+        for x in (0, 1, 2**bits // 3, int(2 * mp.pi * 2**bits), 8 * 2**bits - 1):
+            want = mp.exp(-mp.mpf(x) / 2**bits) * 2**bits
+            got = zeta._exp_neg(x, bits)
+            assert abs(got - want) < 1.2, x
+
+
+def test_a_narrow_guard_retries_to_the_same_integers(monkeypatch):
+    # a one-bit guard leaves every value undecided at first: the route
+    # doubles the guard, recomputes only what is left, and ends with the
+    # oracle's integers
+    monkeypatch.setattr(zeta, "LAMBERT_GUARD_BITS", 1)
+    calls = []
+    count_calls(monkeypatch, "_lambert_scaled", calls)
+    for digits in (10, 60, 404):
+        calls.clear()
+        s_values = range(2, 13)
+        assert zeta_lambert(s_values, digits) == zeta_euler_maclaurin(s_values, digits)
+        assert len(calls) > 1, digits
+        assert list(calls[0][0]) == list(s_values)
+        works = [work for _, work in calls]
+        bits = (10**digits).bit_length()
+        assert works == [bits + 2**i for i in range(len(calls))], digits
+        for (earlier, _), (later, _) in zip(calls, calls[1:]):
+            assert set(later) <= set(earlier)
+
+
+def test_an_undecided_value_ends_the_route(monkeypatch):
+    monkeypatch.setattr(zeta, "LAMBERT_GUARD_BITS", 1)
+    monkeypatch.setattr(zeta, "LAMBERT_TRIES", 1)
+    with pytest.raises(InternalCheckError, match="undecided after 1 tries at 60 digits"):
+        zeta_lambert((5, 7), 60)
+    with pytest.raises(InternalCheckError, match="undecided"):
+        ZetaTable((5, 7), 60)
