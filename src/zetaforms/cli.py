@@ -15,6 +15,11 @@ assertion.  All output is UTF-8, line-feed terminated; JSON field order is
 fixed and every number that may exceed double precision is a decimal
 string, so identical inputs produce byte-identical output.  The library's
 records carry exact values only: each command builds its JSON view here.
+
+Each command imports the layers it runs (form: forms and zeta, and
+criterion for one constant; subseq and density: oscillation; criterion:
+criterion, and oscillation for angle pairs), so a run loads no layer it
+does not use.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .criterion import ZUDILIN_COEFF_BITS, GrowthData, oscillating_report, zudilin_constants
 from .errors import (
     BudgetError,
     DomainError,
@@ -35,30 +39,6 @@ from .errors import (
 )
 from .exact import decimal_str, fraction_str, log10_fraction
 from .fixedpoint import decimal_to_fraction
-from .forms import (
-    check_form_budget,
-    common_denominator,
-    direct_sum,
-    evaluate_numeric,
-    reconstruction_check,
-    reflection_check,
-    required_digits,
-    zudilin_pipeline,
-    DEFAULT_MAX_N,
-    ZUDILIN_ZETA_ARGUMENTS,
-)
-from .oscillation import (
-    Angle,
-    AnglePair,
-    RelationData,
-    build_plan_general,
-    check_psi_count,
-    enumerate_psi,
-    kw_density,
-    parse_angle,
-    verify_plan,
-)
-from .zeta import ZetaTable
 
 SCHEMA_VERSION = 1
 
@@ -109,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_form.add_argument("--n", type=_positive_int, required=True)
     p_form.add_argument("--digits", type=_digits_arg, default=None,
                         help="zeta-table precision (default: the per-n budget rule)")
-    p_form.add_argument("--max-n", type=_positive_int, default=DEFAULT_MAX_N)
+    p_form.add_argument("--max-n", type=_positive_int, default=None)
     _common_output_flags(p_form)
 
     p_sub = sub.add_parser("subseq", help="build and verify a subsequence plan")
@@ -160,7 +140,10 @@ def _common_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write to file instead of stdout")
 
 
-def _parse_pairs(omegas, phis, parser_error) -> tuple[AnglePair, ...]:
+def _parse_pairs(omegas, phis, parser_error) -> tuple:
+    """The (--omega, --phi) pairs as a tuple of oscillation.AnglePair."""
+    from .oscillation import AnglePair, parse_angle
+
     if omegas is None or phis is None or len(omegas) != len(phis):
         parser_error("each --omega needs a matching --phi")
     try:
@@ -175,9 +158,12 @@ def _is_string_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(t, str) for t in value)
 
 
-def _load_relations(path: Optional[str], parser_error) -> Optional[RelationData]:
+def _load_relations(path: Optional[str], parser_error):
+    """The --relations file as oscillation.RelationData, None without one."""
     if path is None:
         return None
+    from .oscillation import RelationData
+
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -206,8 +192,23 @@ def _load_relations(path: Optional[str], parser_error) -> Optional[RelationData]
 
 
 def cmd_form(args, parser) -> dict:
+    from .criterion import ZUDILIN_COEFF_BITS
+    from .forms import (
+        DEFAULT_MAX_N,
+        ZUDILIN_ZETA_ARGUMENTS,
+        check_form_budget,
+        common_denominator,
+        direct_sum,
+        evaluate_numeric,
+        reconstruction_check,
+        reflection_check,
+        required_digits,
+        zudilin_pipeline,
+    )
+    from .zeta import ZetaTable
+
     n = args.n
-    check_form_budget(n, args.max_n)
+    check_form_budget(n, DEFAULT_MAX_N if args.max_n is None else args.max_n)
     needed = required_digits(n)
     if args.digits is None and needed > MAX_FORM_DIGITS:
         raise BudgetError(f"n={n} needs {needed} digits, above the cap {MAX_FORM_DIGITS}")
@@ -277,6 +278,8 @@ def cmd_form(args, parser) -> dict:
 
 
 def cmd_subseq(args, parser) -> dict:
+    from .oscillation import build_plan_general, check_psi_count, enumerate_psi, verify_plan
+
     pairs = _parse_pairs(args.omega, args.phi, parser.error)
     relations = _load_relations(args.relations, parser.error)
     check_psi_count(args.count)
@@ -322,9 +325,9 @@ def cmd_subseq(args, parser) -> dict:
     }
 
 
-def _angle_text(angle: Angle) -> str:
-    """pi_mult*pi + addend, either part dropped when it is 0 (the addend
-    is kept when both are)."""
+def _angle_text(angle) -> str:
+    """An oscillation.Angle as pi_mult*pi + addend, either part dropped
+    when it is 0 (the addend is kept when both are)."""
     parts = []
     if angle.pi_mult:
         parts.append(f"{angle.pi_mult}*pi")
@@ -334,6 +337,8 @@ def _angle_text(angle: Angle) -> str:
 
 
 def cmd_density(args, parser) -> dict:
+    from .oscillation import kw_density, parse_angle
+
     try:
         theta = [parse_angle(t).value() for t in args.theta.split(",")]
         box = []
@@ -359,6 +364,8 @@ def cmd_density(args, parser) -> dict:
 
 
 def cmd_criterion(args, parser) -> dict:
+    from .criterion import GrowthData, oscillating_report, zudilin_constants
+
     if args.zudilin:
         growth, source = zudilin_constants(), "zudilin"
     elif args.alpha is not None and args.beta is not None:

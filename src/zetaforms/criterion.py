@@ -28,7 +28,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, HypothesisViolation, UndecidableAtPrecision
 from .fixedpoint import SlottedValue
-from .oscillation import AnglePair, build_plan_general
 
 ZUDILIN_C0 = 227.58019641
 ZUDILIN_C1 = 226.24944266
@@ -107,13 +106,12 @@ class CriterionReport(NamedTuple):
     lambda_used: Optional[float]
 
 
-def oscillating_report(
-    g: GrowthData, pairs: Sequence[AnglePair]
-) -> CriterionReport:
-    """End-to-end report: check the oscillation hypothesis, build a
-    subsequence plan (recording its lambda), and emit both bounds.  With
-    no pairs there is nothing to check: no plan is built and lambda_used
-    is None.  A failed hypothesis sets hypothesis_ok False and
+def oscillating_report(g: GrowthData, pairs: Sequence) -> CriterionReport:
+    """End-to-end report: check the oscillation hypothesis for the
+    oscillation.AnglePair values in pairs, build a subsequence plan
+    (recording its lambda), and emit both bounds.  With no pairs there is
+    nothing to check: no plan is built, oscillation is not loaded, and
+    lambda_used is None.  A failed hypothesis sets hypothesis_ok False and
     lambda_used None; the bounds stay, and the CLI masks them.
 
     The bounds are computed from (alpha, beta) directly: the subsequence
@@ -122,6 +120,8 @@ def oscillating_report(
     """
     lambda_used, hypothesis_ok = None, True
     if pairs:
+        from .oscillation import build_plan_general
+
         try:
             lambda_used = float(build_plan_general(pairs).lambda_predicted)
         except (HypothesisViolation, UndecidableAtPrecision):

@@ -230,12 +230,12 @@ def test_density_two_axes_over_the_walk_cap_exit_4_unwalked(capsys, monkeypatch)
 
 
 def test_subseq_count_over_the_cap_exit_4_before_the_plan(capsys, monkeypatch):
-    from zetaforms import cli, oscillation
+    from zetaforms import oscillation
 
     def no_plan(*args, **kwargs):
         raise AssertionError("built a plan past the count budget")
 
-    monkeypatch.setattr(cli, "build_plan_general", no_plan)
+    monkeypatch.setattr(oscillation, "build_plan_general", no_plan)
     code, out = run(capsys, "subseq", "--omega", "sqrt2", "--phi", "0",
                     "--count", str(oscillation.MAX_PSI_COUNT + 1))
     assert code == EXIT_BUDGET
@@ -244,6 +244,7 @@ def test_subseq_count_over_the_cap_exit_4_before_the_plan(capsys, monkeypatch):
         "message": "count 1000001 exceeds the cap of 1000000 psi values",
     }
     # the library's enumeration keeps the same cap
+    monkeypatch.undo()
     plan = oscillation.build_plan_general([oscillation.AnglePair(
         oscillation.parse_angle("1"), oscillation.parse_angle("0"))])
     with pytest.raises(oscillation.BudgetError, match="exceeds the cap"):
@@ -564,12 +565,12 @@ def test_budget_exit(capsys):
 def test_form_digits_cap(capsys, monkeypatch):
     # checked before the pipeline runs: a digit count past the cap, or a
     # 400-digit one whose 10**work could never be built, exits 4 at once
-    import zetaforms.cli as cli
+    import zetaforms.forms as forms
 
     def unreachable(n):
         raise AssertionError("ran the pipeline past the digits cap")
 
-    monkeypatch.setattr(cli, "zudilin_pipeline", unreachable)
+    monkeypatch.setattr(forms, "zudilin_pipeline", unreachable)
     for digits in (str(MAX_FORM_DIGITS + 1), "9" * 400):
         code, out = run(capsys, "form", "--n", "1", "--digits", digits)
         assert code == EXIT_BUDGET
@@ -584,7 +585,8 @@ def test_form_default_digits_fit_under_the_cap(capsys, monkeypatch, pipeline1, n
     # required_digits(n) + 90, or the cap when only the headroom passes it:
     # n = 31 needs 7,919 digits and runs at 8,000.  The pipeline is stubbed
     # with n = 1's and the table build stops the run once the digits are chosen
-    import zetaforms.cli as cli
+    import zetaforms.forms as forms
+    import zetaforms.zeta as zeta
 
     class Chosen(Exception):
         pass
@@ -593,8 +595,8 @@ def test_form_default_digits_fit_under_the_cap(capsys, monkeypatch, pipeline1, n
         raise Chosen(chosen)
 
     stub = (pipeline1.factored, pipeline1.expansion, pipeline1.form)
-    monkeypatch.setattr(cli, "zudilin_pipeline", lambda _: stub)
-    monkeypatch.setattr(cli, "ZetaTable", table)
+    monkeypatch.setattr(forms, "zudilin_pipeline", lambda _: stub)
+    monkeypatch.setattr(zeta, "ZetaTable", table)
     with pytest.raises(Chosen) as chosen:
         run(capsys, "form", "--n", str(n), "--max-n", str(n))
     assert chosen.value.args == (digits,)
@@ -603,12 +605,12 @@ def test_form_default_digits_fit_under_the_cap(capsys, monkeypatch, pipeline1, n
 @pytest.mark.parametrize("n, needed", [(32, 8172), (40, 10200)])
 def test_form_default_digits_past_the_cap_exit_4(capsys, monkeypatch, n, needed):
     # no --digits was given, so the message names the n and what it needs
-    import zetaforms.cli as cli
+    import zetaforms.forms as forms
 
     def unreachable(n):
         raise AssertionError("ran the pipeline past the digits cap")
 
-    monkeypatch.setattr(cli, "zudilin_pipeline", unreachable)
+    monkeypatch.setattr(forms, "zudilin_pipeline", unreachable)
     code, out = run(capsys, "form", "--n", str(n), "--max-n", "40")
     assert code == EXIT_BUDGET
     assert json.loads(out)["error"] == {
@@ -663,10 +665,10 @@ def test_criterion_bounds_past_the_double_range(capsys):
 def test_form_asserts_the_reflection_sign(capsys, monkeypatch):
     # form reports the reflection check, and a sign other than -1 is an
     # internal error
-    import zetaforms.cli as cli
+    import zetaforms.forms as forms
 
     for failing in ({"symmetric": True, "sign": 1}, {"symmetric": False, "sign": None}):
-        monkeypatch.setattr(cli, "reflection_check", lambda p: failing)
+        monkeypatch.setattr(forms, "reflection_check", lambda p: failing)
         code, out = run(capsys, "form", "--n", "1")
         assert code == EXIT_INTERNAL
         assert json.loads(out)["error"] == {
