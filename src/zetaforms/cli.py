@@ -14,12 +14,8 @@ Exit codes: 0 success, 2 usage, 3 domain/hypothesis, 4 budget, 5 internal
 assertion.  All output is UTF-8, line-feed terminated; JSON field order is
 fixed and every number that may exceed double precision is a decimal
 string, so identical inputs produce byte-identical output.  The library's
-records carry exact values only: each command builds its JSON view here.
-
-Each command imports the layers it runs (form: forms and zeta, and
-criterion for one constant; subseq and density: oscillation; criterion:
-criterion, and oscillation for angle pairs), so a run loads no layer it
-does not use.
+records carry exact values only: each command builds its JSON view here,
+and imports the layers it runs when it runs.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .errors import (
@@ -39,6 +35,9 @@ from .errors import (
 )
 from .exact import decimal_str, fraction_str, log10_fraction
 from .fixedpoint import decimal_to_fraction
+
+if TYPE_CHECKING:
+    from .oscillation import Angle, AnglePair, RelationData
 
 SCHEMA_VERSION = 1
 
@@ -140,8 +139,7 @@ def _common_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write to file instead of stdout")
 
 
-def _parse_pairs(omegas, phis, parser_error) -> tuple:
-    """The (--omega, --phi) pairs as a tuple of oscillation.AnglePair."""
+def _parse_pairs(omegas, phis, parser_error) -> tuple[AnglePair, ...]:
     from .oscillation import AnglePair, parse_angle
 
     if omegas is None or phis is None or len(omegas) != len(phis):
@@ -158,8 +156,7 @@ def _is_string_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(t, str) for t in value)
 
 
-def _load_relations(path: Optional[str], parser_error):
-    """The --relations file as oscillation.RelationData, None without one."""
+def _load_relations(path: Optional[str], parser_error) -> Optional[RelationData]:
     if path is None:
         return None
     from .oscillation import RelationData
@@ -325,9 +322,9 @@ def cmd_subseq(args, parser) -> dict:
     }
 
 
-def _angle_text(angle) -> str:
-    """An oscillation.Angle as pi_mult*pi + addend, either part dropped
-    when it is 0 (the addend is kept when both are)."""
+def _angle_text(angle: Angle) -> str:
+    """pi_mult*pi + addend, either part dropped when it is 0 (the addend
+    is kept when both are)."""
     parts = []
     if angle.pi_mult:
         parts.append(f"{angle.pi_mult}*pi")

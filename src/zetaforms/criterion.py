@@ -24,10 +24,13 @@ oscillating construction conclusive, and oscillating_report documents it.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, HypothesisViolation, UndecidableAtPrecision
 from .fixedpoint import SlottedValue
+
+if TYPE_CHECKING:
+    from .oscillation import AnglePair
 
 ZUDILIN_C0 = 227.58019641
 ZUDILIN_C1 = 226.24944266
@@ -106,12 +109,13 @@ class CriterionReport(NamedTuple):
     lambda_used: Optional[float]
 
 
-def oscillating_report(g: GrowthData, pairs: Sequence) -> CriterionReport:
-    """End-to-end report: check the oscillation hypothesis for the
-    oscillation.AnglePair values in pairs, build a subsequence plan
-    (recording its lambda), and emit both bounds.  With no pairs there is
-    nothing to check: no plan is built, oscillation is not loaded, and
-    lambda_used is None.  A failed hypothesis sets hypothesis_ok False and
+def oscillating_report(
+    g: GrowthData, pairs: Sequence[AnglePair]
+) -> CriterionReport:
+    """End-to-end report: check the oscillation hypothesis, build a
+    subsequence plan (recording its lambda), and emit both bounds.  With
+    no pairs there is nothing to check: no plan is built and lambda_used
+    is None.  A failed hypothesis sets hypothesis_ok False and
     lambda_used None; the bounds stay, and the CLI masks them.
 
     The bounds are computed from (alpha, beta) directly: the subsequence

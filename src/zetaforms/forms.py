@@ -33,11 +33,14 @@ import operator
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import BudgetError, DomainError, InternalCheckError
 from .exact import fraction_str, log2_fraction
 from .fixedpoint import GUARD_DIGITS, FixedReal, SlottedValue, _div_nearest
+
+if TYPE_CHECKING:
+    from .zeta import ZetaTable
 
 
 class RisingBlock(SlottedValue):
@@ -430,9 +433,8 @@ def required_digits(n: int) -> int:
     return math.ceil(253.5 * n + 60)
 
 
-def evaluate_numeric(form: ZetaLinearForm, table) -> FixedReal:
-    """ell0 + sum ell_s zeta(s), the zeta values read from a zeta.ZetaTable,
-    with rigorous error accounting.
+def evaluate_numeric(form: ZetaLinearForm, table: ZetaTable) -> FixedReal:
+    """ell0 + sum ell_s zeta(s) with rigorous error accounting.
 
     The result is rescaled to the number of digits actually guaranteed:
     table digits minus the cancellation budget log10(sum |ell_s|) minus one
