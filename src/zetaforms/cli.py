@@ -47,9 +47,11 @@ EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
-# --digits of form: the zeta table costs about digits^2, and form --n 1 at
-# the cap runs about 1.6 s in a fresh process on 2 vCPUs
+# form's --digits cap and --max-n default: the zeta table costs about
+# digits^2, and form --n 1 at the cap runs about 1.6 s in a fresh process
+# on 2 vCPUs
 MAX_FORM_DIGITS = 8000
+DEFAULT_MAX_N = 2
 
 
 def _int_arg(text: str) -> int:
@@ -88,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_form.add_argument("--n", type=_positive_int, required=True)
     p_form.add_argument("--digits", type=_digits_arg, default=None,
                         help="zeta-table precision (default: the per-n budget rule)")
-    p_form.add_argument("--max-n", type=_positive_int, default=None)
+    p_form.add_argument("--max-n", type=_positive_int, default=DEFAULT_MAX_N)
     _common_output_flags(p_form)
 
     p_sub = sub.add_parser("subseq", help="build and verify a subsequence plan")
@@ -191,7 +193,7 @@ def _load_relations(path: Optional[str], parser_error) -> Optional[RelationData]
 def cmd_form(args, parser) -> dict:
     from .criterion import ZUDILIN_COEFF_BITS
     from .forms import (
-        DEFAULT_MAX_N,
+        RECONSTRUCTION_POINTS,
         ZUDILIN_ZETA_ARGUMENTS,
         check_form_budget,
         common_denominator,
@@ -205,7 +207,7 @@ def cmd_form(args, parser) -> dict:
     from .zeta import ZetaTable
 
     n = args.n
-    check_form_budget(n, DEFAULT_MAX_N if args.max_n is None else args.max_n)
+    check_form_budget(n, args.max_n)
     needed = required_digits(n)
     if args.digits is None and needed > MAX_FORM_DIGITS:
         raise BudgetError(f"n={n} needs {needed} digits, above the cap {MAX_FORM_DIGITS}")
@@ -221,11 +223,9 @@ def cmd_form(args, parser) -> dict:
     # the sign is -1 for every n: 37n + 2t changes sign under t -> -37n - t
     # and the block products do not.  The reconstruction is reported only, so
     # that a perturbed expansion still reaches the two numeric routes
-    reflection = reflection_check(expansion)
-    if reflection["sign"] != -1:
-        raise InternalCheckError(
-            f"form n={n}: reflection sign {reflection['sign']}, want -1"
-        )
+    sign = reflection_check(expansion)
+    if sign != -1:
+        raise InternalCheckError(f"form n={n}: reflection sign {sign}, want -1")
     table = ZetaTable(form.nonzero_arguments(), digits)
     value = evaluate_numeric(form, table)
     ds_digits = min(digits, 200)
@@ -236,8 +236,9 @@ def cmd_form(args, parser) -> dict:
         "vanishing_ok": True,  # zudilin_pipeline raised otherwise
         "zero_coefficients": [s for s in sorted(form.coefficients)
                               if s not in ZUDILIN_ZETA_ARGUMENTS],
-        "reconstruction": reconstruction_check(factored, expansion),
-        "reflection": reflection,
+        "reconstruction": {"ok": reconstruction_check(factored, expansion),
+                           "points": [fraction_str(t) for t in RECONSTRUCTION_POINTS]},
+        "reflection": {"symmetric": sign is not None, "sign": sign},
         "log2_height_over_n": round(height / n, 6),
         "coefficient_bits_reference": ZUDILIN_COEFF_BITS,
     }

@@ -33,10 +33,10 @@ import operator
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .errors import BudgetError, DomainError, InternalCheckError
-from .exact import fraction_str, log2_fraction
+from .exact import fraction_str, log2_fraction  # bench/child.py reads forms.fraction_str
 from .fixedpoint import GUARD_DIGITS, FixedReal, SlottedValue, _div_nearest
 
 if TYPE_CHECKING:
@@ -381,10 +381,9 @@ def sum_over_k(p: PartialFractionExpansion, n: int = 0) -> ZetaLinearForm:
 
 
 ZUDILIN_ZETA_ARGUMENTS = (5, 7, 9, 11)
-DEFAULT_MAX_N = 2
 
 
-def check_form_budget(n: int, max_n: int = DEFAULT_MAX_N) -> None:
+def check_form_budget(n: int, max_n: int) -> None:
     if n > max_n:
         raise BudgetError(
             f"n={n} exceeds the configured cap {max_n}; pole count and "
@@ -415,7 +414,7 @@ def zudilin_pipeline(
     return factored, expansion, form
 
 
-def zudilin_linear_form(n: int, max_n: int = DEFAULT_MAX_N) -> ZetaLinearForm:
+def zudilin_linear_form(n: int, max_n: int) -> ZetaLinearForm:
     """The exact n-th linear form in 1, zeta(5), zeta(7), zeta(9), zeta(11),
     for an n within the cap max_n."""
     check_form_budget(n, max_n)
@@ -690,28 +689,27 @@ def common_denominator(form: ZetaLinearForm) -> tuple[int, dict]:
 RECONSTRUCTION_POINTS = tuple(map(Fraction, "-139/2 -73/2 173/2 2069/11 63/2".split()))
 
 
-def reconstruction_check(f: FactoredRationalFunction, p: PartialFractionExpansion) -> dict:
+def reconstruction_check(f: FactoredRationalFunction, p: PartialFractionExpansion) -> bool:
     """Exact equality of the expansion and the factored original at the
     RECONSTRUCTION_POINTS, rationals that are no pole."""
-    checked = [fraction_str(t) for t in RECONSTRUCTION_POINTS]
-    ok = all(f.evaluate(t) == p.evaluate(t) for t in RECONSTRUCTION_POINTS)
-    return {"ok": ok, "points": checked}
+    return all(f.evaluate(t) == p.evaluate(t) for t in RECONSTRUCTION_POINTS)
 
 
-def reflection_check(p: PartialFractionExpansion) -> dict:
-    """Does t -> -T - t map the expanded function to +f or -f?  Reported
-    here (`form` asserts sign -1), and exact on the coefficients: a/(t+m)^j becomes
-    (-1)^j a/(t+T-m)^j, so f(-T-t) = sign * f(t) exactly when every
-    a_{j,T-m} = sign * (-1)^j a_{j,m}.  A symmetric pole set forces
-    T = min m + max m (37n for Zudilin's forms, with sign -1).  The zero
-    function (no terms) has no sign."""
+def reflection_check(p: PartialFractionExpansion) -> Optional[int]:
+    """The sign, 1 or -1, with which t -> -T - t maps the expanded function
+    to +-f, or None when it maps it to neither (`form` asserts -1).  Exact
+    on the coefficients: a/(t+m)^j becomes (-1)^j a/(t+T-m)^j, so
+    f(-T-t) = sign * f(t) exactly when every a_{j,T-m} = sign * (-1)^j
+    a_{j,m}.  A symmetric pole set forces T = min m + max m (37n for
+    Zudilin's forms, with sign -1).  The zero function (no terms) has no
+    sign."""
     poles = {m: pole for m, pole in p.poles.items() if any(pole[2])}
     if poles:
         total = min(poles) + max(poles)
         for sign in (1, -1):
             if _mirrored(poles, p.dens, total, sign):
-                return {"symmetric": True, "sign": sign}
-    return {"symmetric": False, "sign": None}
+                return sign
+    return None
 
 
 def _mirrored(poles, dens, total: int, sign: int) -> bool:

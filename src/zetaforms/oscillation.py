@@ -477,8 +477,9 @@ def build_plan_general(
     lambda = 2.  Otherwise the irrational pairs, transformed to
     (d omega_i, a omega_i + phi_i), are driven through a torus box on the
     generators theta_j (mode "general").  Without caller-supplied relations
-    the generators default to the transformed omega_i/pi themselves with
-    the identity relation matrix.
+    the generators are the transformed omega_i/pi themselves, one for each
+    distinct value mod 1, and each row reads its own generator plus an
+    integer; when all values differ that is the identity relation matrix.
     """
     pairs = list(pairs)
     if not pairs:
@@ -556,12 +557,11 @@ def build_plan_general(
         AnglePair(p.omega.scaled(d), p.omega.scaled(a) + p.phi)
         for p in irrational
     ]
-    if relations is None:
-        theta = tuple(tp.omega.over_pi() for tp in transformed)
-        rows = [
-            [Fraction(0)] + [Fraction(int(i == j)) for j in range(len(transformed))]
-            for i in range(len(transformed))
-        ]
+    if relations is None:  # one generator per value mod 1, the first omega'/pi met
+        omegas = [tp.omega.over_pi() for tp in transformed]
+        theta = tuple(w for i, w in enumerate(omegas) if all((w - t) % 1 for t in omegas[:i]))
+        rows = [[w - t] + [Fraction(int(u == t)) for u in theta]  # t: w's generator
+                for w in omegas for t in theta if (w - t) % 1 == 0]
     else:
         if len(relations.rows) != len(irrational):
             raise DomainError(

@@ -347,14 +347,29 @@ def test_subseq_relations_need_a_generator(capsys, tmp_path):
     assert json.loads(out)["error"]["message"] == "relation data needs at least one generator"
 
 
-def test_orbit_scan_budget_names_the_cause(capsys):
-    # both omegas are sqrt2, so the orbit stays on a diagonal of the torus,
-    # and a box chosen as if the omegas were independent misses it
+def relations_file(tmp_path, generators, rows):
+    path = tmp_path / "relations.json"
+    path.write_text(json.dumps({"generators": [str(t) for t in generators],
+                                "rows": rows}))
+    return str(path)
+
+
+def test_orbit_scan_budget_names_the_cause(capsys, tmp_path):
+    # both omegas are sqrt2, read through the generators theta and theta + 1,
+    # which the equal-generator check lets pass: the orbit stays on a
+    # diagonal of the torus, and a box chosen as if they were independent
+    # misses it
+    from zetaforms.oscillation import parse_angle
+
+    theta = parse_angle("sqrt2").over_pi()
+    path = relations_file(tmp_path, [theta, theta + 1],
+                          [["0", "1", "0"], ["-1", "0", "1"]])
     code, out = run(capsys, "subseq", "--omega", "sqrt2", "--phi", "25/23",
-                    "--omega", "sqrt2", "--phi", "224/19", "--count", "1")
+                    "--omega", "sqrt2", "--phi", "224/19", "--count", "1",
+                    "--relations", path)
     assert code == EXIT_BUDGET
     message = json.loads(out)["error"]["message"]
-    assert message.startswith("orbit scan exceeded ")
+    assert message.startswith("orbit scan exceeded 1000050 steps with 0 of 1 hits")
     assert " steps with 0 of 1 hits; the box can miss the orbit " in message
     assert message.endswith("relation generators are rationally dependent")
 
@@ -378,13 +393,44 @@ def test_subseq_relations_refuse_equal_generators(capsys, tmp_path, second_phi):
         "kind": "domain", "message": "relation generators 1 and 2 are equal"}
 
 
-def test_orbit_scan_cap_counts_steps_per_box_measure(capsys):
+@pytest.mark.parametrize("second, phis, lam, ratio", [
+    ("sqrt2", ("0", "1/10"), "2", "2.000000"),
+    ("sqrt2", ("25/23", "224/19"), "4", "3.980000"),
+    ("sqrt2+pi", ("0", "1/10"), "2", "2.000000"),
+])
+def test_equal_omegas_share_one_generator(capsys, second, phis, lam, ratio):
+    # omega/pi equal mod 1 is one generator that both rows read, not two
+    # whose box misses the orbit's diagonal (lambda 4 against a ratio of 2,
+    # or an orbit scan past its cap); criterion reads the same plan
+    pairs = ["--omega", "sqrt2", "--phi", phis[0], "--omega", second, "--phi", phis[1]]
+    code, out = run(capsys, "subseq", *pairs, "--count", "200")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["plan"]["mode"], len(doc["plan"]["theta"])) == ("general", 1)
+    assert doc["plan"]["lambda_predicted"] == lam
+    assert doc["verification"]["ratio"] == ratio
+    assert doc["verification"]["passed"] is True
+    code, out = run(capsys, "criterion", "--zudilin", *pairs)
+    assert code == EXIT_OK
+    report = json.loads(out)["report"]
+    assert report["hypothesis_ok"] is True
+    assert Fraction(report["lambda_used"]) == Fraction(lam)
+
+
+def test_orbit_scan_cap_counts_steps_per_box_measure(capsys, tmp_path):
     # d = 9973 and a box of measure (2 eta)^2 = 1/4 give lambda = 4 d, but
     # the orbit steps per hit are 4: the cap is 10 (4 + 1) 100 + 10^6 steps,
-    # where reading it from lambda would walk 40,893,000 of them
+    # where reading it from lambda would walk 40,893,000 of them (the
+    # generators 9973 theta and 9973 theta + 1 keep the orbit off the box)
+    from zetaforms.oscillation import parse_angle
+
+    theta = 9973 * parse_angle("sqrt2").over_pi()
+    path = relations_file(tmp_path, [theta, theta + 1],
+                          [["0", "1/9973", "0"], ["-1/9973", "0", "1/9973"]])
     code, out = run(capsys, "subseq", "--omega", "5976/9973*pi", "--phi", "0",
                     "--omega", "sqrt2", "--phi", "292/37",
-                    "--omega", "sqrt2", "--phi", "103/34", "--count", "100")
+                    "--omega", "sqrt2", "--phi", "103/34", "--count", "100",
+                    "--relations", path)
     assert code == EXIT_BUDGET
     message = json.loads(out)["error"]["message"]
     assert message.startswith("orbit scan exceeded 1005000 steps with 0 of 100 hits")
@@ -667,13 +713,13 @@ def test_form_asserts_the_reflection_sign(capsys, monkeypatch):
     # internal error
     import zetaforms.forms as forms
 
-    for failing in ({"symmetric": True, "sign": 1}, {"symmetric": False, "sign": None}):
+    for failing in (1, None):
         monkeypatch.setattr(forms, "reflection_check", lambda p: failing)
         code, out = run(capsys, "form", "--n", "1")
         assert code == EXIT_INTERNAL
         assert json.loads(out)["error"] == {
             "kind": "internal",
-            "message": f"form n=1: reflection sign {failing['sign']}, want -1",
+            "message": f"form n=1: reflection sign {failing}, want -1",
         }
 
 
@@ -699,7 +745,9 @@ def test_form_command_full(capsys):
     assert doc["form"]["coeffs"]["3"] == "0"
     assert doc["form"]["coeffs"]["5"] != "0"
     assert doc["form"]["checks"]["vanishing_ok"] is True
-    assert doc["form"]["checks"]["reflection"]["sign"] == -1
+    assert doc["form"]["checks"]["reconstruction"] == {
+        "ok": True, "points": ["-139/2", "-73/2", "173/2", "2069/11", "63/2"]}
+    assert doc["form"]["checks"]["reflection"] == {"symmetric": True, "sign": -1}
     assert float(doc["numeric"]["agreement_delta_log10"]) < -50
     assert doc["numeric"]["log10_abs"] < -30
 

@@ -36,34 +36,15 @@ def test_runtime_imports_are_stdlib_only():
     assert offenders == []
 
 
-def test_cli_import_loads_only_the_package():
-    # a fresh interpreter, as every CLI run starts: importing zetaforms.cli
-    # and every layer adds the package and __future__ to what json,
-    # argparse, fractions and typing already loaded (dataclasses pulled in
-    # inspect, ast, dis and tokenize, about 20 ms of each start)
-    modules = {f"zetaforms.{p.stem}" for p in SOURCES if p.stem != "__init__"}
-    code = (
-        "import sys, json, argparse, fractions, typing\n"
-        "before = set(sys.modules)\n"
-        f"import {', '.join(sorted(modules))}\n"
-        "print(*sorted(set(sys.modules) - before))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parents[1])}
-    new = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
-    ).stdout.split()
-    assert set(new) >= modules
-    assert [m for m in new if m != "__future__" and m.split(".")[0] != "zetaforms"] == []
-
-
 BASE = {"zetaforms", "zetaforms.cli", "zetaforms.errors", "zetaforms.exact",
         "zetaforms.fixedpoint"}
+LAYERS = {f"zetaforms.{p.stem}" for p in SOURCES if p.stem != "__init__"}
 CLI_RUN = "import zetaforms.cli\nzetaforms.cli.main({argv!r})\n"
 
 
 @pytest.mark.parametrize("code, loaded", [
     ("import zetaforms\n", {"zetaforms"}),
+    (f"import {', '.join(sorted(LAYERS))}\n", {"zetaforms"} | LAYERS),
     ("import zetaforms.cli\nzetaforms.cli.build_parser()\n", BASE),
     (CLI_RUN.format(argv=["form", "--n", "1"]),
      BASE | {"zetaforms.forms", "zetaforms.zeta", "zetaforms.criterion"}),
@@ -79,16 +60,23 @@ CLI_RUN = "import zetaforms.cli\nzetaforms.cli.main({argv!r})\n"
     ("import zetaforms.cli\nfrom zetaforms import forms\n"
      "forms.common_denominator(forms.zudilin_linear_form(2, max_n=2))\n",
      BASE | {"zetaforms.forms"}),
-], ids=["package", "parser", "form", "subseq", "density", "criterion",
+], ids=["package", "every-module", "parser", "form", "subseq", "density", "criterion",
         "criterion-pairs", "exact"])
 def test_each_command_loads_only_its_layers(code, loaded):
-    # a fresh interpreter per case: the package binds __version__ alone and
-    # each command imports the layers it runs, and nothing else
-    code += ("import sys\nprint(*sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'zetaforms'), file=sys.stderr)\n")
+    # a fresh interpreter per case, as every CLI run starts: the package
+    # binds __version__ alone, each command imports the layers it runs, and
+    # nothing else is new but __future__ beyond what json, argparse (locale,
+    # once a parser is built), fractions and typing already loaded
+    # (dataclasses pulled in inspect, ast, dis and tokenize, about 20 ms of
+    # each start)
+    code = ("import sys, json, argparse, fractions, typing\n"
+            "argparse.ArgumentParser()\n"
+            "before = set(sys.modules)\n" + code +
+            "print(*sorted(set(sys.modules) - before), file=sys.stderr)\n")
     env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parents[1])}
-    run = subprocess.run(
+    new = set(subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
-    )
-    assert set(run.stderr.split()) == loaded
+    ).stderr.split())
+    assert {m for m in new if m.split(".")[0] == "zetaforms"} == loaded
+    assert {m for m in new if m.split(".")[0] != "zetaforms"} <= {"__future__"}
