@@ -52,6 +52,9 @@ EXIT_INTERNAL = 5
 # on 2 vCPUs
 MAX_FORM_DIGITS = 8000
 DEFAULT_MAX_N = 2
+# the precision of form's direct_sum oracle, whatever --digits is: every
+# accepted --digits is at least required_digits(n) >= 314
+DIRECT_SUM_DIGITS = 200
 
 
 def _int_arg(text: str) -> int:
@@ -228,8 +231,7 @@ def cmd_form(args, parser) -> dict:
         raise InternalCheckError(f"form n={n}: reflection sign {sign}, want -1")
     table = ZetaTable(form.nonzero_arguments(), digits)
     value = evaluate_numeric(form, table)
-    ds_digits = min(digits, 200)
-    direct = direct_sum(factored, ds_digits)
+    direct = direct_sum(factored, DIRECT_SUM_DIGITS)
     delta = abs(value.to_fraction() - direct.to_fraction())
     height = form.log2_height()
     checks = {
@@ -267,7 +269,7 @@ def cmd_form(args, parser) -> dict:
             "log10_abs": round(log10_abs, 6),
             "log10_abs_over_n": round(log10_abs / n, 6),
             "direct_sum": direct.to_decimal(),
-            "direct_sum_digits": ds_digits,
+            "direct_sum_digits": DIRECT_SUM_DIGITS,
             "agreement_delta_log10": None
             if delta == 0
             else round(log10_fraction(delta), 6),

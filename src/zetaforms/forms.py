@@ -493,6 +493,27 @@ def _exact_term(f: FactoredRationalFunction, k: int, num: int, den: int) -> int:
     )
 
 
+def _step_runs(steps: Mapping[int, int]) -> tuple[list, list, list, list]:
+    """The constants c of nonzero weight w = steps[c], split into the
+    maximal runs lo..hi of two or more consecutive c of one weight, as
+    (lo, hi, w) in increasing lo, and the c left over: those of weight 1
+    (ups) and -1 (downs), and the (c, w) of any other weight."""
+    spans, runs, ups, downs, weighted = [], [], [], [], []
+    for c in sorted(c for c, w in steps.items() if w):
+        if spans and spans[-1][1] == c - 1 and spans[-1][2] == steps[c]:
+            spans[-1][1] = c
+        else:
+            spans.append([c, c, steps[c]])
+    for lo, hi, w in spans:
+        if lo < hi:
+            runs.append((lo, hi, w))
+        elif w in (1, -1):
+            (ups if w > 0 else downs).append(lo)
+        else:
+            weighted.append((lo, w))
+    return runs, ups, downs, weighted
+
+
 class _Reciprocals(dict):
     """x -> floor(2^bits / |x|^power) for integers x != 0, negated for x < 0
     when power is 1, each computed when first read: within one unit of
@@ -539,6 +560,17 @@ def _second_derivative_terms(f: FactoredRationalFunction, work: int) -> Iterator
     the two agree, so does the exact value between them (Ziv's strategy);
     if not, the term is formed from the exact rational (_exact_term).
 
+    The c where w changes are stepped by kind (_step_runs).  A maximal run
+    lo..hi of two or more consecutive c of one weight u (Zudilin's nested
+    block ends at n = 1) adds to A/B the power u of one running product
+    p = prod (k + c), carried to k + 1 as p (k + 1 + hi) / (k + lo), and to
+    s1, s2 u times a difference of running prefix sums of the same table
+    entries.  The division is exact and k + lo is never 0: a stepped c with
+    k + c = 0 would make k or k + 1 a numerator root, and the walk neither
+    steps from nor into a root.  The c of weight +-1 outside the runs go
+    through list products and table sums, the few of larger weight through
+    a short loop.
+
     A seed computes V exactly, as the unreduced integers 10^work scalar
     times the products of the factors at k, with F = max(F0, F0 - log2
     |V|) and W = F0 + max(log2 |V| + 1, 0), F0 = 2 guard + 2 bitlen(e1) +
@@ -546,7 +578,8 @@ def _second_derivative_terms(f: FactoredRationalFunction, work: int) -> Iterator
     E starts near 2^-(2 guard) units.  While F exceeds F0 (|V| below 1), v
     is shifted down to keep about F0 significant bits.  When E passes
     2^-guard units (V has grown since the seed, or ev has) the walk
-    re-seeds at that k, W only ever growing.  A k where a numerator factor
+    re-seeds at that k, W only ever growing; each seed rebuilds the
+    prefix sums and the runs' products.  A k where a numerator factor
     or the prefactor vanishes is no step: to order 3 or more R''(k) is
     exactly 0 (no pole sits at a positive integer, checked here), to order
     1 or 2 it is _exact_term, and the walk re-seeds past it."""
@@ -566,15 +599,15 @@ def _second_derivative_terms(f: FactoredRationalFunction, work: int) -> Iterator
     present.subtract(bottom)
     steps = Counter({c + 1: m for c, m in present.items()})  # c -> w(c - 1) - w(c)
     steps.subtract(present)
-    ups = [c for c, w in steps.items() for _ in range(w)]
-    downs = [c for c, w in steps.items() for _ in range(-w)]
+    runs, ups, downs, weighted = _step_runs(steps)
+    first, last = (runs[0][0], runs[-1][1]) if runs else (0, 0)
     present = [(c, m) for c, m in present.items() if m]
     e1 = sum(abs(m) for _, m in present) + 1
     guard = WALK_GUARD_BITS
     floor_bits = max(2 * guard + 2 * e1.bit_length() + 2, 0)  # F0
     bits, v = 0, None  # W, and no walk state
     for k in itertools.count(1):
-        if roots[k]:
+        if roots.get(k):  # no Counter.__missing__ call on the many k that are no root
             v = None
             yield 0 if roots[k] >= 3 else _exact_term(f, k, num, den)
             continue
@@ -591,6 +624,14 @@ def _second_derivative_terms(f: FactoredRationalFunction, work: int) -> Iterator
                     inv1, inv2 = _Reciprocals(bits, 1), _Reciprocals(bits, 2)
                 s1 = sum(m * inv1[k + c] for c, m in present)
                 s2 = sum(m * inv2[k + c] for c, m in present)
+                if runs:  # prefix sums from x = base + 1 (x = 0 lies in no run's
+                    # window at a step, and counts 0), and each run's product at k
+                    base = k + first - 1
+                    xs = range(base + 1, k + last)
+                    cum1 = list(itertools.accumulate((inv1[x] if x else 0 for x in xs), initial=0))
+                    cum2 = list(itertools.accumulate((inv2[x] if x else 0 for x in xs), initial=0))
+                    carried = [[lo, hi, w, math.prod(range(k + lo, k + hi + 1))]
+                               for lo, hi, w in runs]
             h1 = s1 + (c1 << bits) // pre
             h2 = s2 + (c1 * c1 << bits) // (pre * pre)
             q = (h1 * h1 >> bits) - h2
@@ -602,18 +643,41 @@ def _second_derivative_terms(f: FactoredRationalFunction, work: int) -> Iterator
         t, half = v * q, 1 << (shift - 1)
         low = (t - err + half) >> shift
         yield low if low == (t + err + half) >> shift else _exact_term(f, k, num, den)
-        if roots[k + 1]:
+        if roots.get(k + 1):
             continue
-        xs, ys = [k + c for c in ups], [k + c for c in downs]
-        a, b = (pre + c1) * math.prod(xs), pre * math.prod(ys)
+        a, b = pre + c1, pre
+        if ups or downs:
+            xs, ys = [k + c for c in ups], [k + c for c in downs]
+            a, b = a * math.prod(xs), b * math.prod(ys)
+            s1 += sum(map(inv1.__getitem__, xs)) - sum(map(inv1.__getitem__, ys))
+            s2 += sum(map(inv2.__getitem__, xs)) - sum(map(inv2.__getitem__, ys))
+        for c, w in weighted:
+            x = k + c
+            if w > 0:
+                a *= x**w
+            else:
+                b *= x**-w
+            s1 += w * inv1[x]
+            s2 += w * inv2[x]
+        if runs:
+            x, at = k + last, k - base  # x sits at index x - base
+            cum1.append(cum1[-1] + inv1[x])
+            cum2.append(cum2[-1] + inv2[x])
+            for run in carried:
+                lo, hi, w, p = run
+                if w > 0:
+                    a *= p**w
+                else:
+                    b *= p**-w
+                s1 += w * (cum1[at + hi] - cum1[at + lo - 1])
+                s2 += w * (cum2[at + hi] - cum2[at + lo - 1])
+                run[3] = p * (k + 1 + hi) // (k + lo)
         if b < 0:
             a, b = -a, -b
         v, ev = v * a // b, -(-ev * abs(a) // b) + 1
         if frac > floor_bits and v.bit_length() > floor_bits + 64:  # 64 bits at a time
             s = min(frac - floor_bits, v.bit_length() - floor_bits)
             v, ev, frac = v >> s, (ev >> s) + 2, frac - s
-        s1 += sum(map(inv1.__getitem__, xs)) - sum(map(inv1.__getitem__, ys))
-        s2 += sum(map(inv2.__getitem__, xs)) - sum(map(inv2.__getitem__, ys))
 
 
 def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
@@ -629,10 +693,8 @@ def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     decay = deg den - deg num + 2 and C is measured from the computed terms
     past the hump, k >= 4 x the largest pole, times a 10^4 safety factor.
 
-    At 200 digits, for Zudilin's forms (2 vCPUs, Python 3.11, in process,
-    best of 5): n = 1 (1,459 terms) takes 0.015 s, n = 2 0.004 s, n = 3
-    0.006 s and n = 6 0.011 s; n = 13 0.026 s and n = 25 0.046 s (best of
-    3).  No term of n = 1..6 needs the exact route.
+    No term of Zudilin's forms at n = 1..6 and 200 digits needs the exact
+    route; README's "Precision and budgets" gives the times.
     """
     if not f.is_proper:
         raise DomainError("the direct sum needs a proper function")

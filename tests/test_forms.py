@@ -714,6 +714,125 @@ def test_walk_matches_rebuilt_series(case):
     assert list(islice(_second_derivative_terms(f, work), 24)) == want
 
 
+@st.composite
+def staircase_functions(draw):
+    """(f, digits) whose walk steps runs of two or more consecutive
+    constants of one weight: a staircase of 2..4 nested denominator blocks
+    (t + s - i)_(length + 2i), all of one power p, whose lower ends make a
+    run of weight +p and whose upper ends one of -p; maybe a numerator
+    staircase (t - r - i)_(2i + 1) of power 1..3, with runs of both signs
+    that end next to its roots at t = r - i .. r + i; a prefactor whose
+    root may sit at a positive integer; a nonzero scalar and 10 to 300
+    digits.  The denominator blocks are long enough to keep f proper."""
+    numerator = []
+    if draw(st.booleans()):
+        height, power = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+        r = draw(st.integers(height, height + 8))
+        numerator = [RisingBlock(-r - i, 2 * i + 1, power) for i in range(height)]
+    c1 = draw(st.integers(-2, 2))
+    if c1 and draw(st.booleans()):
+        c0 = -c1 * draw(st.integers(1, 12))
+    else:
+        c0 = draw(st.integers(-6, 6).filter(lambda c: c or c1))
+    degree = sum(b.degree for b in numerator) + 1
+    height, power = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    shift = draw(st.integers(height - 1, height + 5))
+    length = draw(st.integers(0, 4)) + -(-(degree + 1) // (height * power))
+    denominator = [RisingBlock(shift - i, length + 2 * i, power) for i in range(height)]
+    scalar = draw(st.fractions(min_value=-10, max_value=10, max_denominator=20).filter(bool))
+    f = FactoredRationalFunction((c0, c1), tuple(numerator), tuple(denominator), scalar)
+    return f, draw(st.integers(10, 300))
+
+
+def recorded_runs(monkeypatch):
+    """The runs _second_derivative_terms steps, one list per walk begun."""
+    import zetaforms.forms as forms
+
+    split, seen = forms._step_runs, []
+
+    def recording(steps):
+        runs, *rest = split(steps)
+        seen.append(runs)
+        return (runs, *rest)
+
+    monkeypatch.setattr(forms, "_step_runs", recording)
+    return seen
+
+
+def test_zudilin_steps_its_nested_block_ends_as_runs(monkeypatch):
+    # at n = 1 the ten denominator blocks start at 2..11 and end at 26..35,
+    # so the walk steps those ends as two runs of ten; from n = 2 on they
+    # lie n apart and every boundary constant is stepped on its own
+    seen = recorded_runs(monkeypatch)
+    for n in (1, 2, 3):
+        next(_second_derivative_terms(build_zudilin(n), 10))
+    assert seen == [[(2, 11, 1), (27, 36, -1)], [], []]
+
+
+@settings(max_examples=60, deadline=None)
+@given(staircase_functions())
+# weight 1 of both signs: block starts at 0..2, ends at 4..6
+@example((FactoredRationalFunction(
+    (1, 0), (), (RisingBlock(2, 3, 1), RisingBlock(1, 5, 1), RisingBlock(0, 7, 1))
+), 50))
+# runs of weight -2 and +2 from the numerator, the second ending next to
+# its root at t = 5 (order 2; 4 at t = 6, 2 at t = 7), weights +-3 from
+# the denominator and the prefactor's root at t = 9
+@example((FactoredRationalFunction(
+    (-9, 1), (RisingBlock(-6, 1, 2), RisingBlock(-7, 3, 2)),
+    (RisingBlock(1, 10, 3), RisingBlock(0, 12, 3)), Fraction(-5, 3)
+), 200))
+# a numerator run of weight -1 at -3..-2 that merges with nothing and a
+# denominator run of weight +1 that starts at 0
+@example((FactoredRationalFunction(
+    (3, 2), (RisingBlock(-3, 1, 1), RisingBlock(-2, 1, 1)),
+    (RisingBlock(1, 6, 1), RisingBlock(0, 8, 1)), Fraction(7, 2)
+), 30))
+def test_walk_steps_runs_like_the_rebuilt_series(case):
+    # the first 40 terms of a function with runs are the oracle's, from the
+    # series rebuilt at each k
+    f, digits = case
+    work = digits + GUARD_DIGITS + 5
+    want = [_div_nearest(a * 10**work, b) for a, b in full_walk_terms(f, 40)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = recorded_runs(monkeypatch)
+        assert list(islice(_second_derivative_terms(f, work), 40)) == want
+    assert seen[0], "the function has no run"
+
+
+def test_reseeds_rebuild_the_runs(monkeypatch):
+    # with the guard bits at -8 the walk of a function with runs of weights
+    # +-2 and +-3 also re-seeds where no root forces it, rebuilding its
+    # prefix sums and running products there, and every term is still the
+    # oracle's
+    import zetaforms.forms as forms
+
+    class CountedScalar(Fraction):
+        """A scalar counting reads of its denominator: the walk reads it
+        once to set up and once at every seed."""
+
+        reads = 0
+
+        @property
+        def denominator(self):
+            CountedScalar.reads += 1
+            return Fraction.denominator.fget(self)
+
+    f = FactoredRationalFunction((-9, 1), (RisingBlock(-6, 1, 2), RisingBlock(-7, 3, 2)),
+                                 (RisingBlock(1, 10, 3), RisingBlock(0, 12, 3)),
+                                 CountedScalar(-5, 3))
+    seen, work, seeds = recorded_runs(monkeypatch), 200 + GUARD_DIGITS + 5, []
+    want = [_div_nearest(a * 10**work, b) for a, b in full_walk_terms(f, 300)]
+    for guard in (forms.WALK_GUARD_BITS, -8):
+        monkeypatch.setattr(forms, "WALK_GUARD_BITS", guard)
+        CountedScalar.reads = 0
+        assert list(islice(_second_derivative_terms(f, work), 300)) == want, guard
+        seeds.append(CountedScalar.reads - 1)
+    # at t = 1 and past the roots at t = 5..7 and 9, and at -8 again mid-walk
+    assert seeds[0] == 3 and seeds[1] > 3, seeds
+    assert seen == [[(-7, -6, -2), (-5, -4, 2), (0, 1, 3), (11, 12, -3)]] * 2
+
+
 def test_partial_fractions_rejects_improper():
     f = FactoredRationalFunction((0, 1), (RisingBlock(1, 2, 1),), (RisingBlock(5, 2, 1),))
     with pytest.raises(DomainError):
@@ -1126,6 +1245,25 @@ def test_direct_sum_cutoff_follows_the_decay(monkeypatch):
     monkeypatch.setattr(forms, "_second_derivative_terms", capped)
     f = FactoredRationalFunction((1, 0), (), (RisingBlock(1, 2, 1),))
     assert direct_sum(f, 10).to_decimal() == "0.2500000000"
+
+
+# SHA-256 of direct_sum(build_zudilin(n), 200).to_decimal() for every n that
+# `form` accepts, at the one precision `form` runs the oracle at, recorded
+# from the walk that stepped each boundary constant on its own: n = 1's
+# digits, and from n = 2 on 200 zeros (every term rounds to 0 there)
+DIRECT_SUM_200_SHA256 = {
+    1: "e403130a8dca0d2264a29a0d21e164619c63a44a5bb4bef0e82405257687b9cb",
+    **dict.fromkeys(range(2, 32),
+                    "bfbe95cc84bedb5d3a800ed98667a2a2f10f0ef9275f78166d2d2384bcdb6c41"),
+}
+
+
+def test_direct_sum_at_200_digits_matches_recorded_digests():
+    accepted = [n for n in range(1, 100) if required_digits(n) <= cli.MAX_FORM_DIGITS]
+    assert accepted == sorted(DIRECT_SUM_200_SHA256)
+    for n in accepted:
+        text = direct_sum(build_zudilin(n), cli.DIRECT_SUM_DIGITS).to_decimal()
+        assert hashlib.sha256(text.encode()).hexdigest() == DIRECT_SUM_200_SHA256[n], n
 
 
 def full_walk_terms(f, count):
