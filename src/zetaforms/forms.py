@@ -690,8 +690,10 @@ def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     It reads neither the output of partial_fractions nor the zeta reduction
     in sum_over_k, so it is the oracle side of the oracle/evaluation pair.
     The cutoff comes from the crude tail bound |R''(k)| <= C k^-decay, where
-    decay = deg den - deg num + 2 and C is measured from the computed terms
-    past the hump, k >= 4 x the largest pole, times a 10^4 safety factor.
+    decay = deg den - deg num + 2 and C = max |R''(j)| j^decay over all terms
+    so far: the walk stops at the first k >= 4 x the largest pole (past the
+    hump) where 2 10^4 C < (decay - 1) 10^-digits k^(decay-1), a 10^4 safety
+    factor on the tail's bound, both sides compared as log2s.
 
     No term of Zudilin's forms at n = 1..6 and 200 digits needs the exact
     route; README's "Precision and budgets" gives the times.
@@ -703,29 +705,15 @@ def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     decay = f.denominator_degree - f.numerator_degree + 2
     k_min = 4 * max(_linear_factors(f.denominator))  # past the hump
     acc = 0
-    # c_run = max |term| k^decay (10**-work units) is kept as the pair
-    # top = (|term|, k) that attains it and its log2 top_log; the walk stops
-    # once 2 c_run 10^4 < stop k^(decay-1).  Comparisons use the log2s, off
-    # by far under 1e-6, and the exact integers only where two log2s lie
-    # within 1e-6 of each other
-    top, top_log = (0, 1), -math.inf
-    stop = (decay - 1) * guard
-    stop_log = math.log2(stop) - math.log2(2 * 10**4)
+    top_log = -math.inf  # log2 of C in 10**-work units
+    stop_log = math.log2((decay - 1) * guard) - math.log2(2 * 10**4)
     limit = 10**7
     for k, term in zip(range(1, limit + 1), _second_derivative_terms(f, work)):
         acc += term
         if term:
-            term_log = math.log2(abs(term)) + decay * math.log2(k)
-            if term_log > top_log + 1e-6 or (
-                term_log > top_log - 1e-6
-                and abs(term) * k**decay > top[0] * top[1] ** decay
-            ):
-                top, top_log = (abs(term), k), term_log
-        if k >= k_min:
-            gap = stop_log + (decay - 1) * math.log2(k) - top_log
-            if gap > 1e-6 or (gap > -1e-6 and 2 * 10**4 * top[0] * top[1] ** decay
-                              < stop * k ** (decay - 1)):
-                break
+            top_log = max(top_log, math.log2(abs(term)) + decay * math.log2(k))
+        if k >= k_min and stop_log + (decay - 1) * math.log2(k) > top_log:
+            break
     else:
         raise BudgetError(f"direct sum cutoff budget exceeded at k={limit}")
     return FixedReal(_div_nearest(acc, guard), digits)

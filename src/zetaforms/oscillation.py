@@ -518,8 +518,8 @@ def build_plan_general(
                 table = [_screened_abs_cos(w, b, k) for k in range(q)]
                 screens.append(lambda r, t=table, q=q: t[r % q])
         # the residues screening within 2 delta of the best, streamed, and
-        # their screened values, side by side in flat arrays (the module is
-        # loaded here, so that a CLI start loads only the package)
+        # their screened values, side by side in flat arrays (imported here,
+        # as density and plans with no pi-rational pair never need array)
         from array import array
 
         band, top, near, screened = 2 * _screen_error(d), -1.0, array("q"), array("d")

@@ -769,25 +769,32 @@ def test_zudilin_steps_its_nested_block_ends_as_runs(monkeypatch):
     assert seen == [[(2, 11, 1), (27, 36, -1)], [], []]
 
 
+STAIRCASE_EXAMPLES = [
+    # weight 1 of both signs: block starts at 0..2, ends at 4..6
+    (FactoredRationalFunction(
+        (1, 0), (), (RisingBlock(2, 3, 1), RisingBlock(1, 5, 1), RisingBlock(0, 7, 1))
+    ), 50),
+    # runs of weight -2 and +2 from the numerator, the second ending next to
+    # its root at t = 5 (order 2; 4 at t = 6, 2 at t = 7), weights +-3 from
+    # the denominator and the prefactor's root at t = 9
+    (FactoredRationalFunction(
+        (-9, 1), (RisingBlock(-6, 1, 2), RisingBlock(-7, 3, 2)),
+        (RisingBlock(1, 10, 3), RisingBlock(0, 12, 3)), Fraction(-5, 3)
+    ), 200),
+    # a numerator run of weight -1 at -3..-2 that merges with nothing and a
+    # denominator run of weight +1 that starts at 0
+    (FactoredRationalFunction(
+        (3, 2), (RisingBlock(-3, 1, 1), RisingBlock(-2, 1, 1)),
+        (RisingBlock(1, 6, 1), RisingBlock(0, 8, 1)), Fraction(7, 2)
+    ), 30),
+]
+
+
 @settings(max_examples=60, deadline=None)
 @given(staircase_functions())
-# weight 1 of both signs: block starts at 0..2, ends at 4..6
-@example((FactoredRationalFunction(
-    (1, 0), (), (RisingBlock(2, 3, 1), RisingBlock(1, 5, 1), RisingBlock(0, 7, 1))
-), 50))
-# runs of weight -2 and +2 from the numerator, the second ending next to
-# its root at t = 5 (order 2; 4 at t = 6, 2 at t = 7), weights +-3 from
-# the denominator and the prefactor's root at t = 9
-@example((FactoredRationalFunction(
-    (-9, 1), (RisingBlock(-6, 1, 2), RisingBlock(-7, 3, 2)),
-    (RisingBlock(1, 10, 3), RisingBlock(0, 12, 3)), Fraction(-5, 3)
-), 200))
-# a numerator run of weight -1 at -3..-2 that merges with nothing and a
-# denominator run of weight +1 that starts at 0
-@example((FactoredRationalFunction(
-    (3, 2), (RisingBlock(-3, 1, 1), RisingBlock(-2, 1, 1)),
-    (RisingBlock(1, 6, 1), RisingBlock(0, 8, 1)), Fraction(7, 2)
-), 30))
+@example(STAIRCASE_EXAMPLES[0])
+@example(STAIRCASE_EXAMPLES[1])
+@example(STAIRCASE_EXAMPLES[2])
 def test_walk_steps_runs_like_the_rebuilt_series(case):
     # the first 40 terms of a function with runs are the oracle's, from the
     # series rebuilt at each k
@@ -1168,14 +1175,27 @@ def test_direct_sum_two_cutoffs(pipeline1):
     assert abs(a.to_fraction() - b.to_fraction()) < Fraction(1, 10**138)
 
 
+def exact_cutoff(terms, decay, k_min, guard):
+    """Oracle: the cutoff of the crude tail bound |term(k)| <= C k^-decay on
+    exact integers, the first k >= k_min with 2 10^4 C < (decay - 1) guard
+    k^(decay-1), C the largest |term(j)| j^decay for j <= k.  The terms are
+    in 10**-work units and guard = 10^(work - digits); None when the terms
+    run out first."""
+    c_run = 0
+    for k, term in enumerate(terms, 1):
+        if term:
+            c_run = max(c_run, abs(term) * k**decay)
+        if k >= k_min and 2 * 10**4 * c_run < (decay - 1) * guard * k ** (decay - 1):
+            return k
+    return None
+
+
 def per_pole_direct_sum_oracle(n, digits, expansion):
     """Oracle: the per-pole direct sum.  Each pole's terms of `expansion`
     (the twice-differentiated partial fractions of the n-th function) are
     one integer polynomial over a common denominator, evaluated exactly at
-    every t = k and rounded per pole; the cutoff is the crude tail bound
-    |term(k)| <= C k^-(78n+11) from k = 140n on, C measured from the
-    computed terms times a 10^4 safety factor.  Returns the sum and the
-    cutoff k."""
+    every t = k and rounded per pole; the cutoff is exact_cutoff's with
+    decay 78n + 11 and k_min = 140n.  Returns the sum and the cutoff k."""
     work = digits + GUARD_DIGITS + 5
     scale = 10**work
     poles = []
@@ -1187,21 +1207,24 @@ def per_pole_direct_sum_oracle(n, digits, expansion):
         for j, a in orders.items():
             coeffs[big_j - j] = a.numerator * (den // a.denominator)
         poles.append((m, den, coeffs, big_j))
-    decay, acc, c_run, k = 78 * n + 11, 0, 0, 0
-    while True:
-        k += 1
-        term = 0
-        for m, den, coeffs, big_j in poles:
-            value = 0
-            for c in reversed(coeffs):
-                value = value * (k + m) + c
-            term += _div_nearest(value * scale, den * (k + m) ** big_j)
-        acc += term
-        c_run = max(c_run, abs(term) * k**decay)
-        if k >= 140 * n and 2 * c_run * 10**4 < (decay - 1) * k ** (
-            decay - 1
-        ) * 10 ** (work - digits):
-            return FixedReal(_div_nearest(acc, 10 ** (work - digits)), digits), k
+    terms = []
+
+    def walk():
+        k = 0
+        while True:
+            k += 1
+            term = 0
+            for m, den, coeffs, big_j in poles:
+                value = 0
+                for c in reversed(coeffs):
+                    value = value * (k + m) + c
+                term += _div_nearest(value * scale, den * (k + m) ** big_j)
+            terms.append(term)
+            yield term
+
+    guard = 10 ** (work - digits)
+    cutoff = exact_cutoff(walk(), 78 * n + 11, 140 * n, guard)
+    return FixedReal(_div_nearest(sum(terms), guard), digits), cutoff
 
 
 def test_direct_sum_matches_per_pole_oracle(pipeline1, pipeline2, monkeypatch):
@@ -1264,6 +1287,62 @@ def test_direct_sum_at_200_digits_matches_recorded_digests():
     for n in accepted:
         text = direct_sum(build_zudilin(n), cli.DIRECT_SUM_DIGITS).to_decimal()
         assert hashlib.sha256(text.encode()).hexdigest() == DIRECT_SUM_200_SHA256[n], n
+
+
+def recorded_direct_sum(f, digits):
+    """direct_sum(f, digits) and the terms it consumed, in order, read
+    through a wrapped _second_derivative_terms."""
+    import zetaforms.forms as forms
+
+    terms, consumed = forms._second_derivative_terms, []
+
+    def recording(f, work):
+        for term in terms(f, work):
+            consumed.append(term)
+            yield term
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(forms, "_second_derivative_terms", recording)
+        return direct_sum(f, digits), consumed
+
+
+# (t - 50)^3 / (t + 1)_8: R''(50) = 0 lies past k_min = 4 x 8 = 32
+ROOT_PAST_HUMP = FactoredRationalFunction((1, 0), (RisingBlock(-50, 1, 3),),
+                                          (RisingBlock(1, 8, 1),))
+
+
+@pytest.fixture(scope="module")
+def root_past_hump_sum():
+    """direct_sum(ROOT_PAST_HUMP, 30) and the 916,661 terms it consumed, the
+    longest walk in the suite, walked once for the two tests that read it."""
+    return recorded_direct_sum(ROOT_PAST_HUMP, 30)
+
+
+def test_direct_sum_cutoff_keeps_the_largest_term_past_a_root(root_past_hump_sum):
+    # C is the running maximum of |term| k^decay: a cutoff that reads only
+    # the current term stops at R''(50) = 0 with -1.523365255437328...,
+    # against -1.523365255437334... from the exact route
+    value, _ = root_past_hump_sum
+    form = sum_over_k(second_derivative(partial_fractions(ROOT_PAST_HUMP)))
+    assert set(form.coefficients) == {3}
+    exact = form.ell0 + form.coefficients[3] * ZetaTable([3], 60)[3].to_fraction()
+    assert abs(value.to_fraction() - exact) < Fraction(1, 10**29)
+
+
+def test_direct_sum_consumes_exactly_the_exact_cutoffs_terms(root_past_hump_sum):
+    # the log2 cutoff stops where exact_cutoff does on the same terms: at
+    # every n that `form` accepts (1,459 terms at n = 1, 140n from n = 2
+    # on), past the root above and on the staircase examples
+    accepted = [n for n in range(1, 100) if required_digits(n) <= cli.MAX_FORM_DIGITS]
+    cases = [(build_zudilin(n), cli.DIRECT_SUM_DIGITS) for n in accepted] + STAIRCASE_EXAMPLES
+    walks = [(f, recorded_direct_sum(f, digits)[1]) for f, digits in cases]
+    assert [len(terms) for _, terms in walks[:len(accepted)]] == [1459] + [
+        140 * n for n in accepted[1:]]
+    walks.append((ROOT_PAST_HUMP, root_past_hump_sum[1]))
+    for f, terms in walks:
+        decay = f.denominator_degree - f.numerator_degree + 2
+        k_min = 4 * max(b.shift + b.length - 1 for b in f.denominator)
+        assert exact_cutoff(terms, decay, k_min, 10 ** (GUARD_DIGITS + 5)) == len(terms), f
 
 
 def full_walk_terms(f, count):
