@@ -529,6 +529,15 @@ class _Reciprocals(dict):
         return value
 
 
+def _summed_factors(f: FactoredRationalFunction) -> tuple[list[int], list[int]]:
+    """The numerator's and the denominator's linear factors of f, for a sum
+    over t = 1, 2, ...: a pole at a positive integer is a DomainError."""
+    top, bottom = _linear_factors(f.numerator), _linear_factors(f.denominator)
+    if min(bottom, default=0) < 0:
+        raise DomainError(f"pole at positive integer t={-min(bottom)} hits the sum range")
+    return top, bottom
+
+
 # bits by which the walk keeps its error bound below a unit of the rounded
 # term: a seed aims about 2 WALK_GUARD_BITS bits below it and the walk
 # re-seeds once the bound passes 2^-WALK_GUARD_BITS units
@@ -581,11 +590,9 @@ def _second_derivative_terms(f: FactoredRationalFunction, work: int) -> Iterator
     re-seeds at that k, W only ever growing; each seed rebuilds the
     prefix sums and the runs' products.  A k where a numerator factor
     or the prefactor vanishes is no step: to order 3 or more R''(k) is
-    exactly 0 (no pole sits at a positive integer, checked here), to order
-    1 or 2 it is _exact_term, and the walk re-seeds past it."""
-    top, bottom = _linear_factors(f.numerator), _linear_factors(f.denominator)
-    if min(bottom, default=0) < 0:
-        raise DomainError(f"pole at positive integer t={-min(bottom)} hits the sum range")
+    exactly 0 (no pole sits at a positive integer, _summed_factors checks),
+    to order 1 or 2 it is _exact_term, and the walk re-seeds past it."""
+    top, bottom = _summed_factors(f)
     (c0, c1), scalar = f.prefactor, f.scalar
     if not (scalar and (c0 or c1)):
         yield from itertools.repeat(0)
@@ -680,6 +687,68 @@ def _second_derivative_terms(f: FactoredRationalFunction, work: int) -> Iterator
             v, ev, frac = v >> s, (ev >> s) + 2, frac - s
 
 
+def _tail_cutoff(f: FactoredRationalFunction, digits: int) -> int:
+    """The least k > reach with 2 10^(digits+4) B(k) <= 1, for B(k) a
+    proved bound on sum_{t>=k} |R''(t)|: the tail left out lies 2 10^4
+    below the last digit.  It reads the factor list alone, before any term.
+
+    Let reach be the largest |c| over the linear factors t + c and
+    ceil(|c0/c1|) for the prefactor, e the number of linear factors (plus
+    one when c1 != 0) and decay = deg den - deg num + 2.  Each factor is
+    bounded monotonically, as in Mezzarobba and Salvy's tail bounds (J.
+    Symbolic Comput. 45, 2010): for t >= k > reach every t + c is positive,
+    and none of (|c1| t + |c0|)/t, (t + max(c, 0))/t over the numerator and
+    t/(t + min(c, 0)) over the denominator grows in t, so |R(t)| <=
+    |scalar| P(k)/Q(k) (k/t)^(decay - 2) with P(k) = (|c1| k + |c0|)
+    prod_num (k + max(c, 0)) and Q(k) = prod_den (k + min(c, 0)).  Each of
+    the e terms of H1 = R'/R (the prefactor's 1/(t + c0/c1) among them) is
+    at most 1/(t - reach) in size, so |R''/R| = |H1^2 - H2| <= (e^2 + e) /
+    (t - reach)^2 <= (e^2 + e) k^2 / ((k - reach)^2 t^2).  Summing t^-decay
+    over t >= k, at most k^-decay + k^(1-decay)/(decay - 1), gives
+
+        B(k) = |scalar| P(k) (e^2 + e) (decay - 1 + k)
+               / ((decay - 1) Q(k) (k - reach)^2),
+
+    compared in integers.  B falls in k, so doubling and then bisection
+    find the least k; a BudgetError when even k = 10^7 does not suffice."""
+    top, bottom = _summed_factors(f)
+    (c0, c1), scalar = f.prefactor, f.scalar
+    reach = max(map(abs, top + bottom), default=0)
+    if c1:
+        reach = max(reach, -(-abs(c0) // abs(c1)))
+    e = len(top) + len(bottom) + (1 if c1 else 0)
+    decay = f.denominator_degree - f.numerator_degree + 2
+    left = 2 * 10 ** (digits + 4) * abs(scalar.numerator) * (e * e + e)
+    right = (decay - 1) * scalar.denominator
+    powers = Counter()  # c -> the power of k + c in P(k)/Q(k), shared factors cancelled
+    for c, m in Counter(top).items():
+        powers[max(c, 0)] += m
+    for c, m in Counter(bottom).items():
+        powers[min(c, 0)] -= m
+    by_power = defaultdict(list)  # w -> the c of power w, multiplied out together
+    for c, w in powers.items():
+        by_power[w].append(c)
+
+    def fits(k: int) -> bool:
+        p, q = abs(c1) * k + abs(c0), 1
+        for w, cs in by_power.items():
+            if w > 0:
+                p *= math.prod(map(k.__add__, cs)) ** w
+            else:
+                q *= math.prod(map(k.__add__, cs)) ** -w
+        return left * p * (decay - 1 + k) <= right * q * (k - reach) ** 2
+
+    lo, hi, limit = reach, reach + 1, 10**7
+    while hi > limit or not fits(hi):
+        if hi >= limit:
+            raise BudgetError(f"direct sum cutoff budget exceeded at k={limit}")
+        lo, hi = hi, min(2 * hi, limit)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
 def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     """Numeric value of sum_{k>=1} R''(k) for the factored R = f, term by
     term from the factors themselves (_second_derivative_terms: R(k) and
@@ -689,11 +758,9 @@ def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
 
     It reads neither the output of partial_fractions nor the zeta reduction
     in sum_over_k, so it is the oracle side of the oracle/evaluation pair.
-    The cutoff comes from the crude tail bound |R''(k)| <= C k^-decay, where
-    decay = deg den - deg num + 2 and C = max |R''(j)| j^decay over all terms
-    so far: the walk stops at the first k >= 4 x the largest pole (past the
-    hump) where 2 10^4 C < (decay - 1) 10^-digits k^(decay-1), a 10^4 safety
-    factor on the tail's bound, both sides compared as log2s.
+    It sums the terms k = 1 .. K - 1, K = _tail_cutoff(f, digits) fixed
+    before the walk: the tail past them is below 10^-digits / (2 10^4),
+    proved from the factor list.
 
     No term of Zudilin's forms at n = 1..6 and 200 digits needs the exact
     route; README's "Precision and budgets" gives the times.
@@ -701,22 +768,9 @@ def direct_sum(f: FactoredRationalFunction, digits: int) -> FixedReal:
     if not f.is_proper:
         raise DomainError("the direct sum needs a proper function")
     work = digits + GUARD_DIGITS + 5
-    guard = 10 ** (work - digits)
-    decay = f.denominator_degree - f.numerator_degree + 2
-    k_min = 4 * max(_linear_factors(f.denominator))  # past the hump
-    acc = 0
-    top_log = -math.inf  # log2 of C in 10**-work units
-    stop_log = math.log2((decay - 1) * guard) - math.log2(2 * 10**4)
-    limit = 10**7
-    for k, term in zip(range(1, limit + 1), _second_derivative_terms(f, work)):
-        acc += term
-        if term:
-            top_log = max(top_log, math.log2(abs(term)) + decay * math.log2(k))
-        if k >= k_min and stop_log + (decay - 1) * math.log2(k) > top_log:
-            break
-    else:
-        raise BudgetError(f"direct sum cutoff budget exceeded at k={limit}")
-    return FixedReal(_div_nearest(acc, guard), digits)
+    count = _tail_cutoff(f, digits) - 1
+    acc = sum(itertools.islice(_second_derivative_terms(f, work), count))
+    return FixedReal(_div_nearest(acc, 10 ** (work - digits)), digits)
 
 
 def common_denominator(form: ZetaLinearForm) -> tuple[int, dict]:

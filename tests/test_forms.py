@@ -43,6 +43,7 @@ from zetaforms.fixedpoint import GUARD_DIGITS, FixedReal, _div_nearest
 from zetaforms.forms import (
     _linear_factors,
     _second_derivative_terms,
+    _tail_cutoff,
     _three_terms,
 )
 from zetaforms.zeta import ZetaTable
@@ -631,7 +632,7 @@ def test_direct_sum_of_ball_series_matches_exact_route(n):
     # a numerator zero on the walk that leaves it: (t - n)_n vanishes at
     # t = 1..n, one factor each, so the zero count drops from 1 to 0 on the
     # slide from n to n + 1.  n = 1 and 2 are left out: the terms fall only
-    # like k^-(2n + 5), so n = 2 walks 29,411 terms and n = 1 far more
+    # like k^-(2n + 5), so n = 2 walks 36,370 terms and n = 1 far more
     f = ball_zeta3(n)
     form = sum_over_k(second_derivative(partial_fractions(f)))
     exact = evaluate_numeric(form, ZetaTable(form.nonzero_arguments(), 70))
@@ -1175,27 +1176,11 @@ def test_direct_sum_two_cutoffs(pipeline1):
     assert abs(a.to_fraction() - b.to_fraction()) < Fraction(1, 10**138)
 
 
-def exact_cutoff(terms, decay, k_min, guard):
-    """Oracle: the cutoff of the crude tail bound |term(k)| <= C k^-decay on
-    exact integers, the first k >= k_min with 2 10^4 C < (decay - 1) guard
-    k^(decay-1), C the largest |term(j)| j^decay for j <= k.  The terms are
-    in 10**-work units and guard = 10^(work - digits); None when the terms
-    run out first."""
-    c_run = 0
-    for k, term in enumerate(terms, 1):
-        if term:
-            c_run = max(c_run, abs(term) * k**decay)
-        if k >= k_min and 2 * 10**4 * c_run < (decay - 1) * guard * k ** (decay - 1):
-            return k
-    return None
-
-
-def per_pole_direct_sum_oracle(n, digits, expansion):
-    """Oracle: the per-pole direct sum.  Each pole's terms of `expansion`
-    (the twice-differentiated partial fractions of the n-th function) are
-    one integer polynomial over a common denominator, evaluated exactly at
-    every t = k and rounded per pole; the cutoff is exact_cutoff's with
-    decay 78n + 11 and k_min = 140n.  Returns the sum and the cutoff k."""
+def per_pole_direct_sum_oracle(digits, expansion, count):
+    """Oracle: the per-pole direct sum of the first `count` terms.  Each
+    pole's terms of `expansion` (a twice-differentiated partial-fraction
+    expansion) are one integer polynomial over a common denominator,
+    evaluated exactly at every t = k and rounded per pole."""
     work = digits + GUARD_DIGITS + 5
     scale = 10**work
     poles = []
@@ -1207,29 +1192,19 @@ def per_pole_direct_sum_oracle(n, digits, expansion):
         for j, a in orders.items():
             coeffs[big_j - j] = a.numerator * (den // a.denominator)
         poles.append((m, den, coeffs, big_j))
-    terms = []
-
-    def walk():
-        k = 0
-        while True:
-            k += 1
-            term = 0
-            for m, den, coeffs, big_j in poles:
-                value = 0
-                for c in reversed(coeffs):
-                    value = value * (k + m) + c
-                term += _div_nearest(value * scale, den * (k + m) ** big_j)
-            terms.append(term)
-            yield term
-
-    guard = 10 ** (work - digits)
-    cutoff = exact_cutoff(walk(), 78 * n + 11, 140 * n, guard)
-    return FixedReal(_div_nearest(sum(terms), guard), digits), cutoff
+    total = 0
+    for k in range(1, count + 1):
+        for m, den, coeffs, big_j in poles:
+            value = 0
+            for c in reversed(coeffs):
+                value = value * (k + m) + c
+            total += _div_nearest(value * scale, den * (k + m) ** big_j)
+    return FixedReal(_div_nearest(total, 10 ** (work - digits)), digits)
 
 
 def test_direct_sum_matches_per_pole_oracle(pipeline1, pipeline2, monkeypatch):
-    # same 200 digits and the same cutoff k as the per-pole route: the
-    # decay and hump derived from f are 78n + 11 and 4 x 35n = 140n
+    # the same 200 digits as the per-pole route over as many terms as
+    # direct_sum consumed
     import zetaforms.forms as forms
 
     terms = forms._second_derivative_terms
@@ -1246,16 +1221,15 @@ def test_direct_sum_matches_per_pole_oracle(pipeline1, pipeline2, monkeypatch):
     f3 = build_zudilin(3)
     cases.append((3, f3, second_derivative(partial_fractions(f3))))
     for n, f, differentiated in cases:
-        value, cutoff = per_pole_direct_sum_oracle(n, 200, differentiated)
-        assert direct_sum(f, 200).to_decimal() == value.to_decimal()
-        assert used[-1] == cutoff, n
+        got = direct_sum(f, 200).to_decimal()
+        assert got == per_pole_direct_sum_oracle(200, differentiated, used[-1]).to_decimal(), n
 
 
 def test_direct_sum_cutoff_follows_the_decay(monkeypatch):
     # R = 1/((t+1)(t+2)) = 1/(t+1) - 1/(t+2), so sum R''(k) = 2/2^3 = 1/4
-    # exactly.  Its tail bound decays like k^-4 (deg den - deg num + 2) and
-    # stops the walk at k = 73,679; an exponent one too small walks about
-    # 6.6 million terms
+    # exactly.  Its proved tail bound 2 (k + 3) / (k^2 (k - 2)^2) falls like
+    # k^-3 and meets 10^-10 / (2 10^4) first at k = 73,683, so the walk
+    # sums 73,682 terms
     import zetaforms.forms as forms
 
     terms = forms._second_derivative_terms
@@ -1306,21 +1280,21 @@ def recorded_direct_sum(f, digits):
         return direct_sum(f, digits), consumed
 
 
-# (t - 50)^3 / (t + 1)_8: R''(50) = 0 lies past k_min = 4 x 8 = 32
+# (t - 50)^3 / (t + 1)_8: R''(50) = 0 lies past the hump of the terms
 ROOT_PAST_HUMP = FactoredRationalFunction((1, 0), (RisingBlock(-50, 1, 3),),
                                           (RisingBlock(1, 8, 1),))
 
 
 @pytest.fixture(scope="module")
 def root_past_hump_sum():
-    """direct_sum(ROOT_PAST_HUMP, 30) and the 916,661 terms it consumed, the
+    """direct_sum(ROOT_PAST_HUMP, 30) and the 872,136 terms it consumed, the
     longest walk in the suite, walked once for the two tests that read it."""
     return recorded_direct_sum(ROOT_PAST_HUMP, 30)
 
 
-def test_direct_sum_cutoff_keeps_the_largest_term_past_a_root(root_past_hump_sum):
-    # C is the running maximum of |term| k^decay: a cutoff that reads only
-    # the current term stops at R''(50) = 0 with -1.523365255437328...,
+def test_direct_sum_sums_past_a_root_past_the_hump(root_past_hump_sum):
+    # the walk runs on past R''(50) = 0 to the proved cutoff and keeps all
+    # 30 digits: a sum stopped at that root gives -1.523365255437328...,
     # against -1.523365255437334... from the exact route
     value, _ = root_past_hump_sum
     form = sum_over_k(second_derivative(partial_fractions(ROOT_PAST_HUMP)))
@@ -1329,20 +1303,92 @@ def test_direct_sum_cutoff_keeps_the_largest_term_past_a_root(root_past_hump_sum
     assert abs(value.to_fraction() - exact) < Fraction(1, 10**29)
 
 
-def test_direct_sum_consumes_exactly_the_exact_cutoffs_terms(root_past_hump_sum):
-    # the log2 cutoff stops where exact_cutoff does on the same terms: at
-    # every n that `form` accepts (1,459 terms at n = 1, 140n from n = 2
-    # on), past the root above and on the staircase examples
+def test_direct_sum_consumes_the_proved_cutoffs_terms(root_past_hump_sum):
+    # direct_sum sums the terms k = 1 .. K - 1 for K = _tail_cutoff(f,
+    # digits), fixed before the walk: at every n that `form` accepts that is
+    # 1,578 terms at n = 1, 322 at n = 2 and 244 at n = 3; from n = 4 on the
+    # bound holds at the first k past reach = 64n, the numerator's largest
+    # constant.  Likewise past the root above and on the staircase examples
     accepted = [n for n in range(1, 100) if required_digits(n) <= cli.MAX_FORM_DIGITS]
     cases = [(build_zudilin(n), cli.DIRECT_SUM_DIGITS) for n in accepted] + STAIRCASE_EXAMPLES
-    walks = [(f, recorded_direct_sum(f, digits)[1]) for f, digits in cases]
-    assert [len(terms) for _, terms in walks[:len(accepted)]] == [1459] + [
-        140 * n for n in accepted[1:]]
-    walks.append((ROOT_PAST_HUMP, root_past_hump_sum[1]))
-    for f, terms in walks:
-        decay = f.denominator_degree - f.numerator_degree + 2
-        k_min = 4 * max(b.shift + b.length - 1 for b in f.denominator)
-        assert exact_cutoff(terms, decay, k_min, 10 ** (GUARD_DIGITS + 5)) == len(terms), f
+    walks = [(f, digits, len(recorded_direct_sum(f, digits)[1])) for f, digits in cases]
+    assert [count for _, _, count in walks[:len(accepted)]] == [1578, 322, 244] + [
+        64 * n for n in accepted[3:]]
+    walks.append((ROOT_PAST_HUMP, 30, len(root_past_hump_sum[1])))
+    assert walks[-1][2] == 872_136
+    for f, digits, count in walks:
+        assert count == _tail_cutoff(f, digits) - 1, f
+
+
+def test_cutoff_lies_past_the_prefactor_root():
+    # at scalar 10^-300 the bound meets the target at the first k past
+    # reach, here set by the prefactor's root: 40 for t - 40, and
+    # ceil(81/2) = 41 for 2t - 81, past every constant of the factors
+    for prefactor, count in [((-40, 1), 40), ((-81, 2), 41)]:
+        f = FactoredRationalFunction(prefactor, (RisingBlock(-3, 2, 1),),
+                                     (RisingBlock(1, 5, 1),), Fraction(1, 10**300))
+        value, consumed = recorded_direct_sum(f, 30)
+        assert (value.scaled, len(consumed)) == (0, count), prefactor
+
+
+def test_direct_sum_tail_telescopes_below_the_target():
+    # R'' = 2/(t+1)^3 - 2/(t+2)^3 for R = 1/((t+1)(t+2)), so the tail from
+    # t = k is exactly 2/(k+1)^3.  At 10 digits it lies below 10^-10 /
+    # (2 10^4) at direct_sum's k, whose bound spends at most 20 more terms
+    # than the least valid k, 73,680
+    f = FactoredRationalFunction((1, 0), (), (RisingBlock(1, 2, 1),))
+    value, consumed = recorded_direct_sum(f, 10)
+    k, target = len(consumed) + 1, Fraction(1, 2 * 10**14)
+
+    def tail(k):
+        return Fraction(2, (k + 1) ** 3)
+
+    assert tail(k) < target
+    assert tail(73_680) < target <= tail(73_679)
+    assert k <= 73_700
+    assert value.to_decimal() == "0.2500000000"
+
+
+@settings(max_examples=60, deadline=None)
+@given(staircase_functions())
+@example(STAIRCASE_EXAMPLES[0])
+@example(STAIRCASE_EXAMPLES[1])
+@example(STAIRCASE_EXAMPLES[2])
+def test_partial_tail_stays_below_the_target(case):
+    # the 51 exact terms past the cutoff, |R''(t)| for t = K .. K + 50 from
+    # the differentiated partial fractions, sum to less than the whole
+    # tail's target 10^-digits / (2 10^4); a function the budget refuses
+    # is skipped
+    f, digits = case
+    try:
+        k = _tail_cutoff(f, digits)
+    except BudgetError:
+        assume(False)
+    d = second_derivative(partial_fractions(f))
+    partial = sum(abs(d.evaluate(Fraction(t))) for t in range(k, k + 51))
+    assert partial < Fraction(1, 2 * 10 ** (digits + 4))
+
+
+def test_direct_sum_budget_refuses_before_any_term():
+    # at 1,000 digits n = 1's bound needs more than 10^7 terms, and a pole
+    # at t = -10^7 puts even the first k past reach beyond them, however
+    # small the scalar: each BudgetError comes before the walk yields a term
+    import zetaforms.forms as forms
+
+    walk, consumed = forms._second_derivative_terms, []
+
+    def recording(f, work):
+        for term in walk(f, work):
+            consumed.append(term)
+            yield term
+
+    far = FactoredRationalFunction((1, 0), (), (RisingBlock(10**7, 2, 1),), Fraction(1, 10**300))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(forms, "_second_derivative_terms", recording)
+        for f, digits in [(build_zudilin(1), 1000), (far, 10)]:
+            with pytest.raises(BudgetError, match="budget exceeded at k=10000000"):
+                direct_sum(f, digits)
+    assert consumed == []
 
 
 def full_walk_terms(f, count):
@@ -1479,13 +1525,13 @@ def test_direct_sum_terms_are_the_nearest_integers(monkeypatch):
 
 
 def test_screen_decides_the_first_terms_at_1000_digits(monkeypatch):
-    # a 1,000-digit direct_sum of n = 1 would pass its 10^7-term budget (at
-    # 400 digits it already sums 276,850 terms), so these are the terms it
-    # would round at 1,000 digits for the first 2,000 k, the hump and the
-    # start of the tail: each the nearest integer, and all decided by the
-    # walk.  The term at k = 1,942 of n = 1 lies 1/2 + 6.0e-6 past an
-    # integer, about 2^-17.3 units from the tie, and the walk's bound stays
-    # below 2^-WALK_GUARD_BITS = 2^-20 units
+    # a 1,000-digit direct_sum of n = 1 needs more than its 10^7-term budget
+    # and refuses before the walk, so these are the terms it would round at
+    # 1,000 digits for the first 2,000 k, the hump and the start of the
+    # tail: each the nearest integer, and all decided by the walk.  The
+    # term at k = 1,942 of n = 1 lies 1/2 + 6.0e-6 past an integer, about
+    # 2^-17.3 units from the tie, and the walk's bound stays below
+    # 2^-WALK_GUARD_BITS = 2^-20 units
     routed, work = routed_to_exact(monkeypatch), 1000 + GUARD_DIGITS + 5
     for n in (1, 2):
         f = build_zudilin(n)
